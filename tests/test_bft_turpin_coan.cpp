@@ -26,6 +26,45 @@ std::unique_ptr<Session> make_tc(int n, int f, Processor_id self, Value input)
     return std::make_unique<Turpin_coan_session>(n, f, self, std::move(input), pk_factory());
 }
 
+/// Turpin-Coan's reduction-round wire format: tag 1 plus the length-prefixed
+/// value, or the lone tag 0 for bottom.
+ga::common::Bytes tagged(const std::optional<Value>& value)
+{
+    ga::common::Bytes payload{static_cast<std::uint8_t>(value.has_value() ? 1 : 0)};
+    if (value.has_value()) ga::common::put_bytes(payload, *value);
+    return payload;
+}
+
+/// Delivers round r with sender j's payload held in `storage[j]`.
+void deliver(Session& session, ga::common::Round r,
+             const std::vector<ga::common::Bytes>& storage)
+{
+    Round_payloads payloads(storage.size());
+    for (std::size_t j = 0; j < storage.size(); ++j) payloads[j] = storage[j];
+    session.deliver_round(r, payloads);
+}
+
+/// Runs one session through rounds 0 and 1 with the given tagged values,
+/// then through phase-king with every processor voting 1, and returns the
+/// decision: the round-1 candidate whenever the binary stage decides 1.
+Value decide_with_round_one(int n, int f, const std::vector<std::optional<Value>>& round_one)
+{
+    Turpin_coan_session session{n, f, 0, bytes_of("own"), pk_factory()};
+    std::vector<ga::common::Bytes> storage(static_cast<std::size_t>(n), tagged(std::nullopt));
+    (void)session.message_for_round(0);
+    deliver(session, 0, storage);
+    (void)session.message_for_round(1);
+    for (std::size_t j = 0; j < round_one.size(); ++j) storage[j] = tagged(round_one[j]);
+    deliver(session, 1, storage);
+    const std::vector<ga::common::Bytes> ones(static_cast<std::size_t>(n), ga::common::Bytes{1});
+    for (ga::common::Round r = 2; r < session.total_rounds(); ++r) {
+        (void)session.message_for_round(r);
+        deliver(session, r, ones);
+    }
+    EXPECT_TRUE(session.done());
+    return session.decision();
+}
+
 TEST(TurpinCoan, RoundCountIsBinaryPlusTwo)
 {
     Turpin_coan_session session{5, 1, 0, bytes_of("v"), pk_factory()};
@@ -128,6 +167,60 @@ TEST(TurpinCoan, LargerSystemSweep)
         for (int i = 0; i < n - 2; ++i)
             EXPECT_EQ(*result.decisions[static_cast<std::size_t>(i)], bytes_of("w"));
     }
+}
+
+TEST(TurpinCoan, RoundZeroTakesTheValueWithAnNMinusFQuorum)
+{
+    // x is the value with at least n - f round-0 votes; a lexicographically
+    // smaller value below the quorum never displaces it, and without a
+    // quorum x is bottom. What x became is what round 1 broadcasts.
+    const auto x_after = [](int n, int f, const std::vector<Value>& inputs) {
+        Turpin_coan_session session{n, f, 0, bytes_of("own"), pk_factory()};
+        std::vector<ga::common::Bytes> storage;
+        for (const Value& v : inputs) storage.push_back(tagged(v));
+        (void)session.message_for_round(0);
+        deliver(session, 0, storage);
+        return session.message_for_round(1);
+    };
+    EXPECT_EQ(x_after(5, 1, {bytes_of("b"), bytes_of("a"), bytes_of("b"), bytes_of("b"),
+                             bytes_of("b")}),
+              tagged(bytes_of("b")));
+    EXPECT_EQ(x_after(9, 2,
+                      {Value{0xff}, Value{0x01}, Value{0xff}, Value{0xff}, Value{0xff},
+                       Value{0x00}, Value{0xff}, Value{0xff}, Value{0xff}}),
+              tagged(Value{0xff}));
+    EXPECT_EQ(x_after(5, 1, {bytes_of("a"), bytes_of("a"), bytes_of("a"), bytes_of("b"),
+                             bytes_of("b")}),
+              tagged(std::nullopt));
+    // The empty string is a real value when tagged, and can hold the quorum.
+    EXPECT_EQ(x_after(5, 1, {Value{}, Value{}, bytes_of("a"), Value{}, Value{}}),
+              tagged(Value{}));
+}
+
+TEST(TurpinCoan, RoundOneTieGoesToTheLexicographicallySmallestCandidate)
+{
+    const std::optional<Value> bottom;
+    // Two-way tie: the smaller value wins, whatever order the senders use.
+    EXPECT_EQ(decide_with_round_one(5, 1, {bytes_of("b"), bytes_of("a"), bytes_of("b"),
+                                           bytes_of("a"), bottom}),
+              bytes_of("a"));
+    // A proper prefix orders first.
+    EXPECT_EQ(decide_with_round_one(5, 1, {bytes_of("ab"), bytes_of("ab"), bytes_of("a"),
+                                           bytes_of("a"), bottom}),
+              bytes_of("a"));
+    // Bytes compare unsigned: {0x01, 0x00} < {0xff}, despite being longer.
+    EXPECT_EQ(decide_with_round_one(5, 1, {Value{0xff}, Value{0x01, 0x00}, Value{0xff},
+                                           Value{0x01, 0x00}, bottom}),
+              (Value{0x01, 0x00}));
+    // Votes beat order: a strict plurality wins over a smaller value.
+    EXPECT_EQ(decide_with_round_one(5, 1, {bytes_of("z"), bytes_of("a"), bytes_of("z"),
+                                           bytes_of("z"), bottom}),
+              bytes_of("z"));
+    // Three-way tie at n = 9, f = 2 (7 non-bottom votes meet n - f).
+    EXPECT_EQ(decide_with_round_one(9, 2, {bytes_of("q"), bytes_of("p"), bytes_of("r"),
+                                           bytes_of("q"), bytes_of("r"), bytes_of("p"),
+                                           bytes_of("s"), bottom, bottom}),
+              bytes_of("p"));
 }
 
 } // namespace
