@@ -22,7 +22,9 @@ Ic_schedule_processor::Ic_schedule_processor(common::Processor_id id, int n, int
       clock_{n, f, period_for(n_phases, ic_rounds_), std::move(clock_rng)},
       cache_{id, n, period_for(n_phases, ic_rounds_), delta},
       buf_round_(static_cast<std::size_t>(n), -1),
-      buf_payload_(static_cast<std::size_t>(n))
+      buf_owner_(static_cast<std::size_t>(n)),
+      buf_section_(static_cast<std::size_t>(n)),
+      delivery_(static_cast<std::size_t>(n))
 {
     // The wire section carries the phase index in one byte.
     common::ensure(n_phases_ >= 1 && n_phases_ <= 255,
@@ -33,7 +35,8 @@ void Ic_schedule_processor::reset_section_buffer(int phase)
 {
     buf_phase_ = phase;
     for (common::Round& round : buf_round_) round = -1;
-    for (common::Bytes& payload : buf_payload_) payload.clear();
+    for (common::Shared_payload& owner : buf_owner_) owner = {};
+    for (common::Byte_view& section : buf_section_) section = {};
 }
 
 void Ic_schedule_processor::on_pulse(sim::Pulse_context& ctx)
@@ -41,15 +44,10 @@ void Ic_schedule_processor::on_pulse(sim::Pulse_context& ctx)
     // ---- Parse inbox. Under delta > 1 a pulse legitimately carries several
     // copies per sender (retransmissions with different delays landing
     // together), so every copy is parsed: the cache keeps the freshest
-    // beacon per sender, and every decodable section is parked for the
+    // beacon per sender, and every decodable section is parked — as a view
+    // into the message, kept alive by its payload handle — for the
     // newest-round-per-sender buffer fold below.
-    struct Parked {
-        common::Processor_id from;
-        int phase;
-        common::Round round;
-        common::Bytes payload;
-    };
-    std::vector<Parked> parked;
+    parked_.clear();
     for (const sim::Message& msg : ctx.inbox()) {
         if (msg.from < 0 || msg.from >= ctx.system_size()) continue;
         try {
@@ -60,9 +58,9 @@ void Ic_schedule_processor::on_pulse(sim::Pulse_context& ctx)
             if (has_section == 1) {
                 const auto phase = static_cast<int>(reader.get_u8());
                 const auto round = static_cast<common::Round>(reader.get_u32());
-                common::Bytes payload = reader.get_bytes();
+                const common::Byte_view section = reader.get_view();
                 if (reader.exhausted()) {
-                    parked.push_back({msg.from, phase, round, std::move(payload)});
+                    parked_.push_back({msg.from, phase, round, msg.payload, section});
                 }
             }
         } catch (const common::Decode_error&) {
@@ -111,13 +109,14 @@ void Ic_schedule_processor::on_pulse(sim::Pulse_context& ctx)
         if (phase_index != buf_phase_ || (slot_entered && r == 0)) {
             reset_section_buffer(phase_index);
         }
-        for (Parked& p : parked) {
+        for (Parked& p : parked_) {
             const auto sender = static_cast<std::size_t>(p.from);
             if (p.phase != phase_index) continue;
             if (p.round < 0 || p.round >= ic_rounds_) continue;
             if (p.round <= buf_round_[sender]) continue;
             buf_round_[sender] = p.round;
-            buf_payload_[sender] = std::move(p.payload);
+            buf_owner_[sender] = std::move(p.owner);
+            buf_section_[sender] = p.section;
         }
 
         if (slot_entered && r == 0) {
@@ -147,19 +146,23 @@ void Ic_schedule_processor::on_pulse(sim::Pulse_context& ctx)
             // held clock merges late arrivals into the same round — the
             // sessions' deliver_round is first-writer-wins and re-delivery
             // safe.
-            bft::Round_payloads filtered(static_cast<std::size_t>(n_));
+            // The views stay valid for the call: buf_owner_ holds each
+            // section's message, and last_sent_payload_ is not re-minted
+            // until after delivery.
             for (int j = 0; j < n_; ++j) {
-                if (buf_round_[static_cast<std::size_t>(j)] == r - 1) {
-                    filtered[static_cast<std::size_t>(j)] =
-                        buf_payload_[static_cast<std::size_t>(j)];
+                const auto sender = static_cast<std::size_t>(j);
+                if (buf_round_[sender] == r - 1) {
+                    delivery_[sender] = buf_section_[sender];
+                } else {
+                    delivery_[sender].reset();
                 }
             }
             // Self-delivery: the engine does not echo broadcasts, but the
             // Session contract includes the sender's own payload.
             if (last_sent_phase_ == phase_index && last_sent_round_ == r - 1) {
-                filtered[static_cast<std::size_t>(id())] = last_sent_payload_;
+                delivery_[static_cast<std::size_t>(id())] = last_sent_payload_;
             }
-            session_->deliver_round(r - 1, filtered);
+            session_->deliver_round(r - 1, delivery_);
             if (session_->done()) {
                 if (tracer_ != nullptr) {
                     tracer_->end_span(ic_span_, ctx.pulse());
@@ -215,6 +218,7 @@ void Ic_schedule_processor::corrupt(common::Rng& rng)
     last_sent_round_ = -1;
     last_sent_payload_.clear();
     last_slot_ = -1;
+    parked_.clear();
     reset_section_buffer(-1);
     ic_started_at_ = -1; // the in-flight activation died with the fault
     ic_span_ = 0;        // its span stays open; the exporter clamps it

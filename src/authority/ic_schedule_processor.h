@@ -35,6 +35,7 @@
 #include "bft/ic_select.h"
 #include "clock/beacon_cache.h"
 #include "clock/clock_core.h"
+#include "common/shared_payload.h"
 #include "sim/processor.h"
 #include "telemetry/telemetry.h"
 
@@ -134,12 +135,27 @@ private:
     common::Bytes last_sent_payload_;
     int last_slot_ = -1; ///< gates session creation to actual slot entry
 
+    // A section decoded from this pulse's inbox, awaiting the buffer fold.
+    // `section` views bytes inside `owner`, the message's payload handle.
+    struct Parked {
+        common::Processor_id from;
+        int phase;
+        common::Round round;
+        common::Shared_payload owner;
+        common::Byte_view section;
+    };
+    std::vector<Parked> parked_; ///< refilled every pulse, capacity reused
+
     // Cross-pulse section buffer: the newest round heard per sender within
     // the current phase (late retransmit copies of an already delivered
-    // round lose to it and are ignored).
+    // round lose to it and are ignored). Sections are never copied: each
+    // buf_section_ views bytes of the message whose handle buf_owner_ holds,
+    // so the view stays valid until the slot is replaced or reset.
     int buf_phase_ = -1;
     std::vector<common::Round> buf_round_;
-    std::vector<common::Bytes> buf_payload_;
+    std::vector<common::Shared_payload> buf_owner_;
+    std::vector<common::Byte_view> buf_section_;
+    bft::Round_payloads delivery_; ///< reused for every deliver_round call
 
     // ---- Telemetry (observer-only; no effect on the schedule).
     telemetry::Telemetry_sink* telemetry_ = nullptr;

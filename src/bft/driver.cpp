@@ -25,7 +25,10 @@ Drive_result drive(std::vector<Participant>& participants)
     result.rounds = rounds;
 
     // Staging reused across rounds and recipients: assign() recycles capacity.
+    // The payloads are owned here (honest broadcasts, and each attacker's
+    // payload for the current recipient); sessions receive views of them.
     std::vector<std::optional<common::Bytes>> broadcast;
+    std::vector<std::optional<common::Bytes>> forged(static_cast<std::size_t>(n));
     Round_payloads view;
     for (common::Round r = 0; r < rounds; ++r) {
         // Honest broadcasts: one payload for everyone.
@@ -40,16 +43,15 @@ Drive_result drive(std::vector<Participant>& participants)
         for (int to = 0; to < n; ++to) {
             view.assign(static_cast<std::size_t>(n), std::nullopt);
             for (int from = 0; from < n; ++from) {
-                auto& p = participants[static_cast<std::size_t>(from)];
-                if (p.session) {
-                    view[static_cast<std::size_t>(from)] = broadcast[static_cast<std::size_t>(from)];
-                } else {
-                    view[static_cast<std::size_t>(from)] = p.attacker->message_for(r, to);
-                }
-                if (from != to && view[static_cast<std::size_t>(from)].has_value()) {
+                const auto slot = static_cast<std::size_t>(from);
+                auto& p = participants[slot];
+                if (!p.session) forged[slot] = p.attacker->message_for(r, to);
+                const auto& sent = p.session ? broadcast[slot] : forged[slot];
+                if (!sent.has_value()) continue;
+                view[slot] = *sent;
+                if (from != to) {
                     result.messages += 1;
-                    result.payload_bytes +=
-                        static_cast<std::int64_t>(view[static_cast<std::size_t>(from)]->size());
+                    result.payload_bytes += static_cast<std::int64_t>(sent->size());
                 }
             }
             auto& p = participants[static_cast<std::size_t>(to)];

@@ -34,9 +34,13 @@ Ic_factory ic_parallel_phase_king()
 
 Ic_factory choose_ic(int n, int f)
 {
-    // E7 crossover (bench_bap_scaling, BM_authority_play): EIG wins at f = 1
-    // (~0.27 vs 0.41 ms/play at n = 5); parallel-IC wins from f = 2 on
-    // (~4.9x at n = 9) — but only exists for n > 4f.
+    // E7 crossover (bench_bap_scaling, BM_authority_play): at f = 1 (n = 5)
+    // the two cost about the same wall time per play (~0.18 vs ~0.20 ms), but
+    // parallel-IC runs 7 send rounds to EIG's 2, so a play takes 34 pulses
+    // instead of 14 — EIG stays the f <= 1 substrate because switching would
+    // stretch every play's latency in pulses. From f = 2 on EIG's exponential
+    // payloads dominate and parallel-IC wins ~8-10x per play at n = 9 — but
+    // it only exists for n > 4f.
     if (f >= 2 && n > 4 * f) return ic_parallel_phase_king();
     return ic_eig();
 }

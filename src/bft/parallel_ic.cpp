@@ -51,48 +51,47 @@ void Parallel_ic_session::deliver_round(common::Round r, const Round_payloads& p
             if (payload.has_value()) {
                 try {
                     common::Byte_reader reader{*payload};
-                    Value value = reader.get_bytes();
-                    if (reader.exhausted()) seed = std::move(value);
+                    const common::Byte_view value = reader.get_view();
+                    if (reader.exhausted()) seed.assign(value.begin(), value.end());
                 } catch (const common::Decode_error&) {
                 }
             }
             if (j == self_) seed = input_; // own slot always carries the real input
             instances_.push_back(make_inner_(n_, f_, self_, std::move(seed)));
         }
+        per_instance_.assign(static_cast<std::size_t>(n_),
+                             Round_payloads(static_cast<std::size_t>(n_)));
         return;
     }
 
     if (instances_.empty()) return; // out-of-schedule call after a fault
 
-    // Split each sender's concatenated payload into per-instance sections.
-    std::vector<Round_payloads> per_instance(static_cast<std::size_t>(n_),
-                                             Round_payloads(static_cast<std::size_t>(n_)));
-    for (int sender = 0; sender < n_; ++sender) {
-        const auto& payload = payloads[static_cast<std::size_t>(sender)];
-        if (!payload.has_value()) continue;
+    // Split each sender's concatenated payload into per-instance views of
+    // its sections (per_instance_[j][sender] = sender's section for j).
+    const auto reset_sender = [&](std::size_t sender) {
+        for (Round_payloads& instance : per_instance_) instance[sender].reset();
+    };
+    for (int s = 0; s < n_; ++s) {
+        const auto sender = static_cast<std::size_t>(s);
+        const auto& payload = payloads[sender];
+        if (!payload.has_value()) {
+            reset_sender(sender);
+            continue;
+        }
         try {
             common::Byte_reader reader{*payload};
-            for (int j = 0; j < n_; ++j) {
-                per_instance[static_cast<std::size_t>(j)][static_cast<std::size_t>(sender)] =
-                    reader.get_bytes();
-            }
-            if (!reader.exhausted()) {
-                // Trailing junk: distrust the sender entirely this round.
-                for (int j = 0; j < n_; ++j)
-                    per_instance[static_cast<std::size_t>(j)][static_cast<std::size_t>(sender)]
-                        .reset();
-            }
+            for (Round_payloads& instance : per_instance_) instance[sender] = reader.get_view();
+            // Trailing junk: distrust the sender entirely this round.
+            if (!reader.exhausted()) reset_sender(sender);
         } catch (const common::Decode_error&) {
-            for (int j = 0; j < n_; ++j)
-                per_instance[static_cast<std::size_t>(j)][static_cast<std::size_t>(sender)]
-                    .reset();
+            reset_sender(sender);
         }
     }
 
     bool all_done = true;
     for (int j = 0; j < n_; ++j) {
         instances_[static_cast<std::size_t>(j)]->deliver_round(
-            r - 1, per_instance[static_cast<std::size_t>(j)]);
+            r - 1, per_instance_[static_cast<std::size_t>(j)]);
         all_done &= instances_[static_cast<std::size_t>(j)]->done();
     }
     if (all_done) {

@@ -45,6 +45,10 @@ private:
     Value input_;
     Multivalued_session_factory make_inner_;
     std::vector<std::unique_ptr<Session>> instances_;
+    // n x n split of one round: per_instance_[j][sender] views sender's
+    // section for instance j. Sized once per activation (round 0) and
+    // refilled each round; its views are valid only inside deliver_round.
+    std::vector<Round_payloads> per_instance_;
     std::vector<Value> agreed_vector_;
     bool done_ = false;
 };

@@ -7,7 +7,7 @@ namespace ga::bft {
 namespace {
 
 /// Decode a 1-byte binary payload; anything else reads as "missing".
-std::optional<int> decode_bit(const std::optional<common::Bytes>& payload)
+std::optional<int> decode_bit(const std::optional<common::Byte_view>& payload)
 {
     if (!payload.has_value() || payload->size() != 1) return std::nullopt;
     const std::uint8_t byte = (*payload)[0];

@@ -14,6 +14,16 @@
 // outputs. Sessions must tolerate arbitrary payload bytes from any sender
 // (Byzantine garbage decodes to "missing"), and any call pattern reachable
 // after a transient fault must not crash — out-of-schedule calls are ignored.
+//
+// Payload lifetime: deliver_round receives borrowed views, not copies. A
+// view is valid only for the duration of that deliver_round call, and a
+// session copies whatever it keeps past it (EIG tree values, Turpin-Coan's
+// x and candidate, the parallel-IC round-0 seeds). The caller keeps the
+// viewed bytes alive and unmodified across the call: in the authority tier
+// the owner is the received message's Shared_payload handle, held by the
+// schedule processor's cross-pulse section buffer; in bft::drive and
+// SSBA it is the caller's own Bytes. Sessions never read outside a view, so
+// a section may be a sub-span of a larger message.
 #ifndef GA_BFT_SESSION_H
 #define GA_BFT_SESSION_H
 
@@ -29,8 +39,9 @@ namespace ga::bft {
 /// ("bottom") value decided when the protocol cannot attribute a real value.
 using Value = common::Bytes;
 
-/// Per-sender payloads for one round; index j holds what processor j sent.
-using Round_payloads = std::vector<std::optional<common::Bytes>>;
+/// Per-sender payloads for one round; index j views what processor j sent
+/// (borrowed for the deliver_round call only, see the lifetime note above).
+using Round_payloads = std::vector<std::optional<common::Byte_view>>;
 
 class Session {
 public:

@@ -1,6 +1,6 @@
 #include "bft/turpin_coan.h"
 
-#include <map>
+#include <algorithm>
 
 #include "common/ensure.h"
 
@@ -21,7 +21,10 @@ common::Bytes encode_tagged(const std::optional<Value>& value)
     return payload;
 }
 
-std::optional<std::optional<Value>> decode_tagged(const std::optional<common::Bytes>& payload)
+/// nullopt = missing or malformed; an inner nullopt = bottom; otherwise a
+/// view of the tagged value inside `payload`.
+std::optional<std::optional<common::Byte_view>> decode_tagged(
+    const std::optional<common::Byte_view>& payload)
 {
     if (!payload.has_value()) return std::nullopt;
     try {
@@ -29,14 +32,44 @@ std::optional<std::optional<Value>> decode_tagged(const std::optional<common::By
         const std::uint8_t tag = reader.get_u8();
         if (tag == 0) {
             if (!reader.exhausted()) return std::nullopt;
-            return std::optional<Value>{std::nullopt};
+            return std::optional<common::Byte_view>{std::nullopt};
         }
         if (tag != 1) return std::nullopt;
-        Value value = reader.get_bytes();
+        const common::Byte_view value = reader.get_view();
         if (!reader.exhausted()) return std::nullopt;
-        return std::optional<Value>{std::move(value)};
+        return std::optional<common::Byte_view>{value};
     } catch (const common::Decode_error&) {
         return std::nullopt;
+    }
+}
+
+/// Flat vote tally of one reduction round: the non-bottom values, sorted so
+/// that equal values are adjacent and runs come in lexicographic (unsigned
+/// byte) order — the key order of a std::map<Value, int>.
+std::vector<common::Byte_view> sorted_votes(const Round_payloads& payloads)
+{
+    std::vector<common::Byte_view> votes;
+    votes.reserve(payloads.size());
+    for (const auto& payload : payloads) {
+        const auto decoded = decode_tagged(payload);
+        if (decoded.has_value() && decoded->has_value()) votes.push_back(**decoded);
+    }
+    std::sort(votes.begin(), votes.end(), [](common::Byte_view a, common::Byte_view b) {
+        return std::ranges::lexicographical_compare(a, b);
+    });
+    return votes;
+}
+
+/// Calls visit(value, count) for each distinct value of a sorted tally, in
+/// lexicographic order.
+template <typename Visit>
+void for_each_run(const std::vector<common::Byte_view>& votes, Visit visit)
+{
+    for (std::size_t begin = 0; begin < votes.size();) {
+        std::size_t end = begin + 1;
+        while (end < votes.size() && std::ranges::equal(votes[end], votes[begin])) ++end;
+        visit(votes[begin], static_cast<int>(end - begin));
+        begin = end;
     }
 }
 
@@ -74,41 +107,30 @@ void Turpin_coan_session::deliver_round(common::Round r, const Round_payloads& p
                    "Turpin_coan_session::deliver_round: payload vector size mismatch");
 
     if (r == 0) {
-        // x := any value with >= n-f occurrences (unique when n > 3f).
-        std::map<Value, int> votes;
-        for (const auto& payload : payloads) {
-            const auto decoded = decode_tagged(payload);
-            if (decoded.has_value() && decoded->has_value()) ++votes[**decoded];
-        }
+        // x := the smallest value with >= n-f occurrences (unique when n > 3f).
         x_.reset();
-        for (const auto& [value, count] : votes) {
-            if (count >= n_ - f_) {
-                x_ = value;
-                break;
-            }
-        }
+        for_each_run(sorted_votes(payloads), [&](common::Byte_view value, int count) {
+            if (!x_ && count >= n_ - f_) x_.emplace(value.begin(), value.end());
+        });
         return;
     }
 
     if (r == 1) {
-        std::map<Value, int> votes;
-        int non_bottom = 0;
-        for (const auto& payload : payloads) {
-            const auto decoded = decode_tagged(payload);
-            if (decoded.has_value() && decoded->has_value()) {
-                ++votes[**decoded];
-                ++non_bottom;
+        // Most votes wins; runs arrive in lexicographic order and only a
+        // strictly larger count replaces the leader, so ties go to the
+        // smallest value.
+        const std::vector<common::Byte_view> votes = sorted_votes(payloads);
+        std::optional<common::Byte_view> best;
+        int best_count = 0;
+        for_each_run(votes, [&](common::Byte_view value, int count) {
+            if (count > best_count) {
+                best = value;
+                best_count = count;
             }
-        }
-        candidate_valid_ = false;
-        int best = 0;
-        for (const auto& [value, count] : votes) {
-            if (count > best) {
-                best = count;
-                candidate_ = value;
-                candidate_valid_ = true;
-            }
-        }
+        });
+        candidate_valid_ = best.has_value();
+        if (candidate_valid_) candidate_.assign(best->begin(), best->end());
+        const int non_bottom = static_cast<int>(votes.size());
         const int binary_input = non_bottom >= n_ - f_ ? 1 : 0;
         binary_ = make_binary_(n_, f_, self_, binary_input);
         return;

@@ -27,45 +27,6 @@ void put_bytes(Bytes& out, const Bytes& blob)
     out.insert(out.end(), blob.begin(), blob.end());
 }
 
-std::uint8_t Byte_reader::get_u8()
-{
-    need(1);
-    return (*data_)[pos_++];
-}
-
-std::uint32_t Byte_reader::get_u32()
-{
-    need(4);
-    std::uint32_t value = 0;
-    for (int shift = 0; shift < 32; shift += 8)
-        value |= static_cast<std::uint32_t>((*data_)[pos_++]) << shift;
-    return value;
-}
-
-std::uint64_t Byte_reader::get_u64()
-{
-    need(8);
-    std::uint64_t value = 0;
-    for (int shift = 0; shift < 64; shift += 8)
-        value |= static_cast<std::uint64_t>((*data_)[pos_++]) << shift;
-    return value;
-}
-
-std::int64_t Byte_reader::get_i64()
-{
-    return static_cast<std::int64_t>(get_u64());
-}
-
-Bytes Byte_reader::get_bytes()
-{
-    const std::uint32_t len = get_u32();
-    need(len);
-    Bytes blob(data_->begin() + static_cast<std::ptrdiff_t>(pos_),
-               data_->begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-    pos_ += len;
-    return blob;
-}
-
 std::string to_hex(const Bytes& data)
 {
     static constexpr std::array<char, 16> digits = {'0', '1', '2', '3', '4', '5', '6', '7',

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,11 @@ namespace ga::common {
 
 /// Opaque byte buffer used for message payloads and hash inputs.
 using Bytes = std::vector<std::uint8_t>;
+
+/// Borrowed, read-only window into bytes someone else owns. `Bytes` and
+/// `Shared_payload` both convert to one implicitly; a view is valid only as
+/// long as its owner is alive and unmodified.
+using Byte_view = std::span<const std::uint8_t>;
 
 /// Append `value` to `out` in little-endian order.
 void put_u32(Bytes& out, std::uint32_t value);
@@ -32,26 +38,67 @@ public:
     explicit Decode_error(const std::string& what_arg) : std::runtime_error{what_arg} {}
 };
 
+/// Reads over a borrowed view: it never reads outside `data`, and the owner
+/// of `data` must outlive the reader (and every view `get_view` returns).
+/// The accessors are inline because IC section parsing calls them per
+/// section per sender per round.
 class Byte_reader {
 public:
-    explicit Byte_reader(const Bytes& data) : data_{&data} {}
+    explicit Byte_reader(Byte_view data) : data_{data} {}
 
-    std::uint8_t get_u8();
-    std::uint32_t get_u32();
-    std::uint64_t get_u64();
-    std::int64_t get_i64();
-    Bytes get_bytes();
+    std::uint8_t get_u8()
+    {
+        need(1);
+        return data_[pos_++];
+    }
 
-    [[nodiscard]] bool exhausted() const { return pos_ == data_->size(); }
-    [[nodiscard]] std::size_t remaining() const { return data_->size() - pos_; }
+    std::uint32_t get_u32()
+    {
+        need(4);
+        std::uint32_t value = 0;
+        for (int shift = 0; shift < 32; shift += 8)
+            value |= static_cast<std::uint32_t>(data_[pos_++]) << shift;
+        return value;
+    }
+
+    std::uint64_t get_u64()
+    {
+        need(8);
+        std::uint64_t value = 0;
+        for (int shift = 0; shift < 64; shift += 8)
+            value |= static_cast<std::uint64_t>(data_[pos_++]) << shift;
+        return value;
+    }
+
+    std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
+
+    /// A length-prefixed blob, borrowed from the reader's buffer.
+    Byte_view get_view()
+    {
+        const std::uint32_t len = get_u32();
+        need(len);
+        const Byte_view blob = data_.subspan(pos_, len);
+        pos_ += len;
+        return blob;
+    }
+
+    /// A length-prefixed blob, copied out.
+    Bytes get_bytes()
+    {
+        const Byte_view blob = get_view();
+        return Bytes(blob.begin(), blob.end());
+    }
+
+    [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
+    [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
 private:
     void need(std::size_t count) const
     {
-        if (pos_ + count > data_->size()) throw Decode_error{"byte buffer underrun"};
+        if (count > data_.size() - pos_) throw Decode_error{"byte buffer underrun"};
     }
 
-    const Bytes* data_;
+    Byte_view data_;
     std::size_t pos_ = 0;
 };
 

@@ -60,17 +60,17 @@ void Ssba_processor::on_pulse(sim::Pulse_context& ctx)
     // ---- Collect this pulse's deliveries (first message per sender wins).
     std::vector<bool> seen(static_cast<std::size_t>(ctx.system_size()), false);
     std::vector<int> clock_values;
-    bft::Round_payloads ba_payloads(static_cast<std::size_t>(n_));
+    std::vector<common::Bytes> ba_payloads(static_cast<std::size_t>(n_));
     std::vector<common::Round> ba_rounds(static_cast<std::size_t>(n_), -1);
     for (const sim::Message& msg : ctx.inbox()) {
         if (msg.from < 0 || msg.from >= ctx.system_size()) continue;
         if (seen[static_cast<std::size_t>(msg.from)]) continue;
         seen[static_cast<std::size_t>(msg.from)] = true;
-        const Parsed_payload parsed = parse(msg.payload);
+        Parsed_payload parsed = parse(msg.payload);
         if (parsed.clock_value.has_value()) clock_values.push_back(*parsed.clock_value);
         if (parsed.ba_round.has_value()) {
             ba_rounds[static_cast<std::size_t>(msg.from)] = *parsed.ba_round;
-            ba_payloads[static_cast<std::size_t>(msg.from)] = parsed.ba_payload;
+            ba_payloads[static_cast<std::size_t>(msg.from)] = std::move(parsed.ba_payload);
         }
     }
 
@@ -82,6 +82,7 @@ void Ssba_processor::on_pulse(sim::Pulse_context& ctx)
     // Deliver round c-2 (messages our peers sent when their clock was c-1).
     const common::Round deliver_round = c - 2;
     if (ba_ && !ba_->done() && deliver_round >= 0 && deliver_round < total) {
+        // Views into this pulse's owned sections, valid through the call.
         bft::Round_payloads filtered(static_cast<std::size_t>(n_));
         for (int j = 0; j < n_; ++j) {
             if (ba_rounds[static_cast<std::size_t>(j)] == deliver_round)

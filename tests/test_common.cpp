@@ -6,6 +6,7 @@
 
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "common/shared_payload.h"
 #include "common/stats.h"
 #include "common/table.h"
 
@@ -194,6 +195,26 @@ TEST(Bytes, UnderrunThrowsDecodeError)
     Bytes small{0x01};
     Byte_reader reader2{small};
     EXPECT_THROW(reader2.get_u32(), Decode_error);
+}
+
+TEST(Bytes, ViewsBorrowAndStayInsideTheirBuffer)
+{
+    Bytes buffer;
+    put_bytes(buffer, bytes_of("inner"));
+    put_u32(buffer, 7);
+    const Shared_payload payload{buffer};
+    Byte_reader reader{payload};
+    const Byte_view inner = reader.get_view();
+    EXPECT_EQ(inner.data(), payload.data() + 4); // borrowed, not copied
+    EXPECT_EQ(Bytes(inner.begin(), inner.end()), bytes_of("inner"));
+
+    // A reader over a sub-span ends where the span does, even when the
+    // bytes after it would satisfy the length prefix.
+    const Byte_view truncated = Byte_view{buffer}.first(6);
+    Byte_reader bounded{truncated};
+    EXPECT_THROW(bounded.get_view(), Decode_error);
+    Byte_reader prefix_cut{Byte_view{buffer}.first(3)};
+    EXPECT_THROW(prefix_cut.get_bytes(), Decode_error);
 }
 
 TEST(Bytes, HexRoundTrip)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <type_traits>
 
 #include "bft/eig.h"
 #include "bft/parallel_ic.h"
@@ -106,7 +107,40 @@ TEST(Fuzz, MerkleVerifyRejectsRandomProofs)
 
 // ---- Protocol sessions under randomized payload storms: deliver garbage for
 // every round; the session must terminate with *some* decision and identical
-// schedule length, never crash.
+// schedule length, never crash. Sessions read borrowed views (the
+// Round_payloads contract), so every round keeps its bytes in owned storage
+// and hands the session views of it.
+
+/// One round's payloads: owned storage plus the views a session reads.
+struct Owned_round {
+    std::vector<std::optional<Bytes>> storage;
+
+    [[nodiscard]] bft::Round_payloads views() const
+    {
+        bft::Round_payloads payloads(storage.size());
+        for (std::size_t j = 0; j < storage.size(); ++j)
+            if (storage[j].has_value()) payloads[j] = *storage[j];
+        return payloads;
+    }
+};
+
+bft::Binary_session_factory phase_king_factory()
+{
+    return [](int n, int f, common::Processor_id self,
+              int input) -> std::unique_ptr<bft::Session> {
+        return std::make_unique<bft::Phase_king_session>(n, f, self, input);
+    };
+}
+
+/// Turpin-Coan over phase-king, the inner consensus of parallel IC.
+bft::Multivalued_session_factory turpin_coan_factory()
+{
+    return [](int n, int f, common::Processor_id self,
+              bft::Value input) -> std::unique_ptr<bft::Session> {
+        return std::make_unique<bft::Turpin_coan_session>(n, f, self, std::move(input),
+                                                          phase_king_factory());
+    };
+}
 
 template <typename Make_session>
 void storm_session(Make_session make, std::uint64_t seed)
@@ -116,12 +150,12 @@ void storm_session(Make_session make, std::uint64_t seed)
     const auto rounds = session->total_rounds();
     for (common::Round r = 0; r < rounds; ++r) {
         (void)session->message_for_round(r);
-        bft::Round_payloads payloads(4);
-        for (auto& payload : payloads) {
+        Owned_round round{std::vector<std::optional<Bytes>>(4)};
+        for (auto& payload : round.storage) {
             if (rng.chance(0.3)) continue; // missing
             payload = random_bytes(rng, 80);
         }
-        session->deliver_round(r, payloads);
+        session->deliver_round(r, round.views());
     }
     EXPECT_TRUE(session->done());
     (void)session->decision();
@@ -145,15 +179,11 @@ TEST(Fuzz, PhaseKingSurvivesPayloadStorm)
 
 TEST(Fuzz, TurpinCoanSurvivesPayloadStorm)
 {
-    const bft::Binary_session_factory factory =
-        [](int n, int f, common::Processor_id self, int input) -> std::unique_ptr<bft::Session> {
-        return std::make_unique<bft::Phase_king_session>(n, f, self, input);
-    };
     for (std::uint64_t seed = 1; seed <= 50; ++seed) {
         storm_session(
-            [&] {
-                return std::make_unique<bft::Turpin_coan_session>(4, 0, 0,
-                                                                  common::bytes_of("v"), factory);
+            [] {
+                return std::make_unique<bft::Turpin_coan_session>(
+                    4, 0, 0, common::bytes_of("v"), phase_king_factory());
             },
             seed);
     }
@@ -161,22 +191,90 @@ TEST(Fuzz, TurpinCoanSurvivesPayloadStorm)
 
 TEST(Fuzz, ParallelIcSurvivesPayloadStorm)
 {
-    const bft::Multivalued_session_factory inner =
-        [](int n, int f, common::Processor_id self,
-           bft::Value input) -> std::unique_ptr<bft::Session> {
-        return std::make_unique<bft::Turpin_coan_session>(
-            n, f, self, std::move(input),
-            [](int nn, int ff, common::Processor_id s, int b) -> std::unique_ptr<bft::Session> {
-                return std::make_unique<bft::Phase_king_session>(nn, ff, s, b);
-            });
-    };
     for (std::uint64_t seed = 1; seed <= 30; ++seed) {
         storm_session(
-            [&] {
-                return std::make_unique<bft::Parallel_ic_session>(4, 0, 0,
-                                                                  common::bytes_of("v"), inner);
+            [] {
+                return std::make_unique<bft::Parallel_ic_session>(
+                    4, 0, 0, common::bytes_of("v"), turpin_coan_factory());
             },
             seed);
+    }
+}
+
+// ---- Views never read past their section. Twin sessions receive the same
+// sections each round: one as exact-size heap buffers (AddressSanitizer flags
+// any read past their end), the other as sub-spans of larger buffers padded
+// with canary bytes — and, right after the section, the rest of the message
+// it was truncated from, so a reader that ignored the view's end would find
+// a well-formed continuation there and decode differently. Sections are
+// mostly the session's own well-formed messages cut at random points, which
+// truncates length prefixes and the blobs they announce. The twins must
+// send, decide and agree identically.
+
+template <typename Make_session>
+void canary_storm(Make_session make, int n, std::uint64_t seed)
+{
+    static constexpr std::uint8_t k_canary = 0x01; // a valid tag, bit and small length byte
+    Rng rng{seed};
+    auto exact = make();
+    auto embedded = make();
+    const auto rounds = exact->total_rounds();
+    for (common::Round r = 0; r < rounds; ++r) {
+        const Bytes own = exact->message_for_round(r);
+        ASSERT_EQ(embedded->message_for_round(r), own) << "round " << r;
+
+        Owned_round exact_round{std::vector<std::optional<Bytes>>(static_cast<std::size_t>(n))};
+        std::vector<Bytes> padded(static_cast<std::size_t>(n));
+        bft::Round_payloads embedded_views(static_cast<std::size_t>(n));
+        for (std::size_t j = 0; j < padded.size(); ++j) {
+            if (rng.chance(0.15)) continue; // missing
+            Bytes full = rng.chance(0.8) ? own : random_bytes(rng, 80);
+            if (rng.chance(0.2) && !full.empty())
+                full[rng.below(full.size())] = static_cast<std::uint8_t>(rng.below(256));
+            const auto cut = static_cast<std::size_t>(
+                rng.chance(0.4) ? full.size() : rng.below(full.size() + 1));
+            exact_round.storage[j] =
+                Bytes(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(cut));
+
+            const auto lead = static_cast<std::size_t>(1 + rng.below(8));
+            Bytes& buffer = padded[j];
+            buffer.assign(lead, k_canary);
+            buffer.insert(buffer.end(), full.begin(), full.end());
+            buffer.insert(buffer.end(), 16, k_canary);
+            embedded_views[j] = common::Byte_view{buffer}.subspan(lead, cut);
+        }
+        exact->deliver_round(r, exact_round.views());
+        embedded->deliver_round(r, embedded_views);
+    }
+    ASSERT_TRUE(exact->done());
+    ASSERT_TRUE(embedded->done());
+    EXPECT_EQ(embedded->decision(), exact->decision());
+    if constexpr (std::is_base_of_v<bft::Ic_session, typename decltype(exact)::element_type>) {
+        EXPECT_EQ(embedded->agreed_vector(), exact->agreed_vector());
+    }
+}
+
+TEST(Fuzz, SessionViewsNeverReadPastTheirSection)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE(seed);
+        canary_storm(
+            [] { return std::make_unique<bft::Eig_session>(4, 1, 2, common::bytes_of("x")); }, 4,
+            seed);
+        canary_storm([] { return std::make_unique<bft::Phase_king_session>(5, 1, 1, 1); }, 5,
+                     seed);
+        canary_storm(
+            [] {
+                return std::make_unique<bft::Turpin_coan_session>(5, 1, 1, common::bytes_of("v"),
+                                                                  phase_king_factory());
+            },
+            5, seed);
+        canary_storm(
+            [] {
+                return std::make_unique<bft::Parallel_ic_session>(
+                    5, 1, 1, common::bytes_of("v"), turpin_coan_factory());
+            },
+            5, seed);
     }
 }
 
@@ -302,15 +400,19 @@ TEST(Fuzz, SessionsIgnoreOutOfScheduleCalls)
 {
     // Transient-fault remnants: deliveries for rounds that never happen must
     // be ignored, not crash.
+    const Owned_round junk{{Bytes{0x01}, std::nullopt, common::bytes_of("stale"), Bytes{},
+                            Bytes{0x00, 0x01}}};
+    const bft::Round_payloads five = junk.views();
+    const bft::Round_payloads four(five.begin(), five.begin() + 4);
+
     bft::Eig_session eig{4, 1, 0, common::bytes_of("x")};
-    bft::Round_payloads payloads(4);
-    eig.deliver_round(-3, payloads);
-    eig.deliver_round(99, payloads);
+    eig.deliver_round(-3, four);
+    eig.deliver_round(99, four);
     EXPECT_FALSE(eig.done());
 
     bft::Phase_king_session pk{5, 1, 0, 1};
-    pk.deliver_round(-1, bft::Round_payloads(5));
-    pk.deliver_round(1000, bft::Round_payloads(5));
+    pk.deliver_round(-1, five);
+    pk.deliver_round(1000, five);
     EXPECT_FALSE(pk.done());
     (void)pk.message_for_round(-5);
     (void)pk.message_for_round(500);

@@ -115,18 +115,24 @@ enum class Mix {
     two_faced, ///< last slot equivocates between an honest and a deviant face
 };
 
+/// The IC substrate a cell runs on. Each cell uses the smallest group the
+/// substrate tolerates: n = 3f + 1 for EIG, n = 4f + 1 for parallel IC.
+enum class Substrate { eig, parallel };
+
 struct Cell_result {
     std::vector<Play_record> plays;
     std::vector<Standing> standings;
+    bool replicas_agree = false; ///< every honest replica holds `plays`
 
     friend bool operator==(const Cell_result&, const Cell_result&) = default;
 };
 
-Cell_result run_cell(Mix mix, int f, const sim::Net_model& net, int threads = 1)
+Cell_result run_cell(Mix mix, int f, const sim::Net_model& net, int threads = 1,
+                     Substrate substrate = Substrate::eig)
 {
-    const int n = 3 * f + 1;
+    const int n = substrate == Substrate::eig ? 3 * f + 1 : 4 * f + 1;
     const Processor_id last = n - 1;
-    const Ic_factory ic = ic_eig();
+    const Ic_factory ic = substrate == Substrate::eig ? ic_eig() : ic_parallel_phase_king();
 
     std::vector<std::unique_ptr<Agent_behavior>> behaviors;
     for (int i = 0; i < n - 1; ++i) behaviors.push_back(std::make_unique<Honest_behavior>());
@@ -178,13 +184,16 @@ Cell_result run_cell(Mix mix, int f, const sim::Net_model& net, int threads = 1)
     Cell_result result;
     result.plays = authority.agreed_plays();
     result.standings = authority.agreed_standings();
+    result.replicas_agree = true;
+    for (const Processor_id id : authority.honest_slots())
+        result.replicas_agree &= authority.processor(id).plays() == result.plays;
     return result;
 }
 
 /// The convergence + soundness + completeness contract of one cell.
-void check_cell(const Cell_result& result, Mix mix, int f, const std::string& label)
+void check_cell(const Cell_result& result, Mix mix, const std::string& label)
 {
-    const int n = 3 * f + 1;
+    const auto n = static_cast<Agent_id>(result.standings.size());
     const Agent_id last = n - 1;
 
     // Convergence: the frame-stretched schedule completed plays (4 play
@@ -221,7 +230,7 @@ TEST(NetSweep, EveryCellConvergesCatchesDeviatorsAndSparesHonest)
                  {Mix::honest, Mix::deviant, Mix::babbler, Mix::two_faced}) {
                 const std::string label = std::string{net_name} + "/f=" + std::to_string(f) +
                                           "/mix=" + std::to_string(static_cast<int>(mix));
-                check_cell(run_cell(mix, f, net), mix, f, label);
+                check_cell(run_cell(mix, f, net), mix, label);
             }
         }
     }
@@ -255,6 +264,42 @@ TEST(NetSweep, ReplicasAgreeInEveryCell)
                 << net_name << " replica " << id;
         }
     }
+}
+
+// ------------------------------------------ parallel IC under delta > 1
+//
+// The parallel-IC substrate (Turpin-Coan over phase-king) at n = 9, f = 2 on
+// the two delta = 4 nets that stress the schedule processor's cross-pulse
+// section buffer: reordered copies arriving up to three pulses late, and
+// retransmitted copies under loss. That buffer is the one place a borrowed
+// section view outlives the pulse that received it (its message's payload
+// handle keeps it valid), and parallel IC splits every such section again
+// into per-instance views. Each cell spares honest agents, catches the
+// deviator, keeps replicas in agreement, and is bit-identical at executor
+// widths 1 and 4.
+
+void check_parallel_cells(const sim::Net_model& net, const std::string& net_name)
+{
+    for (const Mix mix : {Mix::deviant, Mix::babbler}) {
+        const std::string label =
+            net_name + "/parallel/f=2/mix=" + std::to_string(static_cast<int>(mix));
+        const Cell_result result = run_cell(mix, /*f=*/2, net, /*threads=*/1, Substrate::parallel);
+        ASSERT_EQ(result.standings.size(), 9u) << label;
+        check_cell(result, mix, label);
+        EXPECT_TRUE(result.replicas_agree) << label;
+        EXPECT_EQ(run_cell(mix, 2, net, /*threads=*/4, Substrate::parallel), result)
+            << label << " @ 4 threads";
+    }
+}
+
+TEST(NetSweep, ParallelIcCellsUnderReorderNet)
+{
+    check_parallel_cells(reorder_net(/*seed=*/7), "reorder");
+}
+
+TEST(NetSweep, ParallelIcCellsUnderLossyNet)
+{
+    check_parallel_cells(lossy_net(/*seed=*/7), "lossy");
 }
 
 // ------------------------------------------------- determinism properties
