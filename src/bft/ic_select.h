@@ -3,13 +3,14 @@
 // The game authority runs every play phase over one IC activation, and two
 // substrates implement the Ic_session contract: EIG (optimal resilience
 // n > 3f, f+1 rounds, exponential payloads) and parallel Turpin-Coan over
-// phase-king (polynomial payloads, n > 4f, 2+2(f+1) rounds). Which one is
-// cheaper end-to-end depends on (n, f): bench E7's BM_authority_play measures
-// the crossover — at f = 1 EIG's payload blow-up has not kicked in yet, the
-// two cost about the same wall time per play, and EIG's shorter schedule
-// (14 pulses per play against 34) wins, while from f = 2 on parallel-IC is
-// ~8-10x faster per play. choose_ic encodes that measurement so callers get
-// the right substrate by default instead of hard-coding one.
+// phase-king (polynomial payloads, n > 4f, 3+2(f+1) rounds, its n instances
+// fused in one Parallel_ic_session). Which one is cheaper end-to-end depends
+// on (n, f): bench E7's BM_authority_play measures the crossover — at f = 1
+// EIG's payload blow-up has not kicked in yet, the two cost about the same
+// wall time per play, and EIG's shorter schedule (14 pulses per play against
+// 34) wins, while from f = 2 on parallel-IC is ~14x faster per play.
+// choose_ic encodes that measurement so callers get the right substrate by
+// default instead of hard-coding one.
 #ifndef GA_BFT_IC_SELECT_H
 #define GA_BFT_IC_SELECT_H
 

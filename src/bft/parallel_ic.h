@@ -1,33 +1,45 @@
-// Interactive consistency from n parallel multivalued consensus instances.
+// Interactive consistency from n parallel Turpin-Coan/phase-king instances.
 //
 // EIG gives IC "for free" but with exponential payloads; this session builds
-// IC from any polynomial multivalued consensus (e.g. Turpin-Coan over
-// phase-king) at one extra dissemination round:
+// IC from polynomial multivalued consensus at one extra dissemination round:
 //   round 0: every processor broadcasts its own value;
-//   rounds 1..R: n parallel consensus instances run side by side, instance j
-//   seeded with whatever arrived from j in round 0 (bottom if nothing usable).
+//   rounds 1..2: the Turpin-Coan reduction rounds of n parallel instances,
+//   instance j seeded with whatever arrived from j in round 0 (bottom if
+//   nothing usable);
+//   rounds 3..: the instances' phase-king rounds.
 // Validity of the inner protocol makes honest slot j decide j's real value at
 // every honest processor; agreement makes the whole vector identical.
+//
+// The n instances are fused into one session: their state lives in arrays
+// indexed by instance, and since every deliver_round moves all of them to the
+// same round, their progress is one set of scalars. A round's message is one
+// length-prefixed section per instance, written straight into one payload;
+// an incoming round is split once per sender into a flat sender-major table
+// of section views. The per-instance rules (tagged codec, vote tally, phase
+// king's majority and king adoption) are the ones Turpin_coan_session and
+// Phase_king_session run, so the wire bytes are those of n standalone
+// Turpin-Coan-over-phase-king sessions side by side.
 #ifndef GA_BFT_PARALLEL_IC_H
 #define GA_BFT_PARALLEL_IC_H
 
-#include <functional>
-#include <memory>
+#include <cstdint>
 
+#include "bft/phase_king.h"
 #include "bft/session.h"
+#include "bft/turpin_coan.h"
 
 namespace ga::bft {
 
-/// Factory for the inner multivalued consensus.
-using Multivalued_session_factory = std::function<std::unique_ptr<Session>(
-    int n, int f, common::Processor_id self, Value input)>;
-
 class Parallel_ic_session final : public Ic_session {
 public:
-    Parallel_ic_session(int n, int f, common::Processor_id self, Value input,
-                        Multivalued_session_factory make_inner);
+    /// Requires n > 4f (phase king's resilience).
+    Parallel_ic_session(int n, int f, common::Processor_id self, Value input);
 
-    [[nodiscard]] common::Round total_rounds() const override;
+    /// The dissemination round, Turpin-Coan's two, then phase king's.
+    [[nodiscard]] common::Round total_rounds() const override
+    {
+        return 3 + phase_king_rounds(f_);
+    }
     common::Bytes message_for_round(common::Round r) override;
     void deliver_round(common::Round r, const Round_payloads& payloads) override;
     [[nodiscard]] bool done() const override { return done_; }
@@ -39,18 +51,48 @@ public:
     [[nodiscard]] const std::vector<Value>& agreed_vector() const override;
 
 private:
+    /// Splits each sender's payload into its n sections (sections_). A
+    /// missing or malformed payload, or one with trailing bytes, clears the
+    /// sender's sender_ok_ flag: it is distrusted for every instance.
+    void split(const Round_payloads& payloads);
+
+    /// Sender s's section for instance j this round, or nullopt.
+    [[nodiscard]] std::optional<common::Byte_view> section(std::size_t sender,
+                                                           std::size_t instance) const;
+
+    /// Refills tally_ with instance j's non-bottom votes this round.
+    void tally_instance(std::size_t instance);
+
+    void deliver_quorum_round();
+    void deliver_candidate_round();
+    void deliver_phase_king_round(common::Round r);
+
     int n_;
     int f_;
     common::Processor_id self_;
     Value input_;
-    Multivalued_session_factory make_inner_;
-    std::vector<std::unique_ptr<Session>> instances_;
-    // n x n split of one round: per_instance_[j][sender] views sender's
-    // section for instance j. Sized once per activation (round 0) and
-    // refilled each round; its views are valid only inside deliver_round.
-    std::vector<Round_payloads> per_instance_;
-    std::vector<Value> agreed_vector_;
+
+    // Progress, shared by all instances.
+    bool seeded_ = false;         // round 0 delivered: the instances exist
+    bool binary_started_ = false; // Turpin-Coan round 1 delivered: phase king runs
     bool done_ = false;
+
+    // Per-instance state, indexed by instance j.
+    std::vector<Value> seed_;                // Turpin-Coan input: j's round-0 value
+    std::vector<Value> x_;                   // round-0 quorum value ...
+    std::vector<std::uint8_t> x_valid_;      // ... or bottom
+    std::vector<Value> candidate_;           // round-1 plurality value ...
+    std::vector<std::uint8_t> candidate_valid_;
+    std::vector<std::uint8_t> pref_;         // phase-king preference
+    std::vector<Phase_majority> majority_;   // last exchange round's majority
+
+    // One round's split, sender-major: sections_[s * n + j] views sender s's
+    // section for instance j. Valid only inside deliver_round.
+    std::vector<common::Byte_view> sections_;
+    std::vector<std::uint8_t> sender_ok_;
+    Vote_tally tally_;
+
+    std::vector<Value> agreed_vector_;
 };
 
 } // namespace ga::bft

@@ -4,23 +4,10 @@
 
 namespace ga::bft {
 
-namespace {
-
-/// Decode a 1-byte binary payload; anything else reads as "missing".
-std::optional<int> decode_bit(const std::optional<common::Byte_view>& payload)
+void put_bit(common::Bytes& out, int bit)
 {
-    if (!payload.has_value() || payload->size() != 1) return std::nullopt;
-    const std::uint8_t byte = (*payload)[0];
-    if (byte > 1) return std::nullopt;
-    return static_cast<int>(byte);
+    out.push_back(static_cast<std::uint8_t>(bit));
 }
-
-common::Bytes encode_bit(int bit)
-{
-    return common::Bytes{static_cast<std::uint8_t>(bit)};
-}
-
-} // namespace
 
 Phase_king_session::Phase_king_session(int n, int f, common::Processor_id self, int input)
     : n_{n}, f_{f}, self_{self}, pref_{input}
@@ -34,12 +21,15 @@ Phase_king_session::Phase_king_session(int n, int f, common::Processor_id self, 
 
 common::Bytes Phase_king_session::message_for_round(common::Round r)
 {
-    if (r < 0 || r >= total_rounds()) return {};
+    common::Bytes payload;
+    if (r < 0 || r >= total_rounds()) return payload;
     const int phase = r / 2;
-    if (r % 2 == 0) return encode_bit(pref_); // universal exchange
-    // King round: only processor `phase` speaks.
-    if (self_ == phase) return encode_bit(maj_);
-    return {};
+    if (r % 2 == 0) {
+        put_bit(payload, pref_); // universal exchange
+    } else if (self_ == phase) {
+        put_bit(payload, majority_.maj); // king round: only processor `phase` speaks
+    }
+    return payload;
 }
 
 void Phase_king_session::deliver_round(common::Round r, const Round_payloads& payloads)
@@ -51,19 +41,14 @@ void Phase_king_session::deliver_round(common::Round r, const Round_payloads& pa
     const int phase = r / 2;
     if (r % 2 == 0) {
         int count[2] = {0, 0};
-        for (common::Processor_id sender = 0; sender < n_; ++sender) {
-            const auto bit = decode_bit(payloads[static_cast<std::size_t>(sender)]);
+        for (const auto& payload : payloads) {
+            const auto bit = decode_bit(payload);
             if (bit.has_value()) ++count[*bit];
         }
-        maj_ = count[1] > count[0] ? 1 : 0;
-        mult_ = count[maj_];
+        majority_ = phase_majority(count[0], count[1]);
     } else {
-        const auto king_bit = decode_bit(payloads[static_cast<std::size_t>(phase)]);
-        if (mult_ > n_ / 2 + f_) {
-            pref_ = maj_;
-        } else {
-            pref_ = king_bit.value_or(0);
-        }
+        pref_ = king_adopt(majority_, decode_bit(payloads[static_cast<std::size_t>(phase)]), n_,
+                           f_);
         if (r == total_rounds() - 1) done_ = true;
     }
 }
@@ -71,7 +56,9 @@ void Phase_king_session::deliver_round(common::Round r, const Round_payloads& pa
 Value Phase_king_session::decision() const
 {
     common::ensure(done_, "Phase_king_session::decision before completion");
-    return encode_bit(pref_);
+    Value value;
+    put_bit(value, pref_);
+    return value;
 }
 
 int Phase_king_session::binary_decision() const

@@ -18,12 +18,15 @@
 // Payload lifetime: deliver_round receives borrowed views, not copies. A
 // view is valid only for the duration of that deliver_round call, and a
 // session copies whatever it keeps past it (EIG tree values, Turpin-Coan's
-// x and candidate, the parallel-IC round-0 seeds). The caller keeps the
-// viewed bytes alive and unmodified across the call: in the authority tier
-// the owner is the received message's Shared_payload handle, held by the
-// schedule processor's cross-pulse section buffer; in bft::drive and
-// SSBA it is the caller's own Bytes. Sessions never read outside a view, so
-// a section may be a sub-span of a larger message.
+// x and candidate, parallel IC's per-instance seeds, x values and
+// candidates). Views a session parks in reused buffers (parallel IC's
+// section table, the Turpin-Coan vote tally) are read only within the call
+// that filled them. The caller keeps the viewed bytes alive and unmodified
+// across the call: in the authority tier the owner is the received
+// message's Shared_payload handle, held by the schedule processor's
+// cross-pulse section buffer; in bft::drive and SSBA it is the caller's own
+// Bytes. Sessions never read outside a view, so a section may be a sub-span
+// of a larger message.
 #ifndef GA_BFT_SESSION_H
 #define GA_BFT_SESSION_H
 

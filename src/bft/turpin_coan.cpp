@@ -6,74 +6,49 @@
 
 namespace ga::bft {
 
-namespace {
-
-// Wire format: 1 tag byte (0 = bottom, 1 = value) then the length-prefixed value.
-common::Bytes encode_tagged(const std::optional<Value>& value)
+void put_tagged(common::Bytes& out, std::optional<common::Byte_view> value)
 {
-    common::Bytes payload;
     if (!value.has_value()) {
-        payload.push_back(0);
-        return payload;
+        out.push_back(0);
+        return;
     }
-    payload.push_back(1);
-    common::put_bytes(payload, *value);
-    return payload;
+    out.push_back(1);
+    common::put_bytes(out, *value);
 }
 
-/// nullopt = missing or malformed; an inner nullopt = bottom; otherwise a
-/// view of the tagged value inside `payload`.
-std::optional<std::optional<common::Byte_view>> decode_tagged(
-    const std::optional<common::Byte_view>& payload)
+void Vote_tally::add(common::Byte_view value)
 {
-    if (!payload.has_value()) return std::nullopt;
-    try {
-        common::Byte_reader reader{*payload};
-        const std::uint8_t tag = reader.get_u8();
-        if (tag == 0) {
-            if (!reader.exhausted()) return std::nullopt;
-            return std::optional<common::Byte_view>{std::nullopt};
+    ++votes_;
+    for (auto& [seen, count] : entries_) {
+        if (std::ranges::equal(seen, value)) {
+            ++count;
+            return;
         }
-        if (tag != 1) return std::nullopt;
-        const common::Byte_view value = reader.get_view();
-        if (!reader.exhausted()) return std::nullopt;
-        return std::optional<common::Byte_view>{value};
-    } catch (const common::Decode_error&) {
-        return std::nullopt;
     }
+    entries_.emplace_back(value, 1);
 }
 
-/// Flat vote tally of one reduction round: the non-bottom values, sorted so
-/// that equal values are adjacent and runs come in lexicographic (unsigned
-/// byte) order — the key order of a std::map<Value, int>.
-std::vector<common::Byte_view> sorted_votes(const Round_payloads& payloads)
+std::optional<common::Byte_view> Vote_tally::quorum(int threshold) const
 {
-    std::vector<common::Byte_view> votes;
-    votes.reserve(payloads.size());
-    for (const auto& payload : payloads) {
-        const auto decoded = decode_tagged(payload);
-        if (decoded.has_value() && decoded->has_value()) votes.push_back(**decoded);
+    for (const auto& [value, count] : entries_) {
+        if (count >= threshold) return value;
     }
-    std::sort(votes.begin(), votes.end(), [](common::Byte_view a, common::Byte_view b) {
-        return std::ranges::lexicographical_compare(a, b);
-    });
-    return votes;
+    return std::nullopt;
 }
 
-/// Calls visit(value, count) for each distinct value of a sorted tally, in
-/// lexicographic order.
-template <typename Visit>
-void for_each_run(const std::vector<common::Byte_view>& votes, Visit visit)
+std::optional<common::Byte_view> Vote_tally::plurality() const
 {
-    for (std::size_t begin = 0; begin < votes.size();) {
-        std::size_t end = begin + 1;
-        while (end < votes.size() && std::ranges::equal(votes[end], votes[begin])) ++end;
-        visit(votes[begin], static_cast<int>(end - begin));
-        begin = end;
+    const std::pair<common::Byte_view, int>* best = nullptr;
+    for (const auto& entry : entries_) {
+        if (best == nullptr || entry.second > best->second ||
+            (entry.second == best->second &&
+             std::ranges::lexicographical_compare(entry.first, best->first))) {
+            best = &entry;
+        }
     }
+    if (best == nullptr) return std::nullopt;
+    return best->first;
 }
-
-} // namespace
 
 Turpin_coan_session::Turpin_coan_session(int n, int f, common::Processor_id self, Value input,
                                          Binary_session_factory make_binary)
@@ -94,10 +69,20 @@ common::Round Turpin_coan_session::total_rounds() const
 
 common::Bytes Turpin_coan_session::message_for_round(common::Round r)
 {
-    if (r == 0) return encode_tagged(input_);
-    if (r == 1) return encode_tagged(x_);
-    if (binary_) return binary_->message_for_round(r - 2);
-    return {};
+    if (r >= 2) return binary_ ? binary_->message_for_round(r - 2) : common::Bytes{};
+    common::Bytes payload;
+    if (r == 0) put_tagged(payload, input_);
+    if (r == 1) put_tagged(payload, x_);
+    return payload;
+}
+
+void Turpin_coan_session::tally_round(const Round_payloads& payloads)
+{
+    tally_.clear();
+    for (const auto& payload : payloads) {
+        const auto decoded = decode_tagged(payload);
+        if (decoded.has_value() && decoded->has_value()) tally_.add(**decoded);
+    }
 }
 
 void Turpin_coan_session::deliver_round(common::Round r, const Round_payloads& payloads)
@@ -107,32 +92,18 @@ void Turpin_coan_session::deliver_round(common::Round r, const Round_payloads& p
                    "Turpin_coan_session::deliver_round: payload vector size mismatch");
 
     if (r == 0) {
-        // x := the smallest value with >= n-f occurrences (unique when n > 3f).
+        tally_round(payloads);
         x_.reset();
-        for_each_run(sorted_votes(payloads), [&](common::Byte_view value, int count) {
-            if (!x_ && count >= n_ - f_) x_.emplace(value.begin(), value.end());
-        });
+        if (const auto x = tally_.quorum(n_ - f_)) x_.emplace(x->begin(), x->end());
         return;
     }
 
     if (r == 1) {
-        // Most votes wins; runs arrive in lexicographic order and only a
-        // strictly larger count replaces the leader, so ties go to the
-        // smallest value.
-        const std::vector<common::Byte_view> votes = sorted_votes(payloads);
-        std::optional<common::Byte_view> best;
-        int best_count = 0;
-        for_each_run(votes, [&](common::Byte_view value, int count) {
-            if (count > best_count) {
-                best = value;
-                best_count = count;
-            }
-        });
+        tally_round(payloads);
+        const auto best = tally_.plurality();
         candidate_valid_ = best.has_value();
         if (candidate_valid_) candidate_.assign(best->begin(), best->end());
-        const int non_bottom = static_cast<int>(votes.size());
-        const int binary_input = non_bottom >= n_ - f_ ? 1 : 0;
-        binary_ = make_binary_(n_, f_, self_, binary_input);
+        binary_ = make_binary_(n_, f_, self_, binary_input(tally_, n_, f_));
         return;
     }
 

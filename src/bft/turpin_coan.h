@@ -4,15 +4,78 @@
 // Used to lift Phase_king_session to the arbitrary byte-string values the
 // game authority agrees on (outcomes, commitment digests, foul sets), giving
 // a fully polynomial multivalued path alongside EIG.
+//
+// The tagged codec and the vote tally with its two round rules are free so
+// that Turpin_coan_session and parallel IC's fused instances run one copy.
 #ifndef GA_BFT_TURPIN_COAN_H
 #define GA_BFT_TURPIN_COAN_H
 
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "bft/session.h"
 
 namespace ga::bft {
+
+/// Wire format of the reduction rounds: 1 tag byte (0 = bottom, 1 = value),
+/// then the length-prefixed value.
+void put_tagged(common::Bytes& out, std::optional<common::Byte_view> value);
+
+/// nullopt = missing or malformed; an inner nullopt = bottom; otherwise a
+/// view of the tagged value inside `payload`.
+[[nodiscard]] inline std::optional<std::optional<common::Byte_view>> decode_tagged(
+    const std::optional<common::Byte_view>& payload)
+{
+    if (!payload.has_value() || payload->empty()) return std::nullopt;
+    common::Byte_reader reader{*payload};
+    const std::uint8_t tag = reader.get_u8();
+    if (tag == 0) {
+        if (!reader.exhausted()) return std::nullopt;
+        return std::optional<common::Byte_view>{std::nullopt};
+    }
+    if (tag != 1) return std::nullopt;
+    common::Byte_view value;
+    if (!reader.try_get_view(value) || !reader.exhausted()) return std::nullopt;
+    return std::optional<common::Byte_view>{value};
+}
+
+/// The non-bottom votes of one reduction round as distinct values with their
+/// counts. Reuse one tally across rounds: clear() keeps its capacity, so a
+/// steady-state round allocates nothing. The tally holds views, valid as long
+/// as the payloads they were read from.
+class Vote_tally {
+public:
+    void clear()
+    {
+        entries_.clear();
+        votes_ = 0;
+    }
+
+    void add(common::Byte_view value);
+
+    /// Number of votes added since clear().
+    [[nodiscard]] int votes() const { return votes_; }
+
+    /// Round-0 rule: the value with at least `threshold` votes. With
+    /// threshold n - f and n > 3f at most one value qualifies.
+    [[nodiscard]] std::optional<common::Byte_view> quorum(int threshold) const;
+
+    /// Round-1 rule: the value with the most votes; a tie goes to the
+    /// lexicographically smallest (unsigned bytes), as a std::map walk would.
+    [[nodiscard]] std::optional<common::Byte_view> plurality() const;
+
+private:
+    std::vector<std::pair<common::Byte_view, int>> entries_;
+    int votes_ = 0;
+};
+
+/// Round-1 rule for the binary stage's input: 1 iff at least n - f
+/// processors sent a non-bottom value.
+[[nodiscard]] inline int binary_input(const Vote_tally& tally, int n, int f)
+{
+    return tally.votes() >= n - f ? 1 : 0;
+}
 
 /// Builds the underlying binary session once the binary input is known.
 using Binary_session_factory =
@@ -33,6 +96,9 @@ public:
     [[nodiscard]] Value decision() const override;
 
 private:
+    /// Refills tally_ with the round's non-bottom votes.
+    void tally_round(const Round_payloads& payloads);
+
     int n_;
     int f_;
     common::Processor_id self_;
@@ -44,6 +110,7 @@ private:
     Value candidate_;                // most common non-bottom x seen in round 1
     bool candidate_valid_ = false;
     bool done_ = false;
+    Vote_tally tally_;
 };
 
 } // namespace ga::bft

@@ -21,7 +21,7 @@ void put_i64(Bytes& out, std::int64_t value)
     put_u64(out, static_cast<std::uint64_t>(value));
 }
 
-void put_bytes(Bytes& out, const Bytes& blob)
+void put_bytes(Bytes& out, Byte_view blob)
 {
     put_u32(out, static_cast<std::uint32_t>(blob.size()));
     out.insert(out.end(), blob.begin(), blob.end());

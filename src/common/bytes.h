@@ -30,7 +30,7 @@ void put_u64(Bytes& out, std::uint64_t value);
 void put_i64(Bytes& out, std::int64_t value);
 
 /// Append a length-prefixed blob.
-void put_bytes(Bytes& out, const Bytes& blob);
+void put_bytes(Bytes& out, Byte_view blob);
 
 /// Cursor-style reader over a byte buffer; throws Decode_error on underrun.
 class Decode_error : public std::runtime_error {
@@ -55,10 +55,12 @@ public:
     std::uint32_t get_u32()
     {
         need(4);
-        std::uint32_t value = 0;
-        for (int shift = 0; shift < 32; shift += 8)
-            value |= static_cast<std::uint32_t>(data_[pos_++]) << shift;
-        return value;
+        // Through a local pointer, so the compiler merges the four loads.
+        const std::uint8_t* bytes = data_.data() + pos_;
+        pos_ += 4;
+        return static_cast<std::uint32_t>(bytes[0]) | static_cast<std::uint32_t>(bytes[1]) << 8 |
+               static_cast<std::uint32_t>(bytes[2]) << 16 |
+               static_cast<std::uint32_t>(bytes[3]) << 24;
     }
 
     std::uint64_t get_u64()
@@ -80,6 +82,24 @@ public:
         const Byte_view blob = data_.subspan(pos_, len);
         pos_ += len;
         return blob;
+    }
+
+    /// get_view() for untrusted input on a hot path: on an underrun it
+    /// returns false instead of throwing and leaves the reader where it was.
+    /// (An out-parameter rather than an optional return: GCC spills an
+    /// optional span through the stack, which costs more than the parse.)
+    bool try_get_view(Byte_view& blob)
+    {
+        if (remaining() < 4) return false;
+        const std::size_t start = pos_;
+        const std::uint32_t len = get_u32();
+        if (len > remaining()) {
+            pos_ = start;
+            return false;
+        }
+        blob = data_.subspan(pos_, len);
+        pos_ += len;
+        return true;
     }
 
     /// A length-prefixed blob, copied out.

@@ -5,8 +5,7 @@
 #include "bft/attackers.h"
 #include "bft/driver.h"
 #include "bft/parallel_ic.h"
-#include "bft/phase_king.h"
-#include "bft/turpin_coan.h"
+#include "common/ensure.h"
 
 namespace {
 
@@ -15,20 +14,9 @@ using ga::common::bytes_of;
 using ga::common::Processor_id;
 using ga::common::Rng;
 
-Multivalued_session_factory tc_pk_factory()
-{
-    return [](int n, int f, Processor_id self, Value input) -> std::unique_ptr<Session> {
-        return std::make_unique<Turpin_coan_session>(
-            n, f, self, std::move(input),
-            [](int nn, int ff, Processor_id s, int b) -> std::unique_ptr<Session> {
-                return std::make_unique<Phase_king_session>(nn, ff, s, b);
-            });
-    };
-}
-
 std::unique_ptr<Session> make_ic(int n, int f, Processor_id self, Value input)
 {
-    return std::make_unique<Parallel_ic_session>(n, f, self, std::move(input), tc_pk_factory());
+    return std::make_unique<Parallel_ic_session>(n, f, self, std::move(input));
 }
 
 const Parallel_ic_session& as_ic(const Participant& p)
@@ -38,8 +26,16 @@ const Parallel_ic_session& as_ic(const Participant& p)
 
 TEST(ParallelIc, RoundCountIsInnerPlusOne)
 {
-    Parallel_ic_session session{5, 1, 0, bytes_of("x"), tc_pk_factory()};
+    Parallel_ic_session session{5, 1, 0, bytes_of("x")};
     EXPECT_EQ(session.total_rounds(), 1 + 2 + 2 * 2);
+}
+
+TEST(ParallelIc, RejectsNAtMostFourFAtConstruction)
+{
+    // Phase king's n > 4f is checked when the session is built, not first
+    // when its round count is asked for.
+    EXPECT_THROW((Parallel_ic_session{8, 2, 0, bytes_of("x")}), ga::common::Contract_error);
+    EXPECT_NO_THROW((Parallel_ic_session{9, 2, 0, bytes_of("x")}));
 }
 
 TEST(ParallelIc, AllHonestVectorCarriesEveryInput)

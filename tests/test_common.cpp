@@ -217,6 +217,38 @@ TEST(Bytes, ViewsBorrowAndStayInsideTheirBuffer)
     EXPECT_THROW(prefix_cut.get_bytes(), Decode_error);
 }
 
+TEST(Bytes, TryGetViewReportsUnderrunWithoutMoving)
+{
+    Bytes buffer;
+    put_bytes(buffer, bytes_of("ab"));
+    put_bytes(buffer, bytes_of("cde"));
+    Byte_reader reader{buffer};
+    Byte_view blob;
+    ASSERT_TRUE(reader.try_get_view(blob));
+    EXPECT_EQ(blob.data(), buffer.data() + 4); // borrowed, not copied
+    EXPECT_EQ(Bytes(blob.begin(), blob.end()), bytes_of("ab"));
+
+    // The second blob's bytes are cut short: no throw, the reader stays put.
+    Byte_reader cut{Byte_view{buffer}.first(buffer.size() - 1)};
+    ASSERT_TRUE(cut.try_get_view(blob));
+    const std::size_t before = cut.remaining();
+    EXPECT_FALSE(cut.try_get_view(blob));
+    EXPECT_EQ(cut.remaining(), before);
+    EXPECT_EQ(Bytes(blob.begin(), blob.end()), bytes_of("ab")); // untouched on failure
+
+    // Fewer than four bytes cannot even hold the length prefix.
+    Byte_reader short_prefix{Byte_view{buffer}.first(3)};
+    EXPECT_FALSE(short_prefix.try_get_view(blob));
+    EXPECT_EQ(short_prefix.remaining(), 3U);
+
+    // Exactly what get_view accepts.
+    Byte_reader exact{buffer};
+    ASSERT_TRUE(exact.try_get_view(blob));
+    ASSERT_TRUE(exact.try_get_view(blob));
+    EXPECT_EQ(Bytes(blob.begin(), blob.end()), bytes_of("cde"));
+    EXPECT_TRUE(exact.exhausted());
+}
+
 TEST(Bytes, HexRoundTrip)
 {
     const Bytes data{0xde, 0xad, 0x00, 0xff};

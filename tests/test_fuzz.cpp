@@ -4,6 +4,8 @@
 // out-of-range results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 #include <type_traits>
 
@@ -132,16 +134,6 @@ bft::Binary_session_factory phase_king_factory()
     };
 }
 
-/// Turpin-Coan over phase-king, the inner consensus of parallel IC.
-bft::Multivalued_session_factory turpin_coan_factory()
-{
-    return [](int n, int f, common::Processor_id self,
-              bft::Value input) -> std::unique_ptr<bft::Session> {
-        return std::make_unique<bft::Turpin_coan_session>(n, f, self, std::move(input),
-                                                          phase_king_factory());
-    };
-}
-
 template <typename Make_session>
 void storm_session(Make_session make, std::uint64_t seed)
 {
@@ -194,8 +186,8 @@ TEST(Fuzz, ParallelIcSurvivesPayloadStorm)
     for (std::uint64_t seed = 1; seed <= 30; ++seed) {
         storm_session(
             [] {
-                return std::make_unique<bft::Parallel_ic_session>(
-                    4, 0, 0, common::bytes_of("v"), turpin_coan_factory());
+                return std::make_unique<bft::Parallel_ic_session>(4, 0, 0,
+                                                                  common::bytes_of("v"));
             },
             seed);
     }
@@ -271,11 +263,242 @@ TEST(Fuzz, SessionViewsNeverReadPastTheirSection)
             5, seed);
         canary_storm(
             [] {
-                return std::make_unique<bft::Parallel_ic_session>(
-                    5, 1, 1, common::bytes_of("v"), turpin_coan_factory());
+                return std::make_unique<bft::Parallel_ic_session>(5, 1, 1,
+                                                                  common::bytes_of("v"));
             },
             5, seed);
     }
+}
+
+// ---- The fused parallel-IC session against a reference composition of n
+// standalone Turpin_coan_session + Phase_king_session instances, each
+// sender's payload split into per-instance sections and dispatched. Both run
+// side by side through seeded storms of honest, bit-flipped, truncated,
+// random and missing sections, and through call patterns a transient fault
+// can leave behind (repeated, skipped, negative and past-the-end rounds).
+// Every minted message must match byte for byte, and so must done(), the
+// agreed vector and the decision.
+
+class Reference_parallel_ic {
+public:
+    Reference_parallel_ic(int n, int f, common::Processor_id self, bft::Value input)
+        : n_{n}, f_{f}, self_{self}, input_{std::move(input)}
+    {
+    }
+
+    [[nodiscard]] common::Round total_rounds() const
+    {
+        return 1 + make_instance(bft::Value{})->total_rounds();
+    }
+
+    Bytes message_for_round(common::Round r)
+    {
+        Bytes payload;
+        if (r == 0) {
+            common::put_bytes(payload, input_);
+            return payload;
+        }
+        for (const auto& instance : instances_)
+            common::put_bytes(payload, instance->message_for_round(r - 1));
+        return payload;
+    }
+
+    void deliver_round(common::Round r, const bft::Round_payloads& payloads)
+    {
+        if (done_ || r < 0) return;
+        const auto n = static_cast<std::size_t>(n_);
+        if (r == 0) {
+            instances_.clear();
+            for (std::size_t j = 0; j < n; ++j) {
+                bft::Value seed;
+                if (payloads[j].has_value()) {
+                    try {
+                        common::Byte_reader reader{*payloads[j]};
+                        const common::Byte_view value = reader.get_view();
+                        if (reader.exhausted()) seed.assign(value.begin(), value.end());
+                    } catch (const common::Decode_error&) {
+                    }
+                }
+                if (static_cast<int>(j) == self_) seed = input_;
+                instances_.push_back(make_instance(std::move(seed)));
+            }
+            return;
+        }
+        if (instances_.empty()) return;
+        std::vector<bft::Round_payloads> per_instance(n, bft::Round_payloads(n));
+        for (std::size_t sender = 0; sender < n; ++sender) {
+            if (!payloads[sender].has_value()) continue;
+            try {
+                common::Byte_reader reader{*payloads[sender]};
+                for (auto& instance : per_instance) instance[sender] = reader.get_view();
+                if (reader.exhausted()) continue;
+            } catch (const common::Decode_error&) {
+            }
+            for (auto& instance : per_instance) instance[sender].reset();
+        }
+        bool all_done = true;
+        for (std::size_t j = 0; j < n; ++j) {
+            instances_[j]->deliver_round(r - 1, per_instance[j]);
+            all_done &= instances_[j]->done();
+        }
+        if (!all_done) return;
+        for (const auto& instance : instances_) agreed_vector_.push_back(instance->decision());
+        done_ = true;
+    }
+
+    [[nodiscard]] bool done() const { return done_; }
+    [[nodiscard]] const std::vector<bft::Value>& agreed_vector() const { return agreed_vector_; }
+
+    [[nodiscard]] bft::Value decision() const
+    {
+        std::map<bft::Value, int> votes;
+        for (const bft::Value& value : agreed_vector_)
+            if (!value.empty()) ++votes[value];
+        bft::Value best;
+        int best_count = 0;
+        for (const auto& [value, count] : votes) {
+            if (count > best_count) {
+                best = value;
+                best_count = count;
+            }
+        }
+        return best;
+    }
+
+private:
+    [[nodiscard]] std::unique_ptr<bft::Session> make_instance(bft::Value seed) const
+    {
+        return std::make_unique<bft::Turpin_coan_session>(n_, f_, self_, std::move(seed),
+                                                          phase_king_factory());
+    }
+
+    int n_;
+    int f_;
+    common::Processor_id self_;
+    bft::Value input_;
+    std::vector<std::unique_ptr<bft::Session>> instances_;
+    std::vector<bft::Value> agreed_vector_;
+    bool done_ = false;
+};
+
+/// Splits a well-formed round-r >= 1 message into its n sections.
+std::vector<Bytes> sections_of(const Bytes& message, int n)
+{
+    std::vector<Bytes> sections;
+    common::Byte_reader reader{message};
+    for (int j = 0; j < n; ++j) sections.push_back(reader.get_bytes());
+    return sections;
+}
+
+/// One section from a faulty sender: often still the honest bytes, else a
+/// plausible alternative (another tagged value, bottom, a bit), a bit flip, a
+/// truncation or random bytes.
+Bytes storm_section(Rng& rng, const Bytes& honest, const std::vector<Bytes>& palette)
+{
+    Bytes section = honest;
+    switch (rng.weighted({6, 2, 1, 2, 1, 1, 1})) {
+    case 0: break;
+    case 1: {
+        section = Bytes{1};
+        common::put_bytes(section, palette[rng.below(palette.size())]);
+        break;
+    }
+    case 2: section = Bytes{0}; break;
+    case 3: section = Bytes{static_cast<std::uint8_t>(rng.below(2))}; break;
+    case 4:
+        if (!section.empty())
+            section[rng.below(section.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+        break;
+    case 5: section.resize(rng.below(section.size() + 1)); break;
+    default: section = random_bytes(rng, 12); break;
+    }
+    return section;
+}
+
+/// Call pattern: mostly the next round in order, sometimes a repeat, a skip,
+/// a restart from round 0, a negative round or one past the end.
+common::Round storm_round(Rng& rng, common::Round next, common::Round total)
+{
+    switch (rng.weighted({70, 5, 5, 8, 6, 2})) {
+    case 0: return next;
+    case 1: return -1 - static_cast<common::Round>(rng.below(3));
+    case 2: return total + static_cast<common::Round>(rng.below(3));
+    case 3: return std::max<common::Round>(0, next - 1);
+    case 4: return next + 1;
+    default: return 0;
+    }
+}
+
+TEST(Fuzz, ParallelIcMatchesPerInstanceComposition)
+{
+    int runs_done = 0;
+    int slots_decided = 0;
+    for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng{seed};
+        const int f = static_cast<int>(seed % 3);
+        const int n = 4 * f + 1 + static_cast<int>((seed / 3) % 4);
+        const auto self = static_cast<common::Processor_id>(rng.below(static_cast<std::uint64_t>(n)));
+        const std::vector<Bytes> palette{common::bytes_of("a"), common::bytes_of("bb"), Bytes{},
+                                         common::bytes_of("outcome-" + std::to_string(seed))};
+        const Bytes input = palette[rng.below(palette.size())];
+        // Light storms let quorums form and slots decide real values; heavy
+        // ones keep most instances at bottom.
+        constexpr double k_fault_rates[] = {0.05, 0.15, 0.4};
+        const double fault_rate = k_fault_rates[seed / 12 % 3];
+
+        bft::Parallel_ic_session fused{n, f, self, input};
+        Reference_parallel_ic reference{n, f, self, input};
+        const common::Round total = reference.total_rounds();
+        ASSERT_EQ(fused.total_rounds(), total);
+
+        common::Round next = 0;
+        for (int step = 0; step < total + 8; ++step) {
+            const common::Round r = storm_round(rng, next, total);
+            if (r >= 0 && r < total) next = r + 1;
+            const Bytes own = fused.message_for_round(r);
+            ASSERT_EQ(reference.message_for_round(r), own) << "round " << r;
+
+            Owned_round round{std::vector<std::optional<Bytes>>(static_cast<std::size_t>(n))};
+            for (int s = 0; s < n; ++s) {
+                auto& payload = round.storage[static_cast<std::size_t>(s)];
+                if (s == self && rng.chance(0.9)) {
+                    payload = own;
+                    continue;
+                }
+                if (rng.chance(fault_rate / 4)) continue; // missing sender
+                if (!rng.chance(fault_rate)) {
+                    payload = own; // an honest sender in lockstep with this one
+                    continue;
+                }
+                Bytes message;
+                if (r == 0 || own.empty()) {
+                    common::put_bytes(message, palette[rng.below(palette.size())]);
+                    if (rng.chance(0.15)) message = random_bytes(rng, 16);
+                } else {
+                    for (const Bytes& honest : sections_of(own, n)) {
+                        if (rng.chance(0.02)) continue; // missing section
+                        common::put_bytes(message, storm_section(rng, honest, palette));
+                    }
+                }
+                if (rng.chance(0.04)) message.push_back(0); // trailing junk
+                payload = std::move(message);
+            }
+            const bft::Round_payloads views = round.views();
+            fused.deliver_round(r, views);
+            reference.deliver_round(r, views);
+            ASSERT_EQ(fused.done(), reference.done()) << "round " << r;
+        }
+        if (!fused.done()) continue;
+        ++runs_done;
+        ASSERT_EQ(fused.agreed_vector(), reference.agreed_vector());
+        EXPECT_EQ(fused.decision(), reference.decision());
+        for (const Bytes& slot : fused.agreed_vector()) slots_decided += slot.empty() ? 0 : 1;
+    }
+    // The storms must reach decisions, and real values, often enough to
+    // compare more than defaults.
+    EXPECT_GT(runs_done, 300);
+    EXPECT_GT(slots_decided, 600);
 }
 
 // ---- Seeded Net_model schedules: random partial-synchrony configurations
