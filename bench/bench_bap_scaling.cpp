@@ -10,7 +10,7 @@
 
 #include <iostream>
 
-#include "authority/distributed_authority.h"
+#include "pipeline/pipeline_authority.h"
 #include "bench_json.h"
 #include "bench_trace.h"
 #include "bft/driver.h"
@@ -97,15 +97,15 @@ void print_tables()
         std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors;
         for (int i = 0; i < n; ++i)
             behaviors.push_back(std::make_unique<authority::Honest_behavior>());
-        authority::Distributed_authority da{
-            spec, f, std::move(behaviors), {},
+        pipeline::Pipeline_authority da{
+            spec, f, /*k=*/1, std::move(behaviors), {},
             [] { return std::make_unique<authority::Disconnect_scheme>(); }, common::Rng{5},
             {}, std::move(factory)};
         const int plays = 4;
-        da.run_pulses(1 + plays * da.pulses_per_play());
+        da.run_pulses(1 + plays * da.pulses_per_batch());
         const auto& stats = da.engine().stats();
         play.add_row({label, std::to_string(n), std::to_string(f),
-                      std::to_string(da.pulses_per_play()),
+                      std::to_string(da.pulses_per_batch()),
                       std::to_string(stats.messages / plays),
                       std::to_string(stats.payload_bytes / plays)});
     };
@@ -159,11 +159,11 @@ void BM_authority_play(benchmark::State& state)
         std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors;
         for (int i = 0; i < n; ++i)
             behaviors.push_back(std::make_unique<authority::Honest_behavior>());
-        authority::Distributed_authority da{
-            spec, f, std::move(behaviors), {},
+        pipeline::Pipeline_authority da{
+            spec, f, /*k=*/1, std::move(behaviors), {},
             [] { return std::make_unique<authority::Disconnect_scheme>(); }, common::Rng{7},
             {},   use_parallel_ic ? authority::ic_parallel_phase_king() : authority::ic_eig()};
-        da.run_pulses(1 + da.pulses_per_play());
+        da.run_pulses(1 + da.pulses_per_batch());
         plays_done += static_cast<std::int64_t>(da.agreed_plays().size());
         benchmark::DoNotOptimize(da.traffic());
     }

@@ -9,9 +9,9 @@
 // Two workloads, sized n ∈ {64, 256, 1024} and threads ∈ {1, 2, 4, 8}:
 //   - broadcast storm: every processor broadcasts 64 B per pulse on K_n and
 //     checksums its inbox — pure engine messaging throughput;
-//   - authority play: a full Distributed_authority group (f = 1, parallel
-//     phase-king substrate) supervising a dominant-strategy game — the
-//     end-to-end protocol stack over the same engine.
+//   - authority play: a full per-play (k = 1) Pipeline_authority group
+//     (f = 1, parallel phase-king substrate) supervising a dominant-strategy
+//     game — the end-to-end protocol stack over the same engine.
 //
 // Self-enforced (non-zero exit):
 //   - determinism: threads ∈ {2, 4} runs bit-identical (stats + per-processor
@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "authority/agent.h"
-#include "authority/distributed_authority.h"
+#include "pipeline/pipeline_authority.h"
 #include "authority/punishment.h"
 #include "bench_json.h"
 #include "bench_trace.h"
@@ -124,7 +124,7 @@ private:
     int n_;
 };
 
-authority::Distributed_authority make_authority(int n, std::uint64_t seed)
+pipeline::Pipeline_authority make_authority(int n, std::uint64_t seed)
 {
     authority::Game_spec spec;
     spec.name = "dominant";
@@ -135,9 +135,10 @@ authority::Distributed_authority make_authority(int n, std::uint64_t seed)
     // Parallel phase-king keeps payloads polynomial, which is what makes the
     // 10^3-replica rows feasible at all (EIG's level-1 relays are O(n) per
     // message and O(n^3) bytes per pulse at this scale).
-    return authority::Distributed_authority{
+    return pipeline::Pipeline_authority{
         std::move(spec),
         /*f=*/1,
+        /*k=*/1,
         std::move(behaviors),
         /*byzantine=*/{},
         [] { return std::make_unique<authority::Fine_scheme>(1.0, 1e9); },
@@ -157,7 +158,7 @@ struct Authority_result {
 
 Authority_result run_authority(int n, int threads, int plays)
 {
-    authority::Distributed_authority authority = make_authority(n, /*seed=*/11);
+    pipeline::Pipeline_authority authority = make_authority(n, /*seed=*/11);
     authority.engine().set_threads(threads);
     authority.run_pulses(1); // first pulse allocates; measure steady state
     const sim::Traffic_stats before = authority.traffic();
@@ -241,7 +242,7 @@ int main(int argc, char** argv)
     // the storm above, where the engine itself is the subject.
     const std::vector<int> authority_sizes = smoke ? std::vector<int>{16}
                                                    : std::vector<int>{64, 256};
-    std::cout << "\n-- authority play: Distributed_authority, f = 1, parallel phase-king --\n";
+    std::cout << "\n-- authority play: Pipeline_authority (k = 1), f = 1, parallel phase-king --\n";
     common::Table play_table{{"n", "threads", "pulses/play", "pulses/sec", "Mmsgs/sec", "speedup"}};
     for (const int n : authority_sizes) {
         double baseline = 0.0;

@@ -22,7 +22,7 @@
 #include <cstring>
 #include <iostream>
 
-#include "authority/distributed_authority.h"
+#include "pipeline/pipeline_authority.h"
 #include "bench_json.h"
 #include "bench_trace.h"
 #include "common/table.h"
@@ -90,20 +90,22 @@ Cell measure(int delta, double drop, int plays, int repeats, int threads = 1)
     std::vector<std::unique_ptr<Agent_behavior>> behaviors;
     for (int i = 0; i < n - 1; ++i) behaviors.push_back(std::make_unique<Honest_behavior>());
     behaviors.push_back(nullptr);
-    Distributed_authority group{dominant_spec(n),
-                                f,
-                                std::move(behaviors),
-                                {n - 1},
-                                [] { return std::make_unique<Fine_scheme>(1.0, 1e9); },
-                                common::Rng{2026},
-                                {},
-                                ic_eig(),
-                                adversarial_net(delta, drop, /*seed=*/16)};
+    pipeline::Pipeline_authority group{dominant_spec(n),
+                                       f,
+                                       /*k=*/1,
+                                       std::move(behaviors),
+                                       {n - 1},
+                                       [] { return std::make_unique<Fine_scheme>(1.0, 1e9); },
+                                       common::Rng{2026},
+                                       {},
+                                       ic_eig(),
+                                       /*tampers=*/{},
+                                       adversarial_net(delta, drop, /*seed=*/16)};
     group.engine().set_threads(threads);
-    group.run_pulses(1 + group.pulses_per_play());
+    group.run_pulses(1 + group.pulses_per_batch());
 
     Cell cell;
-    cell.pulses_per_play = group.pulses_per_play();
+    cell.pulses_per_play = group.pulses_per_batch();
     cell.seconds = 1e300;
     for (int pass = 0; pass < repeats; ++pass) {
         const auto before_plays = static_cast<std::int64_t>(group.agreed_plays().size());
@@ -147,7 +149,7 @@ int main(int argc, char** argv)
               << "delta > 1) and drops each copy independently. Frame-based clock recovery\n"
               << "re-establishes lockstep rounds, so pulses/play = classic period x delta.\n\n";
 
-    const int classic_period = Authority_processor::clock_period_for(
+    const int classic_period = pipeline::Pipeline_processor::clock_period_for(
         Ic_schedule_processor::ic_rounds_of(ic_eig(), 4, 1));
 
     common::Table table{{"delta", "drop", "pulses/play", "plays", "wall ms", "plays/sec",

@@ -2,15 +2,17 @@
 // working through a transient fault that scrambles every processor's state.
 //
 // Four processors run the full §3.3 play pipeline (clock-scheduled EIG
-// activations) over the simulator. Mid-run, a transient fault randomizes
+// activations, one play per period: a Pipeline_authority at k = 1) over the
+// simulator. Mid-run, a transient fault randomizes
 // clocks and replicated state; the self-stabilizing clock re-synchronizes,
 // the next wrap starts a clean play, and the replicas agree again.
 #include <iostream>
 
-#include "authority/distributed_authority.h"
+#include "pipeline/pipeline_authority.h"
 
 using namespace ga;
 using namespace ga::authority;
+using ga::pipeline::Pipeline_authority;
 
 namespace {
 
@@ -49,14 +51,14 @@ int main()
     std::vector<std::unique_ptr<Agent_behavior>> behaviors;
     for (int i = 0; i < n; ++i) behaviors.push_back(std::make_unique<Honest_behavior>());
 
-    Distributed_authority authority{
-        spec, f, std::move(behaviors), {},
+    Pipeline_authority authority{
+        spec, f, /*k=*/1, std::move(behaviors), {},
         [] { return std::make_unique<Fine_scheme>(1.0, 1e9); }, common::Rng{3}};
 
     std::cout << "Distributed game authority: n=" << n << ", f=" << f << ", "
-              << authority.pulses_per_play() << " pulses per play (4 EIG activations).\n\n";
+              << authority.pulses_per_batch() << " pulses per play (4 EIG activations).\n\n";
 
-    authority.run_pulses(1 + 3 * authority.pulses_per_play());
+    authority.run_pulses(1 + 3 * authority.pulses_per_batch());
     std::cout << "After 3 plays: processor 0 completed "
               << authority.processor(0).plays().size() << " plays.\n";
 
@@ -96,7 +98,7 @@ int main()
     // in steady state replicas complete plays at identical pulses — so the
     // tails of the logs must match exactly.
     const std::size_t before = authority.processor(0).plays().size();
-    authority.run_pulses((3 + 1) * authority.pulses_per_play());
+    authority.run_pulses((3 + 1) * authority.pulses_per_batch());
     const auto& reference = authority.processor(0).plays();
     constexpr std::size_t tail = 3;
     bool replicas_agree = reference.size() >= tail;

@@ -56,8 +56,9 @@ int main()
         }
     }
 
-    // ---- 3. The fabric: one Distributed_authority per region, stepped on a
-    // 3-thread pool; every region's randomness derives from the fabric seed.
+    // ---- 3. The fabric: one per-play (batch_k = 1) Pipeline_authority per
+    // region, stepped on a 3-thread pool; every region's randomness derives
+    // from the fabric seed.
     Fabric_config config;
     config.f = 1;
     config.spec_factory = [](int shard, const std::vector<common::Agent_id>& members) {

@@ -1,5 +1,7 @@
 #include "authority/authority_group.h"
 
+#include "authority/ic_schedule_processor.h"
+
 namespace ga::authority {
 
 Replica_group_harness::Replica_group_harness(Game_spec spec, int f,

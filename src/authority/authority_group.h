@@ -1,26 +1,55 @@
 // The harvesting surface of one replica group supervising one game, plus the
-// engine-backed harness skeleton both tiers share.
+// engine-backed harness skeleton the replicated tier builds on.
 //
 // The sharded fabric (src/shard/) routes a global agent population across
 // many concurrent authority groups and reads every per-play result back
 // through the Authority_group interface — it never reaches into a group's
-// engine. Two implementations exist: the paper-faithful Distributed_authority
-// (one §3.3 play per 4-phase clock period) and the batched Pipeline_authority
-// (src/pipeline/, k plays per period). The fabric can mix them because
-// everything it consumes — agreed plays, standings, expulsions, wire
+// engine. The implementation is pipeline::Pipeline_authority (src/pipeline/):
+// k plays per 4-phase clock period, with k = 1 as §3.3's per-play schedule.
+// Everything the fabric consumes — agreed plays, standings, expulsions, wire
 // accounting — is replicated state identical at every honest replica.
 #ifndef GA_AUTHORITY_AUTHORITY_GROUP_H
 #define GA_AUTHORITY_AUTHORITY_GROUP_H
 
+#include <functional>
 #include <memory>
 #include <set>
 
-#include "authority/authority_processor.h"
+#include "authority/agent.h"
+#include "authority/punishment.h"
+#include "bft/ic_select.h"
 #include "sim/engine.h"
 #include "telemetry/telemetry.h"
 #include "wire/transport.h"
 
 namespace ga::authority {
+
+/// Builds one interactive-consistency activation. The substrate catalogue
+/// lives in the bft layer (bft/ic_select.h); these aliases keep the authority
+/// tier's historical spelling working.
+using Ic_factory = bft::Ic_factory;
+
+/// The EIG factory (optimal resilience n > 3f, exponential payloads).
+inline Ic_factory ic_eig() { return bft::ic_eig(); }
+
+/// Parallel interactive consistency over Turpin-Coan/phase-king (n > 4f).
+inline Ic_factory ic_parallel_phase_king() { return bft::ic_parallel_phase_king(); }
+
+/// Fresh punishment-scheme instance per processor replica.
+using Punishment_factory = std::function<std::unique_ptr<Punishment_scheme>()>;
+
+/// Builds the Byzantine processor for a slot (defaults to a Random_babbler).
+using Byzantine_factory =
+    std::function<std::unique_ptr<sim::Processor>(common::Processor_id id, common::Rng rng)>;
+
+/// One completed play as observed by one processor.
+struct Play_record {
+    common::Pulse completed_at = 0; ///< pulse the play's outcome was published
+    game::Pure_profile outcome;
+    std::vector<common::Agent_id> punished; ///< the agreed foul set N'
+
+    friend bool operator==(const Play_record&, const Play_record&) = default;
+};
 
 class Authority_group {
 public:
@@ -98,12 +127,12 @@ public:
     [[nodiscard]] virtual const wire::Transport* wire_link() const { return nullptr; }
 };
 
-/// Engine-backed skeleton shared by both group harnesses: owns the engine
-/// over a complete graph, answers every membership/expulsion query, and —
-/// the one action a replica cannot perform from inside — enacts
-/// disconnection orders supported by a majority of honest replicas on the
-/// physical network after every pulse. Subclasses install their processors
-/// and expose the replicated ledger via replica_executive().
+/// Engine-backed group skeleton: owns the engine over a complete graph,
+/// answers every membership/expulsion query, and — the one action a replica
+/// cannot perform from inside — enacts disconnection orders supported by a
+/// majority of honest replicas on the physical network after every pulse.
+/// Subclasses install their processors and expose the replicated ledger via
+/// replica_executive().
 class Replica_group_harness : public Authority_group {
 public:
     [[nodiscard]] sim::Engine& engine() { return engine_; }

@@ -8,7 +8,7 @@
 // service audits plays against it (its equilibrium profile and audit mode
 // decide what counts as a foul), and the executive service publishes outcomes
 // and costs drawn from its cost functions. Both authority tiers
-// (local_authority.h, authority_processor.h) are constructed from one.
+// (local_authority.h, pipeline/pipeline_processor.h) are constructed from one.
 #ifndef GA_AUTHORITY_GAME_SPEC_H
 #define GA_AUTHORITY_GAME_SPEC_H
 

@@ -1,15 +1,14 @@
 // Base processor for clock-scheduled sequences of IC activations.
 //
-// Both authority tiers that run over the simulator share the same skeleton:
-// a self-stabilizing clock partitions its period into a fixed number of
+// The replicated authority tier runs over the simulator on this skeleton: a
+// self-stabilizing clock partitions its period into a fixed number of
 // phases, each phase runs one interactive-consistency activation (§4's SSBA
 // composition), and a subclass decides what value each phase agrees on and
-// what to do with the agreed vector. The classic Authority_processor runs 4
-// phases per play (§3.3: outcome, commit, reveal, foul); the batched
-// Pipeline_processor runs the same 4 phases per k-play batch (each
-// activation agrees on k plays' worth of data). Extracting the schedule here
-// keeps the two wire-compatible in structure: clock value, section framing,
-// self-delivery, and transient-fault recovery behave identically.
+// what to do with the agreed vector. Pipeline_processor (src/pipeline/) runs
+// 4 phases per k-play batch (§3.3: outcome, commit, reveal, foul; each
+// activation agrees on k plays' worth of data, and k = 1 is the paper's
+// per-play schedule). The skeleton owns everything protocol-independent:
+// clock value, section framing, self-delivery, and transient-fault recovery.
 //
 // Wire format per pulse: u32 clock | u8 has_section | [u8 phase | u32 round |
 // length-prefixed section payload]. A phase of `ic_rounds` send rounds

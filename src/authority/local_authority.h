@@ -3,9 +3,10 @@
 // Runs the full §3.3 play pipeline — prescription, commitment, reveal,
 // judicial audit, executive punishment, outcome publication — with real
 // cryptographic commitments but without the BFT transport, so experiments can
-// run 10^5+ plays per second. The distributed tier (distributed_authority.h)
-// runs the identical pipeline over the simulator with Byzantine agreement per
-// phase; integration tests pin the two tiers to the same verdicts.
+// run 10^5+ plays per second. The replicated tier
+// (pipeline/pipeline_authority.h, k = 1 for the per-play schedule) runs the
+// same play over the simulator with Byzantine agreement per phase;
+// integration tests pin the two tiers to the same verdicts.
 #ifndef GA_AUTHORITY_LOCAL_AUTHORITY_H
 #define GA_AUTHORITY_LOCAL_AUTHORITY_H
 

@@ -67,8 +67,12 @@ common::Pulse Pipeline_authority::pulses_for_plays(int plays) const
 
 common::Pulse Pipeline_authority::pulses_to_window_edge() const
 {
-    // Same wrap-to-idle rule as the classic tier, over the batch period: the
-    // reference replica's clock runs one 4-phase schedule per k-play batch.
+    // The reference replica's clock is the group's schedule position: a
+    // batch occupies clock values 1..period-2 and the remaining slack
+    // (period-1, then 0) is idle, so stepping until the clock wraps to 0
+    // completes any in-flight batch. In steady state every honest clock
+    // agrees; after a transient fault this is best-effort until the clocks
+    // re-converge.
     const int period = Pipeline_processor::clock_period_for(ic_rounds_);
     const int value = processor(reference_slot()).clock();
     return pulses_for_slots((period - value) % period);

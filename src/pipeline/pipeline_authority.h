@@ -1,26 +1,26 @@
-// Harness for the batched game-authority tier: the pipelined counterpart of
-// Distributed_authority.
-//
-// Installs one Pipeline_processor per honest agent (and arbitrary Byzantine
-// processors elsewhere) over the shared Replica_group_harness skeleton, so
-// stepping, expulsion enactment, and the Authority_group harvesting surface
-// are identical to the classic tier — and the sharded fabric can run any
-// shard in pipelined mode transparently, same per-shard derive_seed
-// determinism contract, k plays per 4-phase clock period.
+// Harness for the replicated game-authority tier: builds the engine, installs
+// one Pipeline_processor per honest agent and arbitrary Byzantine processors
+// in the remaining slots, steps pulses, and enacts the executive's
+// disconnection orders on the physical network (via the
+// Replica_group_harness skeleton). k plays per 4-phase clock period; k = 1 is
+// the paper's §3.3 per-play schedule. Every shard of the sharded fabric is
+// one of these, under the per-shard derive_seed determinism contract.
 #ifndef GA_PIPELINE_PIPELINE_AUTHORITY_H
 #define GA_PIPELINE_PIPELINE_AUTHORITY_H
 
 #include <map>
 
-#include "authority/distributed_authority.h"
+#include "authority/authority_group.h"
 #include "pipeline/pipeline_processor.h"
 
 namespace ga::pipeline {
 
 class Pipeline_authority final : public authority::Replica_group_harness {
 public:
-    /// `behaviors[i]` may be null for slots listed in `byzantine`. A null
-    /// `ic_factory` auto-selects the substrate via bft::choose_ic(n, f).
+    /// `behaviors[i]` may be null for slots listed in `byzantine` (those run
+    /// Byzantine processors instead of the protocol). A null `ic_factory`
+    /// auto-selects the substrate via bft::choose_ic(n, f) (the E7
+    /// crossover); pass ic_eig()/ic_parallel_phase_king() to override.
     /// `tampers` makes the listed slots equivocate inside their sealed
     /// batches (test instrumentation for the batch-edge audit).
     /// `net` installs an adversarial network model on the group's engine

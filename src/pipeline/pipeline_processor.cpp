@@ -4,6 +4,82 @@
 
 namespace ga::pipeline {
 
+namespace {
+
+common::Bytes encode_profile(const game::Pure_profile& profile)
+{
+    common::Bytes bytes;
+    common::put_u32(bytes, static_cast<std::uint32_t>(profile.size()));
+    for (const int a : profile) common::put_u32(bytes, static_cast<std::uint32_t>(a));
+    return bytes;
+}
+
+std::optional<game::Pure_profile> decode_profile(const common::Bytes& bytes,
+                                                 const authority::Game_spec& spec)
+{
+    const int n = spec.game->n_agents();
+    try {
+        common::Byte_reader reader{bytes};
+        const std::uint32_t size = reader.get_u32();
+        if (size != static_cast<std::uint32_t>(n)) return std::nullopt;
+        game::Pure_profile profile(static_cast<std::size_t>(n));
+        for (auto& a : profile) a = static_cast<int>(reader.get_u32());
+        if (!reader.exhausted()) return std::nullopt;
+        for (common::Agent_id i = 0; i < n; ++i) {
+            if (!spec.game->is_legitimate_action(i, profile[static_cast<std::size_t>(i)]))
+                return std::nullopt;
+        }
+        return profile;
+    } catch (const common::Decode_error&) {
+        return std::nullopt;
+    }
+}
+
+/// The previous-outcome profile proposed by a strict majority of the agreed
+/// vector, nullopt when no decodable value has one (fresh boot or post-fault
+/// divergence — the caller falls back to first_play_profile).
+std::optional<game::Pure_profile> majority_profile(const std::vector<bft::Value>& values,
+                                                   const authority::Game_spec& spec)
+{
+    // The quadratic scan is over the replica group (small by construction)
+    // and only a strict majority — necessarily unique — is ever adopted.
+    int best_index = -1;
+    int best_count = 0;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        if (!decode_profile(values[i], spec).has_value()) continue;
+        int count = 0;
+        for (std::size_t j = 0; j < values.size(); ++j) {
+            if (values[j] == values[i]) ++count;
+        }
+        if (count > best_count) {
+            best_count = count;
+            best_index = static_cast<int>(i);
+        }
+    }
+    if (best_index < 0 || 2 * best_count <= static_cast<int>(values.size())) return std::nullopt;
+    return decode_profile(values[static_cast<std::size_t>(best_index)], spec);
+}
+
+/// N' from the agreed foul bitmasks: flagged[j] iff a strict majority of the
+/// n replicas (malformed masks count as abstentions) flag agent j.
+std::vector<bool> strict_majority_flags(const std::vector<bft::Value>& masks, int n)
+{
+    std::vector<int> flags(static_cast<std::size_t>(n), 0);
+    for (const bft::Value& mask : masks) {
+        if (mask.size() != static_cast<std::size_t>(n)) continue;
+        for (common::Agent_id j = 0; j < n; ++j) {
+            if (mask[static_cast<std::size_t>(j)] == 1) ++flags[static_cast<std::size_t>(j)];
+        }
+    }
+    std::vector<bool> flagged(static_cast<std::size_t>(n), false);
+    for (common::Agent_id j = 0; j < n; ++j) {
+        flagged[static_cast<std::size_t>(j)] = 2 * flags[static_cast<std::size_t>(j)] > n;
+    }
+    return flagged;
+}
+
+} // namespace
+
 Pipeline_processor::Pipeline_processor(common::Processor_id id, int n, int f,
                                        authority::Game_spec spec, int k,
                                        std::unique_ptr<authority::Agent_behavior> behavior,
@@ -40,7 +116,7 @@ bft::Value Pipeline_processor::phase_input(int phase, common::Pulse now)
 {
     switch (static_cast<Phase>(phase)) {
     case Phase::outcome:
-        return authority::Authority_processor::encode_profile(previous_);
+        return encode_profile(previous_);
 
     case Phase::commit: {
         if (auto* tel = telemetry()) {
@@ -103,10 +179,9 @@ void Pipeline_processor::process_phase_result(int phase, common::Pulse now)
 
 void Pipeline_processor::process_outcome_result()
 {
-    // Majority view wins (the same strict-majority rule as the classic
-    // tier); with no majority fall back to the first-play profile.
-    const std::optional<game::Pure_profile> majority =
-        authority::Authority_processor::majority_profile(agreed(), spec_);
+    // Majority view wins; with no majority (fresh boot or post-fault
+    // divergence) fall back to the deterministic first-play profile.
+    const std::optional<game::Pure_profile> majority = majority_profile(agreed(), spec_);
     if (auto* tel = telemetry(); tel != nullptr && !majority.has_value()) {
         tel->counter("outcome.divergence") += 1;
     }
@@ -215,8 +290,7 @@ void Pipeline_processor::process_reveal_result(common::Pulse now)
 void Pipeline_processor::process_foul_result(common::Pulse now)
 {
     // N' = agents flagged by a strict majority of the agreed bitmasks.
-    const std::vector<bool> flagged =
-        authority::Authority_processor::strict_majority_flags(agreed(), n());
+    const std::vector<bool> flagged = strict_majority_flags(agreed(), n());
     const std::vector<bool> active = executive_.active_mask();
     std::vector<common::Agent_id> punished;
     for (common::Agent_id a = 0; a < n(); ++a) {
@@ -305,7 +379,7 @@ void Pipeline_processor::process_foul_result(common::Pulse now)
         if (published_this_batch_ && batch_opened_at_ >= 0) {
             // Verdicts land at the batch edge, so every play of the window
             // shares the open-to-verdict latency — the §5.3 detection delay
-            // made visible in the same histogram the classic tier fills.
+            // made visible in the play-latency histogram.
             telemetry::Histogram& latency = tel->histogram("play.latency_pulses");
             for (int j = 0; j < k_; ++j) latency.record(now - batch_opened_at_);
             tel->counter("plays.completed") += k_;

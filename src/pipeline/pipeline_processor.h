@@ -1,13 +1,13 @@
-// Batched game-authority processor: k plays per BA activation.
+// Replicated game-authority processor: k plays per BA activation.
 //
-// The classic Authority_processor spends one IC activation per §3.3 phase of
-// every play, pinning a group to its 4(f+2)-pulse-per-play cadence. This
-// processor amortizes the agreement cost over a batch of k plays with the
-// same 4-phase schedule on the shared Ic_schedule_processor skeleton — each
-// activation now agrees on k plays' worth of data:
+// One schedule on the shared Ic_schedule_processor skeleton: four phases per
+// k-play batch, each activation agreeing on k plays' worth of data. At k = 1
+// this is the paper's §3.3 play — one outcome, commit, reveal and foul
+// activation per play, the commitment a one-leaf Merkle vector:
 //
-//   phase 0  outcome      IC on the previous outcome; majority re-aligns
-//                         replicas after transient faults (as in §3.3)
+//   phase 0  outcome      IC on the previous outcome ("the play starts by
+//                         announcing the outcome"); majority re-aligns
+//                         replicas after transient faults
 //   phase 1  batch commit agents seal their next k action commitments under
 //                         one Merkle root (pipeline/play_batcher.h); IC on
 //                         the set of roots
@@ -19,12 +19,26 @@
 //                         verified actions verbatim and the reference
 //                         cascade's prescription substituted elsewhere
 //   phase 3  foul         batch-edge audit (pipeline/batch_audit.h), IC on
-//                         the foul bitmasks, punishment
+//                         the foul bitmasks; the agreed foul set N' is
+//                         handed to the executive replica for punishment
+//
+// The clock period is 4(f+2)+2 in the EIG case; a batch starts whenever the
+// clock reaches 1, so after any transient fault the next clock wrap starts a
+// clean batch — the middleware is self(ish)-stabilizing. The executive
+// ledger is deliberately outside the corruption model: §4 notes the
+// executive service is application dependent "and therefore should be made
+// self-stabilizing on a case basis".
+//
+// Canonical publication semantics (every k, including k = 1): a play's
+// outcome is published — Play_record::completed_at stamped, costs booked —
+// at the reveal phase, before the foul phase punishes; so the play in which
+// an expulsion lands still books its costs, and a batch a transient fault
+// disrupts mid-flight is skipped rather than published with substitutes.
 //
 // Steady state completes k plays per 4(f+2)+2-pulse period — the full k-fold
-// pulse amortization over the classic schedule. The cost is §5.3's: verdicts
-// (and thus punishment) are delayed to the batch edge, so a deviator or
-// equivocator is exposed for at most k plays — detection delayed, never
+// pulse amortization over the per-play (k = 1) schedule. The cost is §5.3's:
+// verdicts (and thus punishment) are delayed to the batch edge, so a deviator
+// or equivocator is exposed for at most k plays — detection delayed, never
 // lost. Audits compare against the batch's deterministic best-response
 // cascade (see play_batcher.h), which is what sealed-ahead commitments make
 // lawful; a detected vector mismatch voids the whole window (prescriptions
@@ -33,20 +47,23 @@
 #ifndef GA_PIPELINE_PIPELINE_PROCESSOR_H
 #define GA_PIPELINE_PIPELINE_PROCESSOR_H
 
-#include "authority/authority_processor.h"
+#include "authority/authority_group.h"
+#include "authority/ic_schedule_processor.h"
 #include "pipeline/batch_audit.h"
 
 namespace ga::pipeline {
 
 class Pipeline_processor final : public authority::Ic_schedule_processor {
 public:
-    /// The schedule is k-invariant: four phases per batch, like one classic
+    /// The schedule is k-invariant: four phases per batch, like one §3.3
     /// play — k only scales the payloads.
     static int clock_period_for(int ic_rounds) { return period_for(4, ic_rounds); }
 
-    /// Like the classic tier, the pipeline audits pure strategies; the batch
-    /// edge plays the role of the §5.3 window edge. A null tamper is honest
-    /// protocol; a Tamper equivocates inside the sealed vector (tests).
+    /// The pipeline audits pure strategies (the mixed tier is exercised
+    /// through Local_authority); the batch edge plays the role of the §5.3
+    /// window edge. A null tamper is honest protocol; a Tamper equivocates
+    /// inside the sealed vector (tests). `delta` must match the engine's
+    /// Net_model delivery bound (1 = the classic clean transport).
     Pipeline_processor(common::Processor_id id, int n, int f, authority::Game_spec spec, int k,
                        std::unique_ptr<authority::Agent_behavior> behavior,
                        std::unique_ptr<authority::Punishment_scheme> punishment,

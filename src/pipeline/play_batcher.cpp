@@ -61,7 +61,7 @@ void Play_batcher::build(authority::Agent_behavior& behavior, const game::Pure_p
         if (!decision.honest_opening) {
             // Dishonest opening (e.g. Fake_reveal_behavior): the stored
             // opening no longer re-commits to the sealed leaf, so the reveal
-            // fails inclusion — same commitment_mismatch as the classic tier.
+            // fails inclusion — flagged commitment_mismatch at the batch edge.
             committed.opening.payload =
                 authority::Judicial_service::encode_action(decision.action + 1);
         }

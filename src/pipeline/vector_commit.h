@@ -2,7 +2,7 @@
 //
 // One batch seals an agent's next k action commitments under a single Merkle
 // root (crypto/merkle.h), so one IC activation agrees on a whole batch where
-// the classic §3.3 schedule needed one per play. The wire artifacts:
+// the per-play §3.3 schedule (k = 1) needs one per play. The wire artifacts:
 //
 //  - Batch_root:   what the batch-commit phase agrees on per agent — the
 //                  Merkle root plus the batch arity k (binding k rules out

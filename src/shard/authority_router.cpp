@@ -24,24 +24,6 @@ Authority_router::Route Authority_router::locate(common::Agent_id global) const
     return Route{map_.shard_of(global), map_.local_of(global)};
 }
 
-std::vector<std::vector<std::unique_ptr<authority::Agent_behavior>>>
-Authority_router::partition_behaviors(const Shard_map& map,
-                                      std::vector<std::unique_ptr<authority::Agent_behavior>> global)
-{
-    common::ensure(static_cast<int>(global.size()) == map.n_agents(),
-                   "partition_behaviors: one behavior slot per global agent");
-    std::vector<std::vector<std::unique_ptr<authority::Agent_behavior>>> per_shard(
-        static_cast<std::size_t>(map.n_shards()));
-    for (int s = 0; s < map.n_shards(); ++s) {
-        auto& local = per_shard[static_cast<std::size_t>(s)];
-        local.reserve(map.members(s).size());
-        for (const common::Agent_id g : map.members(s)) {
-            local.push_back(std::move(global[static_cast<std::size_t>(g)]));
-        }
-    }
-    return per_shard;
-}
-
 const authority::Authority_group& Authority_router::shard_at(int shard) const
 {
     common::ensure(shard >= 0 && shard < static_cast<int>(shards_.size()),

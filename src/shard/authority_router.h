@@ -1,16 +1,11 @@
 // Routing front-end of the authority fabric.
 //
-// Everything addressed by *global* agent id goes through the router, which
-// owns the two directions of the sharding boundary:
+// Everything addressed by *global* agent id goes through the router: per-play
+// results — agreed outcomes, punishments, standings, expulsions — are read
+// back from the owning shard via the authority tier's harvesting hooks and
+// re-expressed in global ids.
 //
-//  - dispatch: a global play population (one Agent_behavior per agent) is
-//    partitioned into the per-shard behavior vectors each shard's
-//    Distributed_authority is built from;
-//  - collection: per-play results — agreed outcomes, punishments, standings,
-//    expulsions — are read back from the owning shard via the authority
-//    tier's harvesting hooks and re-expressed in global ids.
-//
-// The router never touches `Distributed_authority::engine()`; the harvesting
+// The router never touches a group's engine; the Authority_group harvesting
 // hooks are the entire surface it consumes.
 #ifndef GA_SHARD_AUTHORITY_ROUTER_H
 #define GA_SHARD_AUTHORITY_ROUTER_H
@@ -24,8 +19,8 @@ namespace ga::shard {
 
 class Authority_router {
 public:
-    /// `shards[s]` is shard s's authority group (classic or pipelined — any
-    /// Authority_group); one entry per map shard. Both the map and the shards
+    /// `shards[s]` is shard s's authority group (any Authority_group); one
+    /// entry per map shard. Both the map and the shards
     /// must outlive the router.
     Authority_router(const Shard_map& map,
                      std::vector<const authority::Authority_group*> shards);
@@ -36,13 +31,6 @@ public:
         common::Agent_id local = -1;
     };
     [[nodiscard]] Route locate(common::Agent_id global) const;
-
-    /// Dispatch helper: split a global behavior vector (index = global agent
-    /// id; null entries allowed for Byzantine slots) into per-shard vectors
-    /// ordered by local id.
-    [[nodiscard]] static std::vector<std::vector<std::unique_ptr<authority::Agent_behavior>>>
-    partition_behaviors(const Shard_map& map,
-                        std::vector<std::unique_ptr<authority::Agent_behavior>> global);
 
     /// One agent's view of one completed play on its shard.
     struct Agent_play {

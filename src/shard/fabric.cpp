@@ -41,8 +41,6 @@ void Fabric::validate_config() const
     }
     common::ensure(config_.batch_k >= 1 && config_.batch_k <= pipeline::k_max_batch,
                    "Fabric: batch_k out of range");
-    common::ensure(config_.tampers.empty() || pipelined(),
-                   "Fabric: tampers require pipelined mode (batch_k > 1)");
     for (const auto& [g, tamper] : config_.tampers) {
         common::ensure(g >= 0 && g < plan_.map().n_agents(), "Fabric: tamper id out of range");
         (void)tamper;
@@ -55,15 +53,32 @@ void Fabric::validate_config() const
 
 Fabric::Fabric(Shard_map map, std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors,
                Fabric_config config)
-    : plan_{std::move(map)}, config_{std::move(config)}, executor_{config_.threads}
+    : Fabric{map, static_config(map.n_agents(), std::move(behaviors), std::move(config))}
 {
-    validate_config();
-    common::ensure(config_.behavior_factory == nullptr && config_.rebalance == nullptr,
-                   "Fabric: a static fabric cannot rebuild shards — use the elastic "
-                   "constructor (behavior factory) for rebalancing");
-    if (config_.trace || config_.watchdog.has_value()) config_.telemetry = true;
-    if (config_.watchdog.has_value()) watchdog_.emplace(*config_.watchdog);
-    build_all(Authority_router::partition_behaviors(plan_.map(), std::move(behaviors)));
+}
+
+Fabric_config Fabric::static_config(
+    int n_agents, std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors,
+    Fabric_config config)
+{
+    const char* const no_rebuild = "Fabric: a static fabric cannot rebuild shards — use the "
+                                   "elastic constructor (behavior factory) for rebalancing";
+    common::ensure(config.behavior_factory == nullptr && config.rebalance == nullptr, no_rebuild);
+    common::ensure(static_cast<int>(behaviors.size()) == n_agents,
+                   "Fabric: one behavior slot per global agent");
+    // One-shot factory: each global agent's behavior is handed out exactly
+    // once, at construction. A rebuild would mint it again, which throws
+    // before the epoch transition touches any fabric state.
+    auto slots = std::make_shared<std::vector<std::unique_ptr<authority::Agent_behavior>>>(
+        std::move(behaviors));
+    auto minted = std::make_shared<std::vector<bool>>(slots->size(), false);
+    config.behavior_factory = [slots, minted, no_rebuild](common::Agent_id global) {
+        const auto g = static_cast<std::size_t>(global);
+        common::ensure(!minted->at(g), no_rebuild);
+        (*minted)[g] = true;
+        return std::move((*slots)[g]);
+    };
+    return config;
 }
 
 Fabric::Fabric(Shard_map initial, Fabric_config config)
@@ -119,20 +134,14 @@ Fabric::build_group(const Shard_plan& plan, int s,
     sim::Net_model net = config_.net;
     net.seed = common::derive_seed(net.seed, static_cast<std::uint64_t>(s),
                                    static_cast<std::uint64_t>(plan.epoch()));
-    if (pipelined()) {
-        std::map<common::Processor_id, pipeline::Tamper> local_tampers;
-        for (const auto& [g, tamper] : config_.tampers) {
-            if (map.shard_of(g) == s) local_tampers.emplace(map.local_of(g), tamper);
-        }
-        built.group = std::make_unique<pipeline::Pipeline_authority>(
-            std::move(spec), config_.f, config_.batch_k, std::move(behaviors), local_byzantine,
-            config_.punishment, std::move(shard_rng), config_.byzantine_factory,
-            config_.ic_factory, std::move(local_tampers), std::move(net));
-    } else {
-        built.group = std::make_unique<authority::Distributed_authority>(
-            std::move(spec), config_.f, std::move(behaviors), local_byzantine, config_.punishment,
-            std::move(shard_rng), config_.byzantine_factory, config_.ic_factory, std::move(net));
+    std::map<common::Processor_id, pipeline::Tamper> local_tampers;
+    for (const auto& [g, tamper] : config_.tampers) {
+        if (map.shard_of(g) == s) local_tampers.emplace(map.local_of(g), tamper);
     }
+    built.group = std::make_unique<pipeline::Pipeline_authority>(
+        std::move(spec), config_.f, config_.batch_k, std::move(behaviors), local_byzantine,
+        config_.punishment, std::move(shard_rng), config_.byzantine_factory, config_.ic_factory,
+        std::move(local_tampers), std::move(net));
     // Every group gets its own cross-boundary link, minted fresh like the
     // group itself — ring state never leaks across epochs.
     built.group->set_wire(wire::make_transport(config_.transport));
@@ -351,8 +360,6 @@ Rebalance_report Fabric::apply_rebalance(const Rebalance_plan& plan)
 
 Rebalance_report Fabric::apply_next_plan(Shard_plan next)
 {
-    common::ensure(config_.behavior_factory != nullptr,
-                   "Fabric::apply_rebalance: static fabric cannot rebuild shards");
     const std::vector<int> carried = carried_shards(plan_.map(), next.map());
 
     const int old_count = plan_.map().n_shards();

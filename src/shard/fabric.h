@@ -2,25 +2,24 @@
 // front-end — and, since the elastic refactor, a shard topology that can
 // change while the fabric runs.
 //
-// The paper's Distributed_authority supervises one game over one replica
-// group, so its throughput is pinned to one BA group's 4(f+2)-pulse play
-// cadence. The fabric lifts that bound the way the ROADMAP's "sharded
-// authority" item prescribes: a Shard_map partitions the global agent
-// population into shards, every shard runs its own authority group (own
-// sim::Engine, own replicas, own clock), and an Executor steps the shards on
-// a thread pool. Total plays/sec then scales with shard count and hardware
-// instead of one group's pulse cadence.
+// One replica group (pipeline::Pipeline_authority) supervises one game, so
+// its throughput is pinned to one BA group's 4(f+2)-pulse play cadence. The
+// fabric lifts that bound the way the ROADMAP's "sharded authority" item
+// prescribes: a Shard_map partitions the global agent population into
+// shards, every shard runs its own authority group (own sim::Engine, own
+// replicas, own clock), and an Executor steps the shards on a thread pool.
+// Total plays/sec then scales with shard count and hardware instead of one
+// group's pulse cadence.
 //
 // Elastic operation: the current topology lives in an epoch-versioned
 // Shard_plan. A Rebalance_policy (shard/rebalancer.h) inspects per-shard
 // harvested load and emits migration/split/merge plans; the fabric applies a
 // plan only at a play-window edge:
 //
-//   - affected shards finish their in-flight play (or k-play batch in
-//     pipelined mode) — pulses_to_window_edge() per group, at most one
-//     window — then retire: their harvest joins the retired-sample ledger
-//     and every member's standings/history fold into a per-global-id carried
-//     ledger;
+//   - affected shards finish their in-flight k-play batch —
+//     pulses_to_window_edge() per group, at most one window — then retire:
+//     their harvest joins the retired-sample ledger and every member's
+//     standings/history fold into a per-global-id carried ledger;
 //   - unaffected shards are adopted untouched (same group object, same
 //     in-flight state — a merge relabel changes a routing id, never the
 //     group), so a rebalance pauses only the shards it changes;
@@ -38,9 +37,10 @@
 // policy, config): the same epochs, verdicts, outcomes, and aggregated stats
 // bit-for-bit on 1 executor thread or N.
 //
-// Pipelined mode: config.batch_k > 1 runs every shard as a Pipeline_authority
-// (src/pipeline/) amortizing agreement cost over k-play batches; batch edges
-// then double as the fabric's migration points.
+// Every shard is a Pipeline_authority (src/pipeline/) agreeing on
+// config.batch_k plays per batch: k = 1 is the paper's per-play §3.3
+// schedule, k > 1 amortizes agreement cost over the batch. Batch edges
+// double as the fabric's migration points.
 #ifndef GA_SHARD_FABRIC_H
 #define GA_SHARD_FABRIC_H
 
@@ -106,12 +106,12 @@ struct Fabric_config {
     /// executor widths — the choice moves wall-clock cost, never results.
     /// One link per shard group, rebuilt with the group at epoch edges.
     wire::Wire_config transport;
-    /// Plays agreed per BA activation batch: 1 = the classic per-play §3.3
-    /// schedule (Distributed_authority), > 1 = pipelined shards amortizing
-    /// agreement cost over k-play batches (Pipeline_authority).
+    /// Plays agreed per BA activation batch of every shard's
+    /// Pipeline_authority: 1 = the paper's per-play §3.3 schedule, > 1 =
+    /// pipelined shards amortizing agreement cost over k-play batches.
     int batch_k = 1;
-    /// Equivocating-agent instrumentation (global ids; pipelined mode only):
-    /// the listed agents open a substituted action inside their sealed batch.
+    /// Equivocating-agent instrumentation (global ids, any batch_k): the
+    /// listed agents open a substituted action inside their sealed batch.
     std::map<common::Agent_id, pipeline::Tamper> tampers;
     /// Required by the elastic constructor; the static (behavior-vector)
     /// constructor forbids it.
@@ -160,9 +160,10 @@ struct Rebalance_report {
 class Fabric {
 public:
     /// Static fabric: `behaviors[g]` is global agent g's behavior (null
-    /// allowed only for ids in config.byzantine); the router dispatches them
-    /// to the owning shards. The topology is frozen at construction —
-    /// config.behavior_factory and config.rebalance must be null (rebuilding
+    /// allowed only for ids in config.byzantine). Delegates to the elastic
+    /// constructor through a one-shot behavior factory, so the topology is
+    /// frozen at construction — config.behavior_factory and
+    /// config.rebalance must be null, and apply_rebalance throws (rebuilding
     /// a shard needs behaviors mintable per epoch; use the elastic
     /// constructor for that).
     Fabric(Shard_map map, std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors,
@@ -181,6 +182,7 @@ public:
     [[nodiscard]] const Authority_router& router() const { return *router_; }
     /// Throws Contract_error naming the shard id when out of range.
     [[nodiscard]] const authority::Authority_group& shard(int s) const;
+    /// True when shards amortize agreement over k > 1 plays per batch.
     [[nodiscard]] bool pipelined() const { return config_.batch_k > 1; }
     [[nodiscard]] int batch_k() const { return config_.batch_k; }
 
@@ -315,6 +317,12 @@ private:
     };
 
     void validate_config() const;
+    /// The static constructor's config: `behaviors` (one per global agent)
+    /// wrapped into a one-shot behavior factory that refuses to mint any
+    /// agent twice.
+    [[nodiscard]] static Fabric_config
+    static_config(int n_agents, std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors,
+                  Fabric_config config);
     /// A freshly built replica group plus its game's enumerable optimum.
     struct Built_group {
         std::unique_ptr<authority::Authority_group> group;

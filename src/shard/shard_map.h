@@ -56,7 +56,7 @@ public:
     [[nodiscard]] int shard_of(common::Agent_id global) const;
 
     /// g's index inside its shard's replica group (the Agent_id the shard's
-    /// Distributed_authority knows it by).
+    /// authority group knows it by).
     [[nodiscard]] common::Agent_id local_of(common::Agent_id global) const;
 
     /// Inverse mapping: the global id of shard member `local`.

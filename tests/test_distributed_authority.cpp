@@ -1,17 +1,20 @@
 // Distributed game-authority tier: the §3.3 sequence of BA activations over
-// the simulator. Soundness and completeness of punishment across replicas,
+// the simulator — a Pipeline_authority at k = 1, one play per 4-phase clock
+// period. Soundness and completeness of punishment across replicas,
 // Byzantine-slot handling, replica agreement, self-stabilization after
 // transient faults, and equivalence with the local tier.
 #include <gtest/gtest.h>
 
-#include "authority/distributed_authority.h"
-#include "sim/malicious.h"
+#include <functional>
+
 #include "authority/local_authority.h"
-#include "game/canonical.h"
+#include "pipeline/pipeline_authority.h"
+#include "sim/malicious.h"
 
 namespace {
 
 using namespace ga::authority;
+using ga::pipeline::Pipeline_authority;
 using ga::common::Agent_id;
 using ga::common::Processor_id;
 using ga::common::Rng;
@@ -95,9 +98,9 @@ TEST(DistributedAuthority, AllHonestPlaysCompleteWithReplicaAgreement)
 {
     const int n = 4;
     const int f = 1;
-    Distributed_authority authority{dominant_spec(n), f, honest_behaviors(n), {}, disconnects(),
-                                    Rng{1}};
-    authority.run_pulses(1 + 3 * authority.pulses_per_play());
+    Pipeline_authority authority{dominant_spec(n), f, /*k=*/1, honest_behaviors(n),
+                                 {}, disconnects(), Rng{1}};
+    authority.run_pulses(1 + 3 * authority.pulses_per_batch());
 
     const auto slots = authority.honest_slots();
     const auto& reference = authority.processor(slots.front()).plays();
@@ -119,9 +122,9 @@ TEST(DistributedAuthority, OutcomeDependentGameReplicatesConsistently)
 {
     const int n = 4;
     const int f = 1;
-    Distributed_authority authority{minority_spec(n), f, honest_behaviors(n), {}, disconnects(),
-                                    Rng{2}};
-    authority.run_pulses(1 + 4 * authority.pulses_per_play());
+    Pipeline_authority authority{minority_spec(n), f, /*k=*/1, honest_behaviors(n),
+                                 {}, disconnects(), Rng{2}};
+    authority.run_pulses(1 + 4 * authority.pulses_per_batch());
 
     const auto slots = authority.honest_slots();
     const auto& reference = authority.processor(slots.front()).plays();
@@ -142,9 +145,9 @@ TEST(DistributedAuthority, GameDeviantIsPunishedByEveryReplica)
     const int f = 1;
     auto behaviors = honest_behaviors(n);
     behaviors[2] = std::make_unique<Fixed_action_behavior>(0); // never the BR
-    Distributed_authority authority{dominant_spec(n), f, std::move(behaviors), {}, disconnects(),
-                                    Rng{3}};
-    authority.run_pulses(1 + 2 * authority.pulses_per_play());
+    Pipeline_authority authority{dominant_spec(n), f, /*k=*/1, std::move(behaviors),
+                                 {}, disconnects(), Rng{3}};
+    authority.run_pulses(1 + 2 * authority.pulses_per_batch());
 
     for (const Processor_id id : authority.honest_slots()) {
         const auto& plays = authority.processor(id).plays();
@@ -163,9 +166,9 @@ TEST(DistributedAuthority, ByzantineBabblerIsPunishedAndDisconnected)
     const int f = 1;
     auto behaviors = honest_behaviors(n);
     behaviors[3].reset(); // slot 3 is Byzantine
-    Distributed_authority authority{dominant_spec(n), f, std::move(behaviors), {3}, disconnects(),
-                                    Rng{4}};
-    authority.run_pulses(1 + 2 * authority.pulses_per_play());
+    Pipeline_authority authority{dominant_spec(n), f, /*k=*/1, std::move(behaviors),
+                                 {3}, disconnects(), Rng{4}};
+    authority.run_pulses(1 + 2 * authority.pulses_per_batch());
 
     for (const Processor_id id : authority.honest_slots()) {
         const auto& plays = authority.processor(id).plays();
@@ -185,10 +188,10 @@ TEST(DistributedAuthority, SilentByzantineIsAlsoCaught)
     const int f = 1;
     auto behaviors = honest_behaviors(n);
     behaviors[3].reset();
-    Distributed_authority authority{
-        dominant_spec(n), f, std::move(behaviors), {3}, disconnects(), Rng{5},
+    Pipeline_authority authority{
+        dominant_spec(n), f, /*k=*/1, std::move(behaviors), {3}, disconnects(), Rng{5},
         [](Processor_id id, Rng) { return std::make_unique<ga::sim::Silent_processor>(id); }};
-    authority.run_pulses(1 + 2 * authority.pulses_per_play());
+    authority.run_pulses(1 + 2 * authority.pulses_per_batch());
 
     for (const Processor_id id : authority.honest_slots()) {
         EXPECT_FALSE(authority.processor(id).executive().standing(3).active);
@@ -201,9 +204,9 @@ TEST(DistributedAuthority, SelfStabilizesAfterTransientFault)
     const int f = 1;
     // Deep fines: convergence-period misfires must not permanently exclude
     // anyone (the executive ledger is not itself self-stabilizing; §4).
-    Distributed_authority authority{minority_spec(n), f, honest_behaviors(n), {}, deep_fines(),
-                                    Rng{6}};
-    authority.run_pulses(1 + 2 * authority.pulses_per_play());
+    Pipeline_authority authority{minority_spec(n), f, /*k=*/1, honest_behaviors(n),
+                                 {}, deep_fines(), Rng{6}};
+    authority.run_pulses(1 + 2 * authority.pulses_per_batch());
     authority.inject_transient_fault();
 
     // Re-converge: run until honest clocks agree, then flush one full play.
@@ -222,7 +225,7 @@ TEST(DistributedAuthority, SelfStabilizesAfterTransientFault)
         ++guard;
     }
     ASSERT_TRUE(clocks_agree()) << "clocks failed to re-synchronize";
-    authority.run_pulses(authority.pulses_per_play());
+    authority.run_pulses(authority.pulses_per_batch());
 
     // Closure: the next plays complete identically on all replicas with no
     // fouls for honest agents.
@@ -236,7 +239,7 @@ TEST(DistributedAuthority, SelfStabilizesAfterTransientFault)
         fouls_floor.push_back(fouls);
     }
 
-    authority.run_pulses(3 * authority.pulses_per_play());
+    authority.run_pulses(3 * authority.pulses_per_batch());
 
     // Post-recovery plays complete at identical pulses on every replica, so
     // the log *tails* must match even if the fault garbled one in-flight
@@ -263,42 +266,73 @@ TEST(DistributedAuthority, SelfStabilizesAfterTransientFault)
     }
 }
 
+// Cross-tier oracle: Local_authority is the reference the replicated tier
+// must reproduce play for play. One deviator per row, deep fines so the
+// deviator stays in the game and is judged every play, and the
+// outcome-dependent minority game so each play's audit standard is the
+// previous play's agreed outcome.
 TEST(DistributedAuthority, MatchesLocalTierVerdicts)
 {
-    const int n = 4;
+    const int n = 5;
     const int f = 1;
+    const int plays = 6;
+    const Agent_id deviator = 2;
+    const std::vector<std::pair<const char*, std::function<std::unique_ptr<Agent_behavior>()>>>
+        attackers = {
+            {"fixed-action", [] { return std::make_unique<Fixed_action_behavior>(0); }},
+            {"fake-reveal", [] { return std::make_unique<Fake_reveal_behavior>(); }},
+            {"illegal-action", [] { return std::make_unique<Illegal_action_behavior>(); }},
+            {"malicious", [] { return std::make_unique<Malicious_behavior>(); }},
+        };
+    const std::vector<std::pair<const char*, Ic_factory>> substrates = {
+        {"eig", ic_eig()},
+        {"parallel-ic", ic_parallel_phase_king()},
+    };
 
-    // Local tier, one play.
-    auto local_behaviors = honest_behaviors(n);
-    local_behaviors[2] = std::make_unique<Fixed_action_behavior>(0);
-    Local_authority local{dominant_spec(n), std::move(local_behaviors),
-                          std::make_unique<Disconnect_scheme>(), Rng{7}};
-    const Round_report report = local.play_round();
+    for (const auto& [attacker, make_attacker] : attackers) {
+        for (const auto& [substrate, ic] : substrates) {
+            SCOPED_TRACE(std::string{attacker} + " over " + substrate);
+            auto local_behaviors = honest_behaviors(n);
+            local_behaviors[deviator] = make_attacker();
+            Local_authority local{minority_spec(n), std::move(local_behaviors),
+                                  deep_fines()(), Rng{7}};
 
-    // Distributed tier, one play.
-    auto dist_behaviors = honest_behaviors(n);
-    dist_behaviors[2] = std::make_unique<Fixed_action_behavior>(0);
-    Distributed_authority distributed{dominant_spec(n), f, std::move(dist_behaviors), {},
-                                      disconnects(), Rng{8}};
-    distributed.run_pulses(1 + distributed.pulses_per_play());
+            auto replicated_behaviors = honest_behaviors(n);
+            replicated_behaviors[deviator] = make_attacker();
+            Pipeline_authority replicated{minority_spec(n), f, /*k=*/1,
+                                          std::move(replicated_behaviors), /*byzantine=*/{},
+                                          deep_fines(), Rng{8}, /*make_byzantine=*/{}, ic};
+            replicated.run_pulses(1 + plays * replicated.pulses_per_batch());
+            const auto& agreed = replicated.agreed_plays();
+            ASSERT_GE(agreed.size(), static_cast<std::size_t>(plays));
 
-    std::vector<Agent_id> local_punished;
-    for (const Verdict& v : report.verdicts)
-        if (v.offence != Offence::none) local_punished.push_back(v.agent);
-
-    const auto& plays = distributed.processor(0).plays();
-    ASSERT_FALSE(plays.empty());
-    EXPECT_EQ(plays.front().punished, local_punished);
-    EXPECT_EQ(plays.front().outcome, report.outcome);
+            int flagged_plays = 0;
+            for (int p = 0; p < plays; ++p) {
+                const Round_report report = local.play_round();
+                std::vector<Agent_id> local_punished;
+                for (const Verdict& v : report.verdicts)
+                    if (v.offence != Offence::none) local_punished.push_back(v.agent);
+                EXPECT_EQ(agreed[static_cast<std::size_t>(p)].punished, local_punished)
+                    << "play " << p;
+                EXPECT_EQ(agreed[static_cast<std::size_t>(p)].outcome, report.outcome)
+                    << "play " << p;
+                // Only the deviator is ever flagged (a fixed action is lawful
+                // in the plays where it happens to be the best response).
+                for (const Agent_id a : local_punished) EXPECT_EQ(a, deviator) << "play " << p;
+                flagged_plays += local_punished.empty() ? 0 : 1;
+            }
+            EXPECT_GT(flagged_plays, 0);
+        }
+    }
 }
 
 TEST(DistributedAuthority, ConstructorValidation)
 {
-    EXPECT_THROW(Distributed_authority(dominant_spec(4), 2, honest_behaviors(4), {},
-                                       disconnects(), Rng{9}),
+    EXPECT_THROW(Pipeline_authority(dominant_spec(4), 2, /*k=*/1, honest_behaviors(4), {},
+                                    disconnects(), Rng{9}),
                  ga::common::Contract_error); // n=4 needs n>3f -> f<=1
-    EXPECT_THROW(Distributed_authority(dominant_spec(4), 1, honest_behaviors(4), {1, 2},
-                                       disconnects(), Rng{9}),
+    EXPECT_THROW(Pipeline_authority(dominant_spec(4), 1, /*k=*/1, honest_behaviors(4), {1, 2},
+                                    disconnects(), Rng{9}),
                  ga::common::Contract_error); // 2 byzantine slots > f
 }
 

@@ -8,7 +8,7 @@
 // net.
 #include <gtest/gtest.h>
 
-#include "authority/distributed_authority.h"
+#include "pipeline/pipeline_authority.h"
 #include "shard/fabric.h"
 #include "sim/malicious.h"
 #include "sim/two_faced.h"
@@ -157,29 +157,31 @@ Cell_result run_cell(Mix mix, int f, const sim::Net_model& net, int threads = 1,
         make_byzantine = [spec, n, f, ic, delta](Processor_id id, Rng rng) {
             const auto punish = [] { return std::make_unique<Fine_scheme>(1.0, 1e9); };
             return std::make_unique<sim::Two_faced_processor>(
-                std::make_unique<Authority_processor>(id, n, f, spec,
-                                                      std::make_unique<Honest_behavior>(),
-                                                      punish(), rng.split(1), ic, delta),
-                std::make_unique<Authority_processor>(
-                    id, n, f, spec, std::make_unique<Fixed_action_behavior>(0), punish(),
-                    rng.split(2), ic, delta),
+                std::make_unique<pipeline::Pipeline_processor>(
+                    id, n, f, spec, /*k=*/1, std::make_unique<Honest_behavior>(), punish(),
+                    rng.split(1), ic, std::nullopt, delta),
+                std::make_unique<pipeline::Pipeline_processor>(
+                    id, n, f, spec, /*k=*/1, std::make_unique<Fixed_action_behavior>(0), punish(),
+                    rng.split(2), ic, std::nullopt, delta),
                 /*split_at=*/n / 2);
         };
         break;
     }
     }
 
-    Distributed_authority authority{dominant_spec(n),
-                                    f,
-                                    std::move(behaviors),
-                                    byzantine,
-                                    [] { return std::make_unique<Fine_scheme>(1.0, 1e9); },
-                                    Rng{42},
-                                    std::move(make_byzantine),
-                                    ic,
-                                    net};
+    pipeline::Pipeline_authority authority{dominant_spec(n),
+                                           f,
+                                           /*k=*/1,
+                                           std::move(behaviors),
+                                           byzantine,
+                                           [] { return std::make_unique<Fine_scheme>(1.0, 1e9); },
+                                           Rng{42},
+                                           std::move(make_byzantine),
+                                           ic,
+                                           /*tampers=*/{},
+                                           net};
     authority.engine().set_threads(threads);
-    authority.run_pulses(1 + 4 * authority.pulses_per_play());
+    authority.run_pulses(1 + 4 * authority.pulses_per_batch());
 
     Cell_result result;
     result.plays = authority.agreed_plays();
@@ -246,16 +248,19 @@ TEST(NetSweep, ReplicasAgreeInEveryCell)
         std::vector<std::unique_ptr<Agent_behavior>> behaviors;
         for (int i = 0; i < n - 1; ++i) behaviors.push_back(std::make_unique<Honest_behavior>());
         behaviors.push_back(nullptr);
-        Distributed_authority authority{dominant_spec(n),
-                                        f,
-                                        std::move(behaviors),
-                                        {n - 1},
-                                        [] { return std::make_unique<Fine_scheme>(1.0, 1e9); },
-                                        Rng{9},
-                                        {},
-                                        ic_eig(),
-                                        net};
-        authority.run_pulses(1 + 4 * authority.pulses_per_play());
+        pipeline::Pipeline_authority authority{
+            dominant_spec(n),
+            f,
+            /*k=*/1,
+            std::move(behaviors),
+            {n - 1},
+            [] { return std::make_unique<Fine_scheme>(1.0, 1e9); },
+            Rng{9},
+            {},
+            ic_eig(),
+            /*tampers=*/{},
+            net};
+        authority.run_pulses(1 + 4 * authority.pulses_per_batch());
         const auto slots = authority.honest_slots();
         const auto& reference = authority.processor(slots.front()).plays();
         ASSERT_GE(reference.size(), 2u) << net_name;

@@ -274,18 +274,20 @@ TEST(BatchAudit, MalformedWindowIncriminatesNobody)
 TEST(PipelineAuthority, ScheduleAmortizesKFold)
 {
     // The batched schedule is k-invariant — four phases per batch, the same
-    // 4(f+2)+2-pulse period as ONE classic play — so the pulse amortization
-    // is exactly k-fold.
+    // 4(f+2)+2-pulse period as ONE per-play (k = 1) §3.3 play — so the pulse
+    // amortization is exactly k-fold.
     const int r = 2; // EIG, f = 1
     EXPECT_EQ(Pipeline_processor::clock_period_for(r),
-              authority::Authority_processor::clock_period_for(r));
+              authority::Ic_schedule_processor::period_for(4, r));
+    const Pipeline_authority per_play = honest_pipeline(4, 1, 1, /*seed=*/1);
+    EXPECT_EQ(per_play.pulses_per_batch(), Pipeline_processor::clock_period_for(r));
     Pipeline_authority da = honest_pipeline(4, 1, 8, /*seed=*/1);
     EXPECT_EQ(da.pulses_per_batch(), 4 * (r + 1) + 2);
     EXPECT_EQ(da.pulses_for_plays(8), da.pulses_per_batch());
     EXPECT_EQ(da.pulses_for_plays(9), 2 * da.pulses_per_batch());
     const double batched = static_cast<double>(da.pulses_per_batch()) / 8.0;
-    const double classic = authority::Authority_processor::clock_period_for(r);
-    EXPECT_DOUBLE_EQ(classic / batched, 8.0) << "k = 8 amortizes 8x in pulses";
+    const double single = per_play.pulses_per_batch();
+    EXPECT_DOUBLE_EQ(single / batched, 8.0) << "k = 8 amortizes 8x in pulses";
 }
 
 TEST(PipelineAuthority, HonestBatchesPublishKPlaysAndNoFouls)
@@ -538,9 +540,44 @@ TEST(PipelinedFabric, MaliciousAgentsAreAlwaysDetectedByTheWindowEdge)
 TEST(PipelinedFabric, ValidatesConfig)
 {
     EXPECT_THROW(pipelined_fabric(12, 3, 1, 0, 1), common::Contract_error);
-    // Tampering requires pipelined mode.
-    EXPECT_THROW(pipelined_fabric(12, 3, 1, 1, 1, {}, {{2, Tamper{0, 0}}}),
-                 common::Contract_error);
+}
+
+TEST(PipelinedFabric, TamperAtKOneIsFlaggedInTheTamperedPlay)
+{
+    // k = 1 runs the same processor as every other k, so the equivocation
+    // instrumentation works on the per-play schedule too: the substituted
+    // opening breaks the tampered agent's one-leaf vector in every play.
+    const common::Agent_id tampered = 2;
+    const int plays = 4;
+    shard::Fabric_config config;
+    config.f = 1;
+    config.spec_factory = [](int, const std::vector<common::Agent_id>& members) {
+        return dominant_spec(static_cast<int>(members.size()));
+    };
+    // Fined, never expelled: the agent stays in the game and is judged in
+    // every play.
+    config.punishment = [] { return std::make_unique<authority::Fine_scheme>(1.0, 1e9); };
+    config.seed = 41;
+    config.batch_k = 1;
+    config.telemetry = true;
+    config.tampers = {{tampered, Tamper{0, 0}}};
+    shard::Fabric fabric{shard::Shard_map{8, 2}, honest_behaviors(8), std::move(config)};
+    EXPECT_FALSE(fabric.pipelined());
+    fabric.run_pulses(1);
+    fabric.run_plays(plays);
+
+    for (common::Agent_id g = 0; g < fabric.n_agents(); ++g) {
+        const auto history = fabric.router().plays_of(g);
+        ASSERT_EQ(history.size(), static_cast<std::size_t>(plays)) << "agent " << g;
+        for (const auto& play : history) EXPECT_EQ(play.punished, g == tampered) << "agent " << g;
+    }
+    const std::vector<telemetry::Evidence> evidence = fabric.provenance(tampered);
+    ASSERT_EQ(evidence.size(), static_cast<std::size_t>(plays));
+    for (std::size_t p = 0; p < evidence.size(); ++p) {
+        EXPECT_EQ(evidence[p].window, static_cast<std::int64_t>(p)) << "one play per window";
+        EXPECT_EQ(evidence[p].offence,
+                  authority::offence_name(authority::Offence::commitment_mismatch));
+    }
 }
 
 } // namespace

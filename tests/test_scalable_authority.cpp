@@ -1,15 +1,17 @@
-// The polynomial authority mode: Distributed_authority running on parallel
-// interactive consistency over Turpin-Coan/phase-king instead of EIG.
+// The polynomial authority mode: the per-play (k = 1) Pipeline_authority
+// running on parallel interactive consistency over Turpin-Coan/phase-king
+// instead of EIG.
 // Requires n > 4f; must produce the same verdicts and outcomes as the EIG
 // mode, at polynomial message cost.
 #include <gtest/gtest.h>
 
-#include "authority/distributed_authority.h"
+#include "pipeline/pipeline_authority.h"
 #include "sim/malicious.h"
 
 namespace {
 
 using namespace ga::authority;
+using ga::pipeline::Pipeline_authority;
 using ga::common::Agent_id;
 using ga::common::Processor_id;
 using ga::common::Rng;
@@ -53,25 +55,25 @@ Punishment_factory disconnects()
 TEST(ScalableAuthority, RoundBudgetIsPolynomialSchedule)
 {
     // EIG at f=1: 2 send rounds; parallel IC: 1 + (2 + 2*(1+1)) = 7 rounds.
-    EXPECT_EQ(Authority_processor::ic_rounds_of(ic_eig(), 5, 1), 2);
-    EXPECT_EQ(Authority_processor::ic_rounds_of(ic_parallel_phase_king(), 5, 1), 7);
+    EXPECT_EQ(Ic_schedule_processor::ic_rounds_of(ic_eig(), 5, 1), 2);
+    EXPECT_EQ(Ic_schedule_processor::ic_rounds_of(ic_parallel_phase_king(), 5, 1), 7);
 }
 
 TEST(ScalableAuthority, ChooseIcFollowsTheMeasuredCrossover)
 {
     // bft::choose_ic encodes E7's BM_authority_play crossover: EIG wins at
     // f = 1, parallel-IC from f = 2 on — but only where n > 4f allows it.
-    EXPECT_EQ(Authority_processor::ic_rounds_of(ga::bft::choose_ic(4, 1), 4, 1),
-              Authority_processor::ic_rounds_of(ic_eig(), 4, 1));
-    EXPECT_EQ(Authority_processor::ic_rounds_of(ga::bft::choose_ic(5, 1), 5, 1),
-              Authority_processor::ic_rounds_of(ic_eig(), 5, 1));
-    EXPECT_EQ(Authority_processor::ic_rounds_of(ga::bft::choose_ic(9, 2), 9, 2),
-              Authority_processor::ic_rounds_of(ic_parallel_phase_king(), 9, 2));
-    EXPECT_EQ(Authority_processor::ic_rounds_of(ga::bft::choose_ic(13, 3), 13, 3),
-              Authority_processor::ic_rounds_of(ic_parallel_phase_king(), 13, 3));
+    EXPECT_EQ(Ic_schedule_processor::ic_rounds_of(ga::bft::choose_ic(4, 1), 4, 1),
+              Ic_schedule_processor::ic_rounds_of(ic_eig(), 4, 1));
+    EXPECT_EQ(Ic_schedule_processor::ic_rounds_of(ga::bft::choose_ic(5, 1), 5, 1),
+              Ic_schedule_processor::ic_rounds_of(ic_eig(), 5, 1));
+    EXPECT_EQ(Ic_schedule_processor::ic_rounds_of(ga::bft::choose_ic(9, 2), 9, 2),
+              Ic_schedule_processor::ic_rounds_of(ic_parallel_phase_king(), 9, 2));
+    EXPECT_EQ(Ic_schedule_processor::ic_rounds_of(ga::bft::choose_ic(13, 3), 13, 3),
+              Ic_schedule_processor::ic_rounds_of(ic_parallel_phase_king(), 13, 3));
     // n = 7, f = 2 violates parallel-IC's n > 4f: EIG is the only option.
-    EXPECT_EQ(Authority_processor::ic_rounds_of(ga::bft::choose_ic(7, 2), 7, 2),
-              Authority_processor::ic_rounds_of(ic_eig(), 7, 2));
+    EXPECT_EQ(Ic_schedule_processor::ic_rounds_of(ga::bft::choose_ic(7, 2), 7, 2),
+              Ic_schedule_processor::ic_rounds_of(ic_eig(), 7, 2));
 }
 
 TEST(ScalableAuthority, DefaultSubstrateIsAutoSelected)
@@ -79,27 +81,27 @@ TEST(ScalableAuthority, DefaultSubstrateIsAutoSelected)
     // A default-constructed authority (no explicit Ic_factory) gets the
     // crossover substrate: EIG's 4(2+1)+2 period at f = 1, parallel-IC's
     // 4(9+1)+2 at n = 9, f = 2.
-    Distributed_authority at_f1{dominant_spec(5), 1,      honest_behaviors(5), {},
-                                disconnects(),    Rng{17}};
-    EXPECT_EQ(at_f1.pulses_per_play(), 14);
-    Distributed_authority at_f2{dominant_spec(9), 2,      honest_behaviors(9), {},
-                                disconnects(),    Rng{18}};
-    EXPECT_EQ(at_f2.pulses_per_play(), 42);
+    Pipeline_authority at_f1{dominant_spec(5), 1, /*k=*/1, honest_behaviors(5), {},
+                             disconnects(),    Rng{17}};
+    EXPECT_EQ(at_f1.pulses_per_batch(), 14);
+    Pipeline_authority at_f2{dominant_spec(9), 2, /*k=*/1, honest_behaviors(9), {},
+                             disconnects(),    Rng{18}};
+    EXPECT_EQ(at_f2.pulses_per_batch(), 42);
 
     // The override still wins.
-    Distributed_authority forced{dominant_spec(9), 2,       honest_behaviors(9), {},
-                                 disconnects(),    Rng{19}, {},
-                                 ic_eig()};
-    EXPECT_EQ(forced.pulses_per_play(), 18);
+    Pipeline_authority forced{dominant_spec(9), 2, /*k=*/1, honest_behaviors(9), {},
+                              disconnects(),    Rng{19}, {},
+                              ic_eig()};
+    EXPECT_EQ(forced.pulses_per_batch(), 18);
 }
 
 TEST(ScalableAuthority, AutoSelectedPlaysStillAgree)
 {
     // End-to-end sanity at the auto-selected f = 2 point.
     const int n = 9;
-    Distributed_authority authority{dominant_spec(n), 2,      honest_behaviors(n), {},
-                                    disconnects(),    Rng{20}};
-    authority.run_pulses(1 + 2 * authority.pulses_per_play());
+    Pipeline_authority authority{dominant_spec(n), 2, /*k=*/1, honest_behaviors(n), {},
+                                 disconnects(),    Rng{20}};
+    authority.run_pulses(1 + 2 * authority.pulses_per_batch());
     const auto& reference = authority.processor(0).plays();
     ASSERT_GE(reference.size(), 2u);
     for (const Processor_id id : authority.honest_slots()) {
@@ -111,10 +113,10 @@ TEST(ScalableAuthority, AllHonestPlaysAgreeAcrossReplicas)
 {
     const int n = 5;
     const int f = 1;
-    Distributed_authority authority{dominant_spec(n), f,           honest_behaviors(n), {},
-                                    disconnects(),    Rng{1},      {},
-                                    ic_parallel_phase_king()};
-    authority.run_pulses(1 + 3 * authority.pulses_per_play());
+    Pipeline_authority authority{dominant_spec(n), f, /*k=*/1, honest_behaviors(n), {},
+                                 disconnects(),    Rng{1},      {},
+                                 ic_parallel_phase_king()};
+    authority.run_pulses(1 + 3 * authority.pulses_per_batch());
 
     const auto slots = authority.honest_slots();
     const auto& reference = authority.processor(slots.front()).plays();
@@ -137,10 +139,10 @@ TEST(ScalableAuthority, DeviantPunishedSameAsEigMode)
     auto run_mode = [&](Ic_factory factory) {
         auto behaviors = honest_behaviors(n);
         behaviors[2] = std::make_unique<Fixed_action_behavior>(0);
-        Distributed_authority authority{dominant_spec(n), f,      std::move(behaviors), {},
-                                        disconnects(),    Rng{2}, {},
-                                        std::move(factory)};
-        authority.run_pulses(1 + 2 * authority.pulses_per_play());
+        Pipeline_authority authority{dominant_spec(n), f, /*k=*/1, std::move(behaviors), {},
+                                     disconnects(),    Rng{2}, {},
+                                     std::move(factory)};
+        authority.run_pulses(1 + 2 * authority.pulses_per_batch());
         return authority.processor(0).plays().front().punished;
     };
 
@@ -157,10 +159,10 @@ TEST(ScalableAuthority, ByzantineBabblerStillCaught)
     const int f = 1;
     auto behaviors = honest_behaviors(n);
     behaviors[4].reset();
-    Distributed_authority authority{dominant_spec(n), f,      std::move(behaviors), {4},
-                                    disconnects(),    Rng{3}, {},
-                                    ic_parallel_phase_king()};
-    authority.run_pulses(1 + 2 * authority.pulses_per_play());
+    Pipeline_authority authority{dominant_spec(n), f, /*k=*/1, std::move(behaviors), {4},
+                                 disconnects(),    Rng{3}, {},
+                                 ic_parallel_phase_king()};
+    authority.run_pulses(1 + 2 * authority.pulses_per_batch());
 
     for (const Processor_id id : authority.honest_slots()) {
         EXPECT_FALSE(authority.processor(id).executive().standing(4).active);
@@ -174,10 +176,10 @@ TEST(ScalableAuthority, MessageBytesBeatEigAtHighF)
     const int n = 9;
     const int f = 2;
     auto run_mode = [&](Ic_factory factory) {
-        Distributed_authority authority{dominant_spec(n), f,      honest_behaviors(n), {},
-                                        disconnects(),    Rng{4}, {},
-                                        std::move(factory)};
-        authority.run_pulses(1 + authority.pulses_per_play());
+        Pipeline_authority authority{dominant_spec(n), f, /*k=*/1, honest_behaviors(n), {},
+                                     disconnects(),    Rng{4}, {},
+                                     std::move(factory)};
+        authority.run_pulses(1 + authority.pulses_per_batch());
         return authority.engine().stats().payload_bytes;
     };
     const auto eig_bytes = run_mode(ic_eig());
@@ -189,15 +191,14 @@ TEST(ScalableAuthority, SelfStabilizesAfterTransientFault)
 {
     const int n = 5;
     const int f = 1;
-    Distributed_authority authority{dominant_spec(n),
-                                    f,
-                                    honest_behaviors(n),
+    Pipeline_authority authority{dominant_spec(n),
+                                 f, /*k=*/1, honest_behaviors(n),
                                     {},
                                     [] { return std::make_unique<Fine_scheme>(1.0, 1e9); },
                                     Rng{5},
                                     {},
                                     ic_parallel_phase_king()};
-    authority.run_pulses(1 + 2 * authority.pulses_per_play());
+    authority.run_pulses(1 + 2 * authority.pulses_per_batch());
     authority.inject_transient_fault();
 
     const auto clocks_agree = [&] {
@@ -215,12 +216,12 @@ TEST(ScalableAuthority, SelfStabilizesAfterTransientFault)
         ++guard;
     }
     ASSERT_TRUE(clocks_agree());
-    authority.run_pulses(authority.pulses_per_play());
+    authority.run_pulses(authority.pulses_per_batch());
 
     std::vector<std::size_t> floor;
     for (const Processor_id id : authority.honest_slots())
         floor.push_back(authority.processor(id).plays().size());
-    authority.run_pulses(2 * authority.pulses_per_play());
+    authority.run_pulses(2 * authority.pulses_per_batch());
 
     const auto slots = authority.honest_slots();
     const auto& reference = authority.processor(slots.front()).plays();

@@ -360,7 +360,7 @@ TEST(Fabric, HarvestHooksMatchEngineInternals)
     fabric.run_plays(2);
     for (int s = 0; s < fabric.n_shards(); ++s) {
         const auto& group =
-            dynamic_cast<const authority::Distributed_authority&>(fabric.shard(s));
+            dynamic_cast<const pipeline::Pipeline_authority&>(fabric.shard(s));
         const auto slots = group.honest_slots();
         EXPECT_EQ(group.agreed_plays().size(), group.processor(slots.front()).plays().size());
         EXPECT_EQ(group.agreed_standings().size(), static_cast<std::size_t>(group.n_agents()));

@@ -8,7 +8,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "authority/distributed_authority.h"
+#include "pipeline/pipeline_authority.h"
 #include "metrics/shard_aggregate.h"
 #include "shard/fabric.h"
 #include "telemetry/export.h"
@@ -275,12 +275,12 @@ std::int64_t count_kind(const Snapshot& snap, Event_kind kind)
 TEST(TelemetryAuthority, PlayLifecycleEventsMatchAgreedPlays)
 {
     const int n = 4;
-    Distributed_authority authority{dominant_spec(n), /*f=*/1, honest(n), {},
-                                    [] { return std::make_unique<Disconnect_scheme>(); },
-                                    Rng{3}};
+    pipeline::Pipeline_authority authority{
+        dominant_spec(n), /*f=*/1, /*k=*/1, honest(n), {},
+        [] { return std::make_unique<Disconnect_scheme>(); }, Rng{3}};
     Telemetry_sink sink{Telemetry_sink::Scope{0, 0}};
     authority.set_telemetry(&sink);
-    const common::Pulse pulses = 1 + 3 * authority.pulses_per_play();
+    const common::Pulse pulses = 1 + 3 * authority.pulses_per_batch();
     authority.run_pulses(pulses);
 
     const Snapshot snap = sink.snapshot();
@@ -309,12 +309,12 @@ TEST(TelemetryAuthority, FoulAndExpulsionEventsCarryCause)
     const int n = 4;
     std::vector<std::unique_ptr<Agent_behavior>> behaviors = honest(n);
     behaviors[1] = std::make_unique<Fixed_action_behavior>(0); // dominated action
-    Distributed_authority authority{dominant_spec(n), /*f=*/1, std::move(behaviors), {},
-                                    [] { return std::make_unique<Disconnect_scheme>(); },
-                                    Rng{4}};
+    pipeline::Pipeline_authority authority{
+        dominant_spec(n), /*f=*/1, /*k=*/1, std::move(behaviors), {},
+        [] { return std::make_unique<Disconnect_scheme>(); }, Rng{4}};
     Telemetry_sink sink;
     authority.set_telemetry(&sink);
-    authority.run_pulses(1 + 3 * authority.pulses_per_play());
+    authority.run_pulses(1 + 3 * authority.pulses_per_batch());
 
     const Snapshot snap = sink.snapshot();
     ASSERT_GE(count_kind(snap, Event_kind::foul), 1);
@@ -338,13 +338,20 @@ TEST(TelemetryAuthority, NetWindowEdgesAreJournaled)
     net.delta = 2;
     net.seed = 17;
     net.windows.push_back({/*begin=*/6, /*end=*/10, /*isolated=*/{3}});
-    Distributed_authority authority{dominant_spec(n), /*f=*/1,          honest(n), {},
-                                    [] { return std::make_unique<Disconnect_scheme>(); },
-                                    Rng{5},           /*make_byzantine=*/{},
-                                    /*ic_factory=*/{}, net};
+    pipeline::Pipeline_authority authority{dominant_spec(n),
+                                           /*f=*/1,
+                                           /*k=*/1,
+                                           honest(n),
+                                           {},
+                                           [] { return std::make_unique<Disconnect_scheme>(); },
+                                           Rng{5},
+                                           /*make_byzantine=*/{},
+                                           /*ic_factory=*/{},
+                                           /*tampers=*/{},
+                                           net};
     Telemetry_sink sink;
     authority.set_telemetry(&sink);
-    authority.run_pulses(1 + 2 * authority.pulses_per_play());
+    authority.run_pulses(1 + 2 * authority.pulses_per_batch());
 
     const Snapshot snap = sink.snapshot();
     ASSERT_EQ(count_kind(snap, Event_kind::net_window_open), 1);
@@ -368,10 +375,17 @@ TEST(TelemetryAuthority, ClockHoldsUnderFullOutage)
     net.seed = 23;
     // Full outage long enough to starve several frame boundaries of beacons.
     net.windows.push_back({/*begin=*/8, /*end=*/40, /*isolated=*/{}});
-    Distributed_authority authority{dominant_spec(n), /*f=*/1,          honest(n), {},
-                                    [] { return std::make_unique<Disconnect_scheme>(); },
-                                    Rng{6},           /*make_byzantine=*/{},
-                                    /*ic_factory=*/{}, net};
+    pipeline::Pipeline_authority authority{dominant_spec(n),
+                                           /*f=*/1,
+                                           /*k=*/1,
+                                           honest(n),
+                                           {},
+                                           [] { return std::make_unique<Disconnect_scheme>(); },
+                                           Rng{6},
+                                           /*make_byzantine=*/{},
+                                           /*ic_factory=*/{},
+                                           /*tampers=*/{},
+                                           net};
     Telemetry_sink sink;
     authority.set_telemetry(&sink);
     authority.run_pulses(60);

@@ -3,8 +3,8 @@
 // stacks; closure and agreement must survive.
 #include <gtest/gtest.h>
 
-#include "authority/distributed_authority.h"
 #include "clock/clock_sync.h"
+#include "pipeline/pipeline_authority.h"
 #include "sim/two_faced.h"
 #include "ssba/ssba.h"
 
@@ -134,30 +134,32 @@ TEST(TwoFaced, AuthorityPunishesEquivocatingReplicaConsistently)
     Rng rng{7};
     sim::Engine engine{sim::complete_graph(n), rng.split(0)};
     const auto punish = [] { return std::make_unique<authority::Disconnect_scheme>(); };
+    // One §3.3 play per period: the replicated processor at k = 1.
+    const auto replica = [&](Processor_id id, std::unique_ptr<authority::Agent_behavior> behavior,
+                             Rng replica_rng) {
+        return std::make_unique<pipeline::Pipeline_processor>(
+            id, n, f, spec, /*k=*/1, std::move(behavior), punish(), replica_rng,
+            authority::ic_eig());
+    };
     for (Processor_id id = 0; id < 3; ++id) {
-        engine.install(std::make_unique<authority::Authority_processor>(
-            id, n, f, spec, std::make_unique<authority::Honest_behavior>(), punish(),
-            rng.split(id + 1)));
+        engine.install(
+            replica(id, std::make_unique<authority::Honest_behavior>(), rng.split(id + 1)));
     }
     engine.install(
         std::make_unique<sim::Two_faced_processor>(
-            std::make_unique<authority::Authority_processor>(
-                3, n, f, spec, std::make_unique<authority::Honest_behavior>(), punish(),
-                rng.split(30)),
-            std::make_unique<authority::Authority_processor>(
-                3, n, f, spec, std::make_unique<authority::Fixed_action_behavior>(0), punish(),
-                rng.split(31)),
+            replica(3, std::make_unique<authority::Honest_behavior>(), rng.split(30)),
+            replica(3, std::make_unique<authority::Fixed_action_behavior>(0), rng.split(31)),
             /*split_at=*/2),
         /*byzantine=*/true);
 
-    engine.run(1 + 2 * authority::Authority_processor::clock_period_for(
-                       authority::Authority_processor::ic_rounds_of(authority::ic_eig(), n, f)));
+    engine.run(1 + 2 * pipeline::Pipeline_processor::clock_period_for(
+                       pipeline::Pipeline_processor::ic_rounds_of(authority::ic_eig(), n, f)));
 
     // All honest replicas saw the same plays with the same punished sets.
-    const auto& reference = engine.processor_as<authority::Authority_processor>(0).plays();
+    const auto& reference = engine.processor_as<pipeline::Pipeline_processor>(0).plays();
     ASSERT_FALSE(reference.empty());
     for (Processor_id id = 1; id < 3; ++id) {
-        const auto& plays = engine.processor_as<authority::Authority_processor>(id).plays();
+        const auto& plays = engine.processor_as<pipeline::Pipeline_processor>(id).plays();
         ASSERT_EQ(plays.size(), reference.size());
         for (std::size_t p = 0; p < plays.size(); ++p) {
             EXPECT_EQ(plays[p].outcome, reference[p].outcome);
