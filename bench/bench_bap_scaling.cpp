@@ -89,7 +89,7 @@ void print_tables()
                  "EIG mode vs the polynomial parallel-IC mode:\n";
     common::Table play{{"IC mode", "n", "f", "pulses/play", "messages/play", "bytes/play"}};
     const auto measure_play = [&](const char* label, int n, int f,
-                                  authority::Ic_factory factory) {
+                                  bft::Ic_factory factory) {
         authority::Game_spec spec;
         spec.name = "dominant";
         spec.game = std::make_shared<Dominant_game>(n);
@@ -109,11 +109,11 @@ void print_tables()
                       std::to_string(stats.messages / plays),
                       std::to_string(stats.payload_bytes / plays)});
     };
-    measure_play("eig", 4, 1, authority::ic_eig());
-    measure_play("eig", 7, 2, authority::ic_eig());
-    measure_play("eig", 9, 2, authority::ic_eig());
-    measure_play("parallel-ic", 5, 1, authority::ic_parallel_phase_king());
-    measure_play("parallel-ic", 9, 2, authority::ic_parallel_phase_king());
+    measure_play("eig", 4, 1, bft::ic_eig());
+    measure_play("eig", 7, 2, bft::ic_eig());
+    measure_play("eig", 9, 2, bft::ic_eig());
+    measure_play("parallel-ic", 5, 1, bft::ic_parallel_phase_king());
+    measure_play("parallel-ic", 9, 2, bft::ic_parallel_phase_king());
     play.print(std::cout);
 
     std::cout << "\nShape check: EIG bytes blow up combinatorially in f while phase-king grows\n"
@@ -162,7 +162,7 @@ void BM_authority_play(benchmark::State& state)
         pipeline::Pipeline_authority da{
             spec, f, /*k=*/1, std::move(behaviors), {},
             [] { return std::make_unique<authority::Disconnect_scheme>(); }, common::Rng{7},
-            {},   use_parallel_ic ? authority::ic_parallel_phase_king() : authority::ic_eig()};
+            {},   use_parallel_ic ? bft::ic_parallel_phase_king() : bft::ic_eig()};
         da.run_pulses(1 + da.pulses_per_batch());
         plays_done += static_cast<std::int64_t>(da.agreed_plays().size());
         benchmark::DoNotOptimize(da.traffic());

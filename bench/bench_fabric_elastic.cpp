@@ -132,7 +132,7 @@ Run_result run(int hot, int threads, std::uint64_t seed, bool elastic, int windo
 /// Everything an elastic run can observe, for the determinism check.
 struct Observed {
     metrics::Fabric_metrics report;
-    std::vector<std::vector<Authority_router::Agent_play>> histories;
+    std::vector<std::vector<Agent_play>> histories;
     int epoch = 0;
     std::vector<int> assignment;
 };

@@ -31,6 +31,7 @@ namespace {
 
 using namespace ga;
 using namespace ga::authority;
+using bft::ic_eig;
 
 /// Two-action dominant-strategy game (the E7/E12/E13 workload).
 class Dominant_game final : public game::Strategic_game {
@@ -150,7 +151,7 @@ int main(int argc, char** argv)
               << "re-establishes lockstep rounds, so pulses/play = classic period x delta.\n\n";
 
     const int classic_period = pipeline::Pipeline_processor::clock_period_for(
-        Ic_schedule_processor::ic_rounds_of(ic_eig(), 4, 1));
+        pipeline::Pipeline_processor::ic_rounds_of(ic_eig(), 4, 1));
 
     common::Table table{{"delta", "drop", "pulses/play", "plays", "wall ms", "plays/sec",
                          "msgs/play", "fouls"}};

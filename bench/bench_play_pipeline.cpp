@@ -112,7 +112,7 @@ double pulse_bound(int k)
 /// Everything a pipelined-fabric run can observe (determinism contract).
 struct Observed {
     metrics::Fabric_metrics report;
-    std::vector<std::vector<shard::Authority_router::Agent_play>> histories;
+    std::vector<std::vector<shard::Agent_play>> histories;
 };
 
 Observed observe(int agents, int shards, int threads, int k, int plays, std::uint64_t seed)
@@ -141,7 +141,7 @@ Observed observe(int agents, int shards, int threads, int k, int plays, std::uin
     fabric.run_plays(plays);
     Observed observed{fabric.report(), {}};
     for (common::Agent_id g = 0; g < agents; ++g) {
-        observed.histories.push_back(fabric.router().plays_of(g));
+        observed.histories.push_back(fabric.agent_history(g));
     }
     return observed;
 }

@@ -115,7 +115,7 @@ Throughput measure(int agents, int shards, int threads, int plays)
 /// routed play history (actions + verdicts).
 struct Observed {
     metrics::Fabric_metrics report;
-    std::vector<std::vector<Authority_router::Agent_play>> histories;
+    std::vector<std::vector<Agent_play>> histories;
 };
 
 Observed observe(int agents, int shards, int threads, int plays, std::uint64_t seed)
@@ -125,7 +125,7 @@ Observed observe(int agents, int shards, int threads, int plays, std::uint64_t s
     fabric.run_plays(plays);
     Observed observed{fabric.report(), {}};
     for (common::Agent_id g = 0; g < agents; ++g) {
-        observed.histories.push_back(fabric.router().plays_of(g));
+        observed.histories.push_back(fabric.agent_history(g));
     }
     return observed;
 }

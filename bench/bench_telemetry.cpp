@@ -100,7 +100,7 @@ struct Observed {
     std::int64_t fouls = 0;
     std::int64_t messages = 0;
     double social_cost = 0.0;
-    std::vector<std::vector<Authority_router::Agent_play>> histories;
+    std::vector<std::vector<Agent_play>> histories;
     std::string telemetry_json;
     std::string trace_json;
     std::int64_t alerts = 0;
@@ -120,7 +120,7 @@ Observed observe(int agents, int shards, int threads, int plays, std::uint64_t s
     observed.messages = report.total_traffic.messages;
     observed.social_cost = report.total_social_cost;
     for (common::Agent_id g = 0; g < agents; ++g) {
-        observed.histories.push_back(fabric.router().plays_of(g));
+        observed.histories.push_back(fabric.agent_history(g));
     }
     const telemetry::Report tel = fabric.telemetry_report();
     observed.telemetry_json = telemetry::to_json(tel);

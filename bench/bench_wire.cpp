@@ -170,7 +170,7 @@ Throughput measure_transport(wire::Transport_kind kind, int agents, int shards, 
 /// Everything a run can observe, JSON included — the bit-identity witness.
 struct Observed {
     metrics::Fabric_metrics report;
-    std::vector<std::vector<Authority_router::Agent_play>> histories;
+    std::vector<std::vector<Agent_play>> histories;
     std::string telemetry_json;
 };
 
@@ -183,7 +183,7 @@ Observed observe(wire::Transport_kind kind, int agents, int shards, int threads,
     fabric.run_plays(plays);
     Observed observed{fabric.report(), {}, telemetry::to_json(fabric.telemetry_report())};
     for (common::Agent_id g = 0; g < agents; ++g) {
-        observed.histories.push_back(fabric.router().plays_of(g));
+        observed.histories.push_back(fabric.agent_history(g));
     }
     return observed;
 }

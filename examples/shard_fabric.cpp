@@ -4,7 +4,7 @@
 // The scenario: a 12-computer system split into 3 regions of 4. Each region
 // runs its own distributed game authority (its own BFT replica group and
 // clock, §3.3 play pipeline unchanged); the fabric steps the three groups on
-// a thread pool and the router answers every question in *global* agent ids.
+// a thread pool and the fabric answers every question in *global* agent ids.
 // One agent (global #5) plays a hidden manipulative strategy — its region's
 // judicial service catches it, its region's executive expels it, and the
 // other regions never spend a message on the affair.
@@ -77,17 +77,16 @@ int main()
     fabric.run_pulses(1);
     fabric.run_plays(3);
 
-    // ---- 5. The router answers in global ids: where does 5 live, what did
+    // ---- 5. The fabric answers in global ids: where does 5 live, what did
     // it play, what happened to it?
-    const auto route = fabric.router().locate(5);
-    std::cout << "agent 5 lives on shard " << route.shard << " as local agent " << route.local
-              << "\n";
-    for (const auto& play : fabric.router().plays_of(5)) {
+    std::cout << "agent 5 lives on shard " << fabric.map().shard_of(5) << " as local agent "
+              << fabric.map().local_of(5) << "\n";
+    for (const auto& play : fabric.agent_history(5)) {
         std::cout << "  play at pulse " << play.completed_at << ": action = " << play.action
                   << (play.punished ? "  [punished]" : "") << "\n";
     }
-    std::cout << "agent 5 fouls = " << fabric.router().standing(5).fouls
-              << ", disconnected = " << (fabric.router().is_disconnected(5) ? "yes" : "no")
+    std::cout << "agent 5 fouls = " << fabric.agent_standing(5).fouls
+              << ", disconnected = " << (fabric.agent_disconnected(5) ? "yes" : "no")
               << "\n";
 
     // ---- 6. Fabric-level aggregation across the regions.
@@ -101,8 +100,8 @@ int main()
     std::cout << "\n";
 
     // ---- 7. The checks that make this example a smoke test.
-    if (!fabric.router().is_disconnected(5)) return 1;
-    if (fabric.router().punished_agents() != std::vector<common::Agent_id>{5}) return 1;
+    if (!fabric.agent_disconnected(5)) return 1;
+    if (fabric.punished_agents() != std::vector<common::Agent_id>{5}) return 1;
     if (report.min_shard_plays < 2) return 1;
     if (fabric.shard(0).disconnected_agents() != std::vector<common::Agent_id>{}) return 1;
     std::cout << "OK: the cheater's region expelled it; the other regions never noticed.\n";

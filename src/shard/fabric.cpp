@@ -30,6 +30,21 @@ std::optional<double> enumerable_optimum_cost(const game::Strategic_game& game)
     return game::social_optimum(game).cost;
 }
 
+/// One play record reduced to the view of shard member `local`. Retiring
+/// groups' histories fold through this same reduction as the live shard's,
+/// so an agent's pre- and post-migration entries are directly comparable.
+Agent_play play_view(const authority::Play_record& play, common::Agent_id local)
+{
+    Agent_play entry;
+    entry.completed_at = play.completed_at;
+    entry.action = local < static_cast<int>(play.outcome.size())
+                       ? play.outcome[static_cast<std::size_t>(local)]
+                       : -1;
+    entry.punished =
+        std::find(play.punished.begin(), play.punished.end(), local) != play.punished.end();
+    return entry;
+}
+
 } // namespace
 
 void Fabric::validate_config() const
@@ -187,7 +202,6 @@ void Fabric::build_all(
             inlets_.push_back(std::make_unique<ingest::Shard_inlet>(*config_.ingest, sink));
         }
     }
-    rebuild_router();
 }
 
 ingest::Submit_result Fabric::submit(const ingest::Submission& sub)
@@ -197,8 +211,7 @@ ingest::Submit_result Fabric::submit(const ingest::Submission& sub)
                    "Fabric::submit: agent out of range");
     const int s = plan_.map().shard_of(sub.agent);
     ingest::Shard_inlet& inlet = *inlets_[static_cast<std::size_t>(s)];
-    if (ledgers_[static_cast<std::size_t>(sub.agent)].expelled ||
-        router_->is_disconnected(sub.agent)) {
+    if (agent_disconnected(sub.agent)) {
         if (static_cast<std::size_t>(s) < shard_sinks_.size() &&
             shard_sinks_[static_cast<std::size_t>(s)] != nullptr) {
             shard_sinks_[static_cast<std::size_t>(s)]->counter("ingest.shed_expelled") += 1;
@@ -224,7 +237,7 @@ int Fabric::pump_ingest()
         const int m = static_cast<int>(taken[static_cast<std::size_t>(s)].size());
         total += m;
         if (m == 0) continue;
-        authority::Authority_group* group = shards_[static_cast<std::size_t>(s)].get();
+        pipeline::Pipeline_authority* group = shards_[static_cast<std::size_t>(s)].get();
         jobs.push_back([group, m] { group->run_plays(m); });
     }
     executor_.run_all(jobs);
@@ -266,15 +279,7 @@ ingest::Ingest_totals Fabric::ingest_totals() const
     return out;
 }
 
-void Fabric::rebuild_router()
-{
-    std::vector<const authority::Authority_group*> shard_views;
-    shard_views.reserve(shards_.size());
-    for (const auto& shard : shards_) shard_views.push_back(shard.get());
-    router_ = std::make_unique<Authority_router>(plan_.map(), std::move(shard_views));
-}
-
-const authority::Authority_group& Fabric::shard(int s) const
+const pipeline::Pipeline_authority& Fabric::shard(int s) const
 {
     if (s < 0 || s >= n_shards()) {
         throw common::Contract_error{"Fabric::shard: shard " + std::to_string(s) +
@@ -318,7 +323,7 @@ bool Fabric::maybe_rebalance()
     std::vector<Shard_load> loads;
     loads.reserve(static_cast<std::size_t>(n_shards()));
     for (int s = 0; s < n_shards(); ++s) {
-        const authority::Authority_group& group = *shards_[static_cast<std::size_t>(s)];
+        const pipeline::Pipeline_authority& group = *shards_[static_cast<std::size_t>(s)];
         Shard_load load;
         load.shard = s;
         load.agents = group.n_agents();
@@ -370,7 +375,7 @@ Rebalance_report Fabric::apply_next_plan(Shard_plan next)
 
     // ---- Build every replacement group first (the only step that runs
     // user-supplied factories): a throw here leaves the fabric untouched.
-    std::vector<std::unique_ptr<authority::Authority_group>> next_groups(
+    std::vector<std::unique_ptr<pipeline::Pipeline_authority>> next_groups(
         static_cast<std::size_t>(next.map().n_shards()));
     std::vector<std::optional<double>> next_optima(
         static_cast<std::size_t>(next.map().n_shards()), std::nullopt);
@@ -397,7 +402,7 @@ Rebalance_report Fabric::apply_next_plan(Shard_plan next)
         const common::Pulse pulses = shards_[static_cast<std::size_t>(s)]->pulses_to_window_edge();
         quiesce[static_cast<std::size_t>(s)] = pulses;
         quiesce_from[static_cast<std::size_t>(s)] = shards_[static_cast<std::size_t>(s)]->now();
-        authority::Authority_group* group = shards_[static_cast<std::size_t>(s)].get();
+        pipeline::Pipeline_authority* group = shards_[static_cast<std::size_t>(s)].get();
         jobs.push_back([group, pulses] { group->run_pulses(pulses); });
     }
     executor_.run_all(jobs);
@@ -508,7 +513,6 @@ Rebalance_report Fabric::apply_next_plan(Shard_plan next)
         }
         shards_[static_cast<std::size_t>(s)]->run_pulses(1);
     }
-    rebuild_router();
 
     // ---- Re-admit the retired shards' in-flight submissions into their
     // agents' new owners, in fabric-global seq order (FIFO survives the
@@ -543,7 +547,7 @@ Rebalance_report Fabric::apply_next_plan(Shard_plan next)
 void Fabric::retire_group(int s)
 {
     retired_samples_.push_back(harvest(s));
-    const authority::Authority_group& group = *shards_[static_cast<std::size_t>(s)];
+    const pipeline::Pipeline_authority& group = *shards_[static_cast<std::size_t>(s)];
     const std::vector<common::Agent_id>& members = plan_.map().members(s);
     const std::vector<authority::Play_record>& plays = group.agreed_plays();
     const std::vector<authority::Standing>& standings = group.agreed_standings();
@@ -551,7 +555,7 @@ void Fabric::retire_group(int s)
         Agent_ledger& ledger =
             ledgers_[static_cast<std::size_t>(members[static_cast<std::size_t>(local)])];
         for (const authority::Play_record& play : plays) {
-            ledger.history.push_back(Authority_router::play_view(play, local));
+            ledger.history.push_back(play_view(play, local));
         }
         ledger.carried = authority::merge_standings(
             ledger.carried, standings[static_cast<std::size_t>(local)]);
@@ -575,21 +579,24 @@ void Fabric::retire_group(int s)
     shards_[static_cast<std::size_t>(s)].reset();
 }
 
-std::vector<Authority_router::Agent_play> Fabric::agent_history(common::Agent_id global) const
+std::vector<Agent_play> Fabric::agent_history(common::Agent_id global) const
 {
     common::ensure(global >= 0 && global < n_agents(), "Fabric::agent_history: id out of range");
-    std::vector<Authority_router::Agent_play> history =
-        ledgers_[static_cast<std::size_t>(global)].history;
-    const std::vector<Authority_router::Agent_play> current = router_->plays_of(global);
-    history.insert(history.end(), current.begin(), current.end());
+    std::vector<Agent_play> history = ledgers_[static_cast<std::size_t>(global)].history;
+    const common::Agent_id local = map().local_of(global);
+    for (const authority::Play_record& play : shard(map().shard_of(global)).agreed_plays()) {
+        history.push_back(play_view(play, local));
+    }
     return history;
 }
 
 authority::Standing Fabric::agent_standing(common::Agent_id global) const
 {
     common::ensure(global >= 0 && global < n_agents(), "Fabric::agent_standing: id out of range");
+    const std::vector<authority::Standing>& current =
+        shard(map().shard_of(global)).agreed_standings();
     return authority::merge_standings(ledgers_[static_cast<std::size_t>(global)].carried,
-                                      router_->standing(global));
+                                      current[static_cast<std::size_t>(map().local_of(global))]);
 }
 
 bool Fabric::agent_disconnected(common::Agent_id global) const
@@ -597,12 +604,21 @@ bool Fabric::agent_disconnected(common::Agent_id global) const
     common::ensure(global >= 0 && global < n_agents(),
                    "Fabric::agent_disconnected: id out of range");
     return ledgers_[static_cast<std::size_t>(global)].expelled ||
-           router_->is_disconnected(global);
+           shard(map().shard_of(global)).is_agent_disconnected(map().local_of(global));
+}
+
+std::vector<common::Agent_id> Fabric::punished_agents() const
+{
+    std::vector<common::Agent_id> punished;
+    for (common::Agent_id g = 0; g < n_agents(); ++g) {
+        if (agent_standing(g).fouls > 0) punished.push_back(g);
+    }
+    return punished;
 }
 
 metrics::Shard_sample Fabric::harvest(int s) const
 {
-    const authority::Authority_group& group = shard(s);
+    const pipeline::Pipeline_authority& group = shard(s);
     metrics::Shard_sample sample;
     sample.shard = s;
     sample.epoch = plan_.epoch();

@@ -52,7 +52,6 @@
 #include "ingest/ingest.h"
 #include "metrics/shard_aggregate.h"
 #include "pipeline/pipeline_authority.h"
-#include "shard/authority_router.h"
 #include "shard/rebalancer.h"
 #include "telemetry/export.h"
 #include "telemetry/trace_export.h"
@@ -86,7 +85,7 @@ struct Fabric_config {
     authority::Punishment_factory punishment; ///< required
     std::set<common::Agent_id> byzantine;     ///< *global* ids run attackers
     authority::Byzantine_factory byzantine_factory = {};  ///< default babbler
-    authority::Ic_factory ic_factory = {};    ///< default: bft::choose_ic per shard
+    bft::Ic_factory ic_factory = {};          ///< default: bft::choose_ic per shard
     std::uint64_t seed = 0;  ///< fabric seed; shard s at epoch e uses derive_seed(seed, s, e)
     int threads = 1;                   ///< executor width (result-invariant)
     /// Adversarial network model every shard's engine delivers through
@@ -145,6 +144,15 @@ struct Fabric_config {
     std::optional<ingest::Ingest_config> ingest;
 };
 
+/// One agent's view of one completed play on its shard.
+struct Agent_play {
+    common::Pulse completed_at = 0; ///< shard-local pulse time
+    int action = -1;                ///< the agent's agreed action
+    bool punished = false;          ///< agent was in the play's foul set
+
+    friend bool operator==(const Agent_play&, const Agent_play&) = default;
+};
+
 /// What one epoch transition did (returned by apply_rebalance and kept for
 /// the last transition): the bench's pause-bound and carried-group checks
 /// read this instead of re-deriving topology diffs.
@@ -179,11 +187,8 @@ public:
     [[nodiscard]] int epoch() const { return plan_.epoch(); }
     [[nodiscard]] const Shard_plan& plan() const { return plan_; }
     [[nodiscard]] const Shard_map& map() const { return plan_.map(); }
-    [[nodiscard]] const Authority_router& router() const { return *router_; }
     /// Throws Contract_error naming the shard id when out of range.
-    [[nodiscard]] const authority::Authority_group& shard(int s) const;
-    /// True when shards amortize agreement over k > 1 plays per batch.
-    [[nodiscard]] bool pipelined() const { return config_.batch_k > 1; }
+    [[nodiscard]] const pipeline::Pipeline_authority& shard(int s) const;
     [[nodiscard]] int batch_k() const { return config_.batch_k; }
 
     /// Step every shard `count` pulses (concurrently across the pool).
@@ -252,8 +257,7 @@ public:
 
     /// The agent's complete agreed play history: folded entries from every
     /// retired group it was a member of, then its current shard's history.
-    [[nodiscard]] std::vector<Authority_router::Agent_play>
-    agent_history(common::Agent_id global) const;
+    [[nodiscard]] std::vector<Agent_play> agent_history(common::Agent_id global) const;
 
     /// The agent's continuous standing: retired epochs folded with the
     /// current shard's ledger entry via authority::merge_standings.
@@ -261,6 +265,10 @@ public:
 
     /// True once any epoch's group expelled the agent (permanent).
     [[nodiscard]] bool agent_disconnected(common::Agent_id global) const;
+
+    /// Global ids punished at least once in any epoch (ascending): agents
+    /// whose agent_standing carries a foul.
+    [[nodiscard]] std::vector<common::Agent_id> punished_agents() const;
 
     // ---- Harvesting.
 
@@ -309,7 +317,7 @@ public:
 private:
     /// Per-global-agent state carried across epoch transitions.
     struct Agent_ledger {
-        std::vector<Authority_router::Agent_play> history;
+        std::vector<Agent_play> history;
         authority::Standing carried{};
         bool expelled = false;
         /// Evidence chains from retired groups, agent ids globalized.
@@ -325,7 +333,7 @@ private:
                   Fabric_config config);
     /// A freshly built replica group plus its game's enumerable optimum.
     struct Built_group {
-        std::unique_ptr<authority::Authority_group> group;
+        std::unique_ptr<pipeline::Pipeline_authority> group;
         std::optional<double> optimum;
     };
     /// Build the group for shard `s` of `plan` (any epoch). `behaviors` must
@@ -348,7 +356,6 @@ private:
     /// snapshot (shared by apply_rebalance and maybe_rebalance so the plan
     /// transform runs exactly once per transition).
     Rebalance_report apply_next_plan(Shard_plan next);
-    void rebuild_router();
     /// Run the watchdog over the fabric sink and every live shard sink in
     /// shard order (no-op without config.watchdog). Called at window edges:
     /// after run_pulses/run_plays and at the end of an epoch transition.
@@ -356,9 +363,8 @@ private:
 
     Shard_plan plan_;
     Fabric_config config_;
-    std::vector<std::unique_ptr<authority::Authority_group>> shards_;
+    std::vector<std::unique_ptr<pipeline::Pipeline_authority>> shards_;
     std::vector<std::optional<double>> optimum_costs_; ///< per-shard social optimum
-    std::unique_ptr<Authority_router> router_;
     common::Executor executor_;
     std::optional<Rebalancer> rebalancer_;
 

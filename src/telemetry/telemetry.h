@@ -203,7 +203,7 @@ void merge_into(Snapshot& into, const Snapshot& from);
 ///
 /// Threading contract: a sink is single-writer — the fabric gives every
 /// replica group its own sink and groups never share one. Within a group,
-/// writes come from the harness between engine pulses and from the reference
+/// writes come from the group between engine pulses and from the reference
 /// replica inside a pulse; the engine's worker-pool barrier orders the two,
 /// so no synchronization is needed and the journal order is the deterministic
 /// schedule order.

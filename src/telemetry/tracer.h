@@ -45,7 +45,7 @@ struct Span {
 };
 
 /// Span recorder for one (shard, epoch) track. Like Telemetry_sink it is
-/// single-writer: one group's reference replica and harness write it between
+/// single-writer: one group's reference replica and the group write it between
 /// the engine's worker-pool barriers, so span ids and order are the
 /// deterministic schedule order on any thread count.
 class Tracer {

@@ -15,6 +15,9 @@ namespace {
 
 using namespace ga::authority;
 using ga::pipeline::Pipeline_authority;
+using ga::bft::Ic_factory;
+using ga::bft::ic_eig;
+using ga::bft::ic_parallel_phase_king;
 using ga::common::Agent_id;
 using ga::common::Processor_id;
 using ga::common::Rng;

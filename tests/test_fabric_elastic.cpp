@@ -285,7 +285,7 @@ TEST(ElasticFabric, MigrationKeepsOneContinuousHistoryPerGlobalId)
         EXPECT_EQ(play.action, 0);
         EXPECT_TRUE(play.punished);
     }
-    const authority::Authority_group* untouched = &fabric.shard(2);
+    const pipeline::Pipeline_authority* untouched = &fabric.shard(2);
     const std::int64_t untouched_plays =
         static_cast<std::int64_t>(fabric.shard(2).agreed_plays().size());
 
@@ -367,7 +367,7 @@ TEST(ElasticFabric, MergeCarriesTheRelabeledGroupUntouched)
     Fabric fabric{contiguous(12, 3), elastic_config(1, /*seed=*/8, {})};
     fabric.run_pulses(1);
     fabric.run_plays(2);
-    const authority::Authority_group* old_shard2 = &fabric.shard(2);
+    const pipeline::Pipeline_authority* old_shard2 = &fabric.shard(2);
 
     Rebalance_plan plan;
     plan.merges.push_back(Shard_merge{1, 0});
@@ -403,9 +403,8 @@ TEST(ElasticFabric, ExpulsionIsPermanentAcrossMigration)
     plan.migrations.push_back(Migration{2, 0, 1});
     fabric.apply_rebalance(plan);
     EXPECT_TRUE(fabric.agent_disconnected(2));
-    const auto route = fabric.router().locate(2);
-    EXPECT_EQ(route.shard, 1);
-    EXPECT_TRUE(fabric.shard(1).is_agent_disconnected(route.local));
+    EXPECT_EQ(fabric.map().shard_of(2), 1);
+    EXPECT_TRUE(fabric.shard(1).is_agent_disconnected(fabric.map().local_of(2)));
     EXPECT_FALSE(fabric.agent_standing(2).active);
 
     fabric.run_plays(2);
@@ -415,6 +414,28 @@ TEST(ElasticFabric, ExpulsionIsPermanentAcrossMigration)
     // One expelled agent = one expulsion in the cross-epoch totals: the
     // re-enacted expulsion in the rebuilt group is not counted again.
     EXPECT_EQ(fabric.report().total_disconnected, 1);
+}
+
+TEST(ElasticFabric, PunishedAgentsSurviveTheCheatersShardRebuild)
+{
+    // A fined (never expelled) cheater stays in the game. Rebuilding its
+    // shard gives it a fresh executive ledger at fouls = 0, so only the
+    // carried ledger still remembers the foul.
+    Fabric fabric{contiguous(15, 3), elastic_config(1, /*seed=*/21, {4})};
+    fabric.run_pulses(1);
+    fabric.run_plays(2);
+    ASSERT_EQ(fabric.punished_agents(), (std::vector<Agent_id>{4}));
+
+    Rebalance_plan plan;
+    plan.migrations.push_back(Migration{4, 0, 1});
+    const Rebalance_report report = fabric.apply_rebalance(plan);
+    ASSERT_EQ(report.rebuilt, 2);
+    const pipeline::Pipeline_authority& rebuilt = fabric.shard(fabric.map().shard_of(4));
+    EXPECT_EQ(rebuilt.agreed_standings()[static_cast<std::size_t>(fabric.map().local_of(4))].fouls,
+              0);
+
+    EXPECT_EQ(fabric.punished_agents(), (std::vector<Agent_id>{4}));
+    EXPECT_FALSE(fabric.agent_disconnected(4));
 }
 
 TEST(ElasticFabric, InfeasiblePolicyProposalIsSkippedNotFatal)
@@ -494,7 +515,7 @@ TEST(ElasticFabric, QuiescePausesAffectedShardsAtMostOnePlayWindow)
 /// Full observable state of an elastic run, for determinism comparison.
 struct Observed {
     metrics::Fabric_metrics report;
-    std::vector<std::vector<Authority_router::Agent_play>> histories;
+    std::vector<std::vector<Agent_play>> histories;
     int epoch = 0;
     std::vector<int> assignment;
 };
@@ -574,7 +595,7 @@ TEST(PipelinedElastic, MigrationWaitsForTheBatchEdge)
     // The batch-edge audit attaches one foul verdict per flagged batch; the
     // folded ledger stays consistent with the folded history across the
     // migration, and the cheater keeps being flagged inside its new group.
-    const auto punished_entries = [](const std::vector<Authority_router::Agent_play>& history) {
+    const auto punished_entries = [](const std::vector<Agent_play>& history) {
         int count = 0;
         for (const auto& play : history) count += play.punished ? 1 : 0;
         return count;

@@ -190,9 +190,9 @@ TEST(ForensicTraceExport, TracingIsObserverPure)
         Fabric fabric{Shard_map{10, 2}, std::move(config)};
         fabric.run_pulses(1);
         fabric.run_plays(3);
-        std::vector<std::vector<Authority_router::Agent_play>> histories;
+        std::vector<std::vector<Agent_play>> histories;
         for (Agent_id g = 0; g < fabric.n_agents(); ++g) {
-            histories.push_back(fabric.router().plays_of(g));
+            histories.push_back(fabric.agent_history(g));
         }
         return std::pair{fabric.report().total_fouls, histories};
     };

@@ -20,6 +20,8 @@ using namespace ga::authority;
 using common::Agent_id;
 using common::Processor_id;
 using common::Rng;
+using bft::ic_eig;
+using bft::ic_parallel_phase_king;
 
 /// Two-action game with a dominant strategy (action 1): honest agents play 1,
 /// so any 0 in an outcome marks a deviant.
@@ -132,7 +134,7 @@ Cell_result run_cell(Mix mix, int f, const sim::Net_model& net, int threads = 1,
 {
     const int n = substrate == Substrate::eig ? 3 * f + 1 : 4 * f + 1;
     const Processor_id last = n - 1;
-    const Ic_factory ic = substrate == Substrate::eig ? ic_eig() : ic_parallel_phase_king();
+    const bft::Ic_factory ic = substrate == Substrate::eig ? ic_eig() : ic_parallel_phase_king();
 
     std::vector<std::unique_ptr<Agent_behavior>> behaviors;
     for (int i = 0; i < n - 1; ++i) behaviors.push_back(std::make_unique<Honest_behavior>());
@@ -357,7 +359,7 @@ TEST(NetSweep, ElasticFabricUnderLossyNetIsDeterministicAcrossWidths)
         plan.migrations.push_back(shard::Migration{2, 0, 1});
         fabric.apply_rebalance(plan);
         fabric.run_plays(2);
-        std::vector<std::vector<shard::Authority_router::Agent_play>> histories;
+        std::vector<std::vector<shard::Agent_play>> histories;
         for (Agent_id g = 0; g < fabric.n_agents(); ++g)
             histories.push_back(fabric.agent_history(g));
         return std::pair{fabric.report(), histories};

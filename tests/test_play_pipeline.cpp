@@ -277,8 +277,7 @@ TEST(PipelineAuthority, ScheduleAmortizesKFold)
     // 4(f+2)+2-pulse period as ONE per-play (k = 1) §3.3 play — so the pulse
     // amortization is exactly k-fold.
     const int r = 2; // EIG, f = 1
-    EXPECT_EQ(Pipeline_processor::clock_period_for(r),
-              authority::Ic_schedule_processor::period_for(4, r));
+    EXPECT_EQ(Pipeline_processor::clock_period_for(r), 4 * (r + 1) + 2);
     const Pipeline_authority per_play = honest_pipeline(4, 1, 1, /*seed=*/1);
     EXPECT_EQ(per_play.pulses_per_batch(), Pipeline_processor::clock_period_for(r));
     Pipeline_authority da = honest_pipeline(4, 1, 8, /*seed=*/1);
@@ -459,7 +458,7 @@ shard::Fabric pipelined_fabric(int agents, int shards, int threads, int k, std::
 /// Everything a pipelined-fabric run can observe.
 struct Observed {
     metrics::Fabric_metrics report;
-    std::vector<std::vector<shard::Authority_router::Agent_play>> histories;
+    std::vector<std::vector<shard::Agent_play>> histories;
 };
 
 Observed observe(int agents, int shards, int threads, int k, int plays, std::uint64_t seed)
@@ -470,7 +469,7 @@ Observed observe(int agents, int shards, int threads, int k, int plays, std::uin
     fabric.run_plays(plays);
     Observed observed{fabric.report(), {}};
     for (common::Agent_id g = 0; g < agents; ++g) {
-        observed.histories.push_back(fabric.router().plays_of(g));
+        observed.histories.push_back(fabric.agent_history(g));
     }
     return observed;
 }
@@ -478,7 +477,7 @@ Observed observe(int agents, int shards, int threads, int k, int plays, std::uin
 TEST(PipelinedFabric, RunsEveryShardInPipelinedMode)
 {
     shard::Fabric fabric = pipelined_fabric(12, 3, 2, /*k=*/4, /*seed=*/21);
-    EXPECT_TRUE(fabric.pipelined());
+    EXPECT_GT(fabric.batch_k(), 1);
     EXPECT_EQ(fabric.batch_k(), 4);
     fabric.run_pulses(1);
     fabric.run_plays(8);
@@ -487,9 +486,7 @@ TEST(PipelinedFabric, RunsEveryShardInPipelinedMode)
     EXPECT_EQ(report.total_fouls, 0);
     EXPECT_EQ(report.total_disconnected, 0);
     for (int s = 0; s < fabric.n_shards(); ++s) {
-        const auto* group = dynamic_cast<const Pipeline_authority*>(&fabric.shard(s));
-        ASSERT_NE(group, nullptr) << "batch_k > 1 must build pipelined shards";
-        EXPECT_EQ(group->batch_k(), 4);
+        EXPECT_EQ(fabric.shard(s).batch_k(), 4) << "every shard batches k = 4 plays";
     }
 }
 
@@ -527,13 +524,13 @@ TEST(PipelinedFabric, MaliciousAgentsAreAlwaysDetectedByTheWindowEdge)
                                             /*byzantine=*/{1}, {{9, Tamper{1, 0}}});
     fabric.run_pulses(1);
     fabric.run_plays(4);
-    EXPECT_EQ(fabric.router().punished_agents(), (std::vector<common::Agent_id>{1, 9}));
-    EXPECT_TRUE(fabric.router().is_disconnected(1));
-    EXPECT_TRUE(fabric.router().is_disconnected(9));
+    EXPECT_EQ(fabric.punished_agents(), (std::vector<common::Agent_id>{1, 9}));
+    EXPECT_TRUE(fabric.agent_disconnected(1));
+    EXPECT_TRUE(fabric.agent_disconnected(9));
     for (common::Agent_id g = 0; g < fabric.n_agents(); ++g) {
         if (g == 1 || g == 9) continue;
-        EXPECT_EQ(fabric.router().standing(g).fouls, 0) << "agent " << g;
-        EXPECT_FALSE(fabric.router().is_disconnected(g)) << "agent " << g;
+        EXPECT_EQ(fabric.agent_standing(g).fouls, 0) << "agent " << g;
+        EXPECT_FALSE(fabric.agent_disconnected(g)) << "agent " << g;
     }
 }
 
@@ -562,12 +559,12 @@ TEST(PipelinedFabric, TamperAtKOneIsFlaggedInTheTamperedPlay)
     config.telemetry = true;
     config.tampers = {{tampered, Tamper{0, 0}}};
     shard::Fabric fabric{shard::Shard_map{8, 2}, honest_behaviors(8), std::move(config)};
-    EXPECT_FALSE(fabric.pipelined());
+    EXPECT_FALSE(fabric.batch_k() > 1);
     fabric.run_pulses(1);
     fabric.run_plays(plays);
 
     for (common::Agent_id g = 0; g < fabric.n_agents(); ++g) {
-        const auto history = fabric.router().plays_of(g);
+        const auto history = fabric.agent_history(g);
         ASSERT_EQ(history.size(), static_cast<std::size_t>(plays)) << "agent " << g;
         for (const auto& play : history) EXPECT_EQ(play.punished, g == tampered) << "agent " << g;
     }

@@ -12,6 +12,10 @@ namespace {
 
 using namespace ga::authority;
 using ga::pipeline::Pipeline_authority;
+using ga::pipeline::Pipeline_processor;
+using ga::bft::Ic_factory;
+using ga::bft::ic_eig;
+using ga::bft::ic_parallel_phase_king;
 using ga::common::Agent_id;
 using ga::common::Processor_id;
 using ga::common::Rng;
@@ -55,25 +59,25 @@ Punishment_factory disconnects()
 TEST(ScalableAuthority, RoundBudgetIsPolynomialSchedule)
 {
     // EIG at f=1: 2 send rounds; parallel IC: 1 + (2 + 2*(1+1)) = 7 rounds.
-    EXPECT_EQ(Ic_schedule_processor::ic_rounds_of(ic_eig(), 5, 1), 2);
-    EXPECT_EQ(Ic_schedule_processor::ic_rounds_of(ic_parallel_phase_king(), 5, 1), 7);
+    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ic_eig(), 5, 1), 2);
+    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ic_parallel_phase_king(), 5, 1), 7);
 }
 
 TEST(ScalableAuthority, ChooseIcFollowsTheMeasuredCrossover)
 {
     // bft::choose_ic encodes E7's BM_authority_play crossover: EIG wins at
     // f = 1, parallel-IC from f = 2 on — but only where n > 4f allows it.
-    EXPECT_EQ(Ic_schedule_processor::ic_rounds_of(ga::bft::choose_ic(4, 1), 4, 1),
-              Ic_schedule_processor::ic_rounds_of(ic_eig(), 4, 1));
-    EXPECT_EQ(Ic_schedule_processor::ic_rounds_of(ga::bft::choose_ic(5, 1), 5, 1),
-              Ic_schedule_processor::ic_rounds_of(ic_eig(), 5, 1));
-    EXPECT_EQ(Ic_schedule_processor::ic_rounds_of(ga::bft::choose_ic(9, 2), 9, 2),
-              Ic_schedule_processor::ic_rounds_of(ic_parallel_phase_king(), 9, 2));
-    EXPECT_EQ(Ic_schedule_processor::ic_rounds_of(ga::bft::choose_ic(13, 3), 13, 3),
-              Ic_schedule_processor::ic_rounds_of(ic_parallel_phase_king(), 13, 3));
+    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ga::bft::choose_ic(4, 1), 4, 1),
+              Pipeline_processor::ic_rounds_of(ic_eig(), 4, 1));
+    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ga::bft::choose_ic(5, 1), 5, 1),
+              Pipeline_processor::ic_rounds_of(ic_eig(), 5, 1));
+    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ga::bft::choose_ic(9, 2), 9, 2),
+              Pipeline_processor::ic_rounds_of(ic_parallel_phase_king(), 9, 2));
+    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ga::bft::choose_ic(13, 3), 13, 3),
+              Pipeline_processor::ic_rounds_of(ic_parallel_phase_king(), 13, 3));
     // n = 7, f = 2 violates parallel-IC's n > 4f: EIG is the only option.
-    EXPECT_EQ(Ic_schedule_processor::ic_rounds_of(ga::bft::choose_ic(7, 2), 7, 2),
-              Ic_schedule_processor::ic_rounds_of(ic_eig(), 7, 2));
+    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ga::bft::choose_ic(7, 2), 7, 2),
+              Pipeline_processor::ic_rounds_of(ic_eig(), 7, 2));
 }
 
 TEST(ScalableAuthority, DefaultSubstrateIsAutoSelected)

@@ -215,7 +215,7 @@ Fabric_config base_config(int threads, std::uint64_t seed)
 /// routed play history (verdicts included).
 struct Observed {
     metrics::Fabric_metrics report;
-    std::vector<std::vector<Authority_router::Agent_play>> histories;
+    std::vector<std::vector<Agent_play>> histories;
 };
 
 Observed run_fabric(int agents, int shards, int threads, std::uint64_t seed,
@@ -232,7 +232,7 @@ Observed run_fabric(int agents, int shards, int threads, std::uint64_t seed,
 
     Observed observed{fabric.report(), {}};
     for (Agent_id g = 0; g < agents; ++g) {
-        observed.histories.push_back(fabric.router().plays_of(g));
+        observed.histories.push_back(fabric.agent_history(g));
     }
     return observed;
 }
@@ -287,27 +287,26 @@ TEST(Fabric, RouterCollectsVerdictsFromTheOwningShard)
     behaviors[5] = std::make_unique<authority::Fixed_action_behavior>(0);
     Fabric fabric{Shard_map{12, 3}, std::move(behaviors), base_config(2, /*seed=*/5)};
 
-    const auto route = fabric.router().locate(5);
-    EXPECT_EQ(route.shard, 1);
-    EXPECT_EQ(route.local, 1);
+    EXPECT_EQ(fabric.map().shard_of(5), 1);
+    EXPECT_EQ(fabric.map().local_of(5), 1);
 
     fabric.run_pulses(1);
     fabric.run_plays(3);
 
-    EXPECT_EQ(fabric.router().punished_agents(), (std::vector<Agent_id>{5}));
-    EXPECT_GE(fabric.router().standing(5).fouls, 1);
-    EXPECT_TRUE(fabric.router().is_disconnected(5));
-    EXPECT_FALSE(fabric.router().is_disconnected(4));
-    EXPECT_EQ(fabric.router().standing(4).fouls, 0);
+    EXPECT_EQ(fabric.punished_agents(), (std::vector<Agent_id>{5}));
+    EXPECT_GE(fabric.agent_standing(5).fouls, 1);
+    EXPECT_TRUE(fabric.agent_disconnected(5));
+    EXPECT_FALSE(fabric.agent_disconnected(4));
+    EXPECT_EQ(fabric.agent_standing(4).fouls, 0);
 
-    const auto cheater_history = fabric.router().plays_of(5);
+    const auto cheater_history = fabric.agent_history(5);
     ASSERT_FALSE(cheater_history.empty());
     EXPECT_EQ(cheater_history.front().action, 0);
     EXPECT_TRUE(cheater_history.front().punished);
 
     // A foul on shard 1 is invisible to the other shards' groups.
     EXPECT_EQ(fabric.shard(0).agreed_standings()[1].fouls, 0);
-    EXPECT_EQ(fabric.router().total_plays(),
+    EXPECT_EQ(fabric.report().total_plays,
               static_cast<std::int64_t>(fabric.shard(0).agreed_plays().size() +
                                         fabric.shard(1).agreed_plays().size() +
                                         fabric.shard(2).agreed_plays().size()));
@@ -325,7 +324,7 @@ TEST(Fabric, ByzantineGlobalIdsRouteToLocalSlots)
 
     EXPECT_FALSE(fabric.shard(1).is_honest_slot(2));
     // The babbler is caught and expelled by its own shard; shard 0 is clean.
-    EXPECT_TRUE(fabric.router().is_disconnected(6));
+    EXPECT_TRUE(fabric.agent_disconnected(6));
     EXPECT_EQ(fabric.shard(0).disconnected_agents().size(), 0u);
 }
 
@@ -359,8 +358,7 @@ TEST(Fabric, HarvestHooksMatchEngineInternals)
     fabric.run_pulses(1);
     fabric.run_plays(2);
     for (int s = 0; s < fabric.n_shards(); ++s) {
-        const auto& group =
-            dynamic_cast<const pipeline::Pipeline_authority&>(fabric.shard(s));
+        const pipeline::Pipeline_authority& group = fabric.shard(s);
         const auto slots = group.honest_slots();
         EXPECT_EQ(group.agreed_plays().size(), group.processor(slots.front()).plays().size());
         EXPECT_EQ(group.agreed_standings().size(), static_cast<std::size_t>(group.n_agents()));

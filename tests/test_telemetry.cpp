@@ -449,7 +449,7 @@ struct Elastic_observed {
     std::int64_t fouls = 0;
     std::int64_t messages = 0;
     int epoch = 0;
-    std::vector<std::vector<Authority_router::Agent_play>> histories;
+    std::vector<std::vector<Agent_play>> histories;
 };
 
 Elastic_observed observe_elastic(int threads, std::uint64_t seed, bool telemetry)

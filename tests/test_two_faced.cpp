@@ -139,7 +139,7 @@ TEST(TwoFaced, AuthorityPunishesEquivocatingReplicaConsistently)
                              Rng replica_rng) {
         return std::make_unique<pipeline::Pipeline_processor>(
             id, n, f, spec, /*k=*/1, std::move(behavior), punish(), replica_rng,
-            authority::ic_eig());
+            bft::ic_eig());
     };
     for (Processor_id id = 0; id < 3; ++id) {
         engine.install(
@@ -153,7 +153,7 @@ TEST(TwoFaced, AuthorityPunishesEquivocatingReplicaConsistently)
         /*byzantine=*/true);
 
     engine.run(1 + 2 * pipeline::Pipeline_processor::clock_period_for(
-                       pipeline::Pipeline_processor::ic_rounds_of(authority::ic_eig(), n, f)));
+                       pipeline::Pipeline_processor::ic_rounds_of(bft::ic_eig(), n, f)));
 
     // All honest replicas saw the same plays with the same punished sets.
     const auto& reference = engine.processor_as<pipeline::Pipeline_processor>(0).plays();

@@ -278,7 +278,7 @@ shard::Shard_spec_factory dominant_specs()
 
 struct Observed {
     metrics::Fabric_metrics report;
-    std::vector<std::vector<shard::Authority_router::Agent_play>> histories;
+    std::vector<std::vector<shard::Agent_play>> histories;
     std::string telemetry_json;
 };
 
@@ -309,7 +309,7 @@ Observed run_fabric(wire::Transport_kind kind, int threads, int ring_frames = 64
 
     Observed observed{fabric.report(), {}, telemetry::to_json(fabric.telemetry_report())};
     for (Agent_id g = 0; g < agents; ++g) {
-        observed.histories.push_back(fabric.router().plays_of(g));
+        observed.histories.push_back(fabric.agent_history(g));
     }
     return observed;
 }
