@@ -12,16 +12,15 @@ Pipeline_authority::Pipeline_authority(
     authority::Byzantine_factory make_byzantine, bft::Ic_factory ic_factory,
     std::map<common::Processor_id, Tamper> tampers, sim::Net_model net)
     : n_{spec.game ? spec.game->n_agents() : 0},
-      f_{f},
       spec_{std::move(spec)},
       byzantine_{byzantine},
       engine_{sim::complete_graph(n_), rng.split(99), {}, std::move(net)},
       k_{k}
 {
     common::ensure(spec_.game != nullptr, "Pipeline_authority: null game");
-    common::ensure(static_cast<int>(byzantine_.size()) <= f_,
+    common::ensure(static_cast<int>(byzantine_.size()) <= f,
                    "Pipeline_authority: more Byzantine slots than the declared f");
-    common::ensure(n_ > 3 * f_, "Pipeline_authority: requires n > 3f");
+    common::ensure(n_ > 3 * f, "Pipeline_authority: requires n > 3f");
     common::ensure(static_cast<int>(behaviors.size()) == n_,
                    "Pipeline_authority: one behavior slot per agent");
     common::ensure(k_ >= 1 && k_ <= k_max_batch, "Pipeline_authority: batch arity out of range");
@@ -32,8 +31,8 @@ Pipeline_authority::Pipeline_authority(
                        "Pipeline_authority: tampers instrument protocol-following slots");
         (void)tamper;
     }
-    if (!ic_factory) ic_factory = bft::choose_ic(n_, f_);
-    ic_rounds_ = Pipeline_processor::ic_rounds_of(ic_factory, n_, f_);
+    if (!ic_factory) ic_factory = bft::choose_ic(n_, f);
+    ic_rounds_ = Pipeline_processor::ic_rounds_of(ic_factory, n_, f);
 
     for (common::Processor_id id = 0; id < n_; ++id) {
         if (byzantine_.count(id) != 0) {
@@ -50,11 +49,36 @@ Pipeline_authority::Pipeline_authority(
             if (const auto it = tampers.find(id); it != tampers.end()) tamper = it->second;
             engine_.install(
                 std::make_unique<Pipeline_processor>(
-                    id, n_, f_, spec_, k_, std::move(behaviors[static_cast<std::size_t>(id)]),
+                    id, n_, f, spec_, k_, std::move(behaviors[static_cast<std::size_t>(id)]),
                     make_punishment(), rng.split(2000 + id), ic_factory, tamper, delta()),
                 /*byzantine=*/false);
         }
     }
+}
+
+void Pipeline_authority::run_pulses(common::Pulse count)
+{
+    for (common::Pulse i = 0; i < count; ++i) {
+        const common::Pulse executed = engine_.now();
+        engine_.run_pulse();
+        enact_disconnections();
+        if (telemetry_ != nullptr) sample_telemetry(executed);
+    }
+}
+
+void Pipeline_authority::run_plays(int plays)
+{
+    run_pulses(pulses_for_plays(plays));
+}
+
+void Pipeline_authority::run_batches(int count)
+{
+    run_pulses(static_cast<common::Pulse>(count) * pulses_per_batch());
+}
+
+void Pipeline_authority::inject_transient_fault()
+{
+    engine_.inject_transient_fault();
 }
 
 int Pipeline_authority::pulses_per_batch() const
@@ -83,6 +107,26 @@ common::Pulse Pipeline_authority::pulses_to_window_edge() const
     return pulses_for_slots((period - value) % period);
 }
 
+void Pipeline_authority::expel_agent(common::Agent_id id)
+{
+    common::ensure(id >= 0 && id < n_, "expel_agent: agent out of range");
+    if (!engine_.is_disconnected(id)) engine_.disconnect(id);
+}
+
+bool Pipeline_authority::is_honest_slot(common::Processor_id id) const
+{
+    return byzantine_.count(id) == 0;
+}
+
+std::vector<common::Processor_id> Pipeline_authority::honest_slots() const
+{
+    std::vector<common::Processor_id> slots;
+    for (common::Processor_id id = 0; id < n_; ++id) {
+        if (is_honest_slot(id)) slots.push_back(id);
+    }
+    return slots;
+}
+
 const Pipeline_processor& Pipeline_authority::processor(common::Processor_id id) const
 {
     common::ensure(is_honest_slot(id), "processor: Byzantine slot has no authority replica");
@@ -99,28 +143,46 @@ const std::vector<authority::Standing>& Pipeline_authority::agreed_standings() c
     return processor(reference_slot()).executive().standings();
 }
 
-void Pipeline_authority::run_plays(int plays)
+std::vector<common::Agent_id> Pipeline_authority::disconnected_agents() const
 {
-    run_pulses(pulses_for_plays(plays));
-}
-
-void Pipeline_authority::run_batches(int count)
-{
-    run_pulses(static_cast<common::Pulse>(count) * pulses_per_batch());
-}
-
-bool Pipeline_authority::is_honest_slot(common::Processor_id id) const
-{
-    return byzantine_.count(id) == 0;
-}
-
-std::vector<common::Processor_id> Pipeline_authority::honest_slots() const
-{
-    std::vector<common::Processor_id> slots;
-    for (common::Processor_id id = 0; id < n_; ++id) {
-        if (is_honest_slot(id)) slots.push_back(id);
+    std::vector<common::Agent_id> out;
+    for (common::Agent_id id = 0; id < n_; ++id) {
+        if (engine_.is_disconnected(id)) out.push_back(id);
     }
-    return slots;
+    return out;
+}
+
+bool Pipeline_authority::is_agent_disconnected(common::Agent_id id) const
+{
+    return engine_.is_disconnected(id);
+}
+
+void Pipeline_authority::set_telemetry(telemetry::Telemetry_sink* sink)
+{
+    telemetry_ = sink;
+    if (wire_ != nullptr) wire_->set_telemetry(sink);
+    tel_pulses_ = tel_messages_ = tel_bytes_ = tel_dropped_ = tel_delayed_ = nullptr;
+    engine_.processor_as<Pipeline_processor>(reference_slot()).set_telemetry(sink);
+    // The engine shares the sink's tracer (net-window spans, transient-fault
+    // markers land on the same track as the schedule's spans). Both writers
+    // run on the coordinating thread, ordered by the worker-pool barrier.
+    engine_.set_tracer(sink != nullptr ? sink->tracer() : nullptr);
+    if (sink == nullptr) return;
+    // Deltas start from the attach point, so a sink attached mid-run never
+    // re-counts traffic the previous sink (or nobody) already saw.
+    tel_last_ = engine_.stats();
+    tel_pulses_ = &sink->counter("net.pulses");
+    tel_messages_ = &sink->counter("net.messages");
+    tel_bytes_ = &sink->counter("net.payload_bytes");
+    tel_dropped_ = &sink->counter("net.dropped");
+    tel_delayed_ = &sink->counter("net.delayed");
+}
+
+void Pipeline_authority::set_wire(std::unique_ptr<wire::Transport> link)
+{
+    wire_ = std::move(link);
+    engine_.set_link(wire_.get());
+    if (wire_ != nullptr) wire_->set_telemetry(telemetry_);
 }
 
 common::Pulse Pipeline_authority::pulses_for_slots(int slots) const
@@ -142,20 +204,6 @@ common::Processor_id Pipeline_authority::reference_slot() const
         if (is_honest_slot(id)) return id;
     }
     throw common::Contract_error{"Pipeline_authority: no honest replica to harvest"};
-}
-
-std::vector<common::Agent_id> Pipeline_authority::disconnected_agents() const
-{
-    std::vector<common::Agent_id> out;
-    for (common::Agent_id id = 0; id < n_; ++id) {
-        if (engine_.is_disconnected(id)) out.push_back(id);
-    }
-    return out;
-}
-
-bool Pipeline_authority::is_agent_disconnected(common::Agent_id id) const
-{
-    return engine_.is_disconnected(id);
 }
 
 void Pipeline_authority::enact_disconnections()
@@ -189,34 +237,6 @@ void Pipeline_authority::enact_disconnections()
     }
 }
 
-void Pipeline_authority::set_wire(std::unique_ptr<wire::Transport> link)
-{
-    wire_ = std::move(link);
-    engine_.set_link(wire_.get());
-    if (wire_ != nullptr) wire_->set_telemetry(telemetry_);
-}
-
-void Pipeline_authority::set_telemetry(telemetry::Telemetry_sink* sink)
-{
-    telemetry_ = sink;
-    if (wire_ != nullptr) wire_->set_telemetry(sink);
-    tel_pulses_ = tel_messages_ = tel_bytes_ = tel_dropped_ = tel_delayed_ = nullptr;
-    engine_.processor_as<Pipeline_processor>(reference_slot()).set_telemetry(sink);
-    // The engine shares the sink's tracer (net-window spans, transient-fault
-    // markers land on the same track as the schedule's spans). Both writers
-    // run on the coordinating thread, ordered by the worker-pool barrier.
-    engine_.set_tracer(sink != nullptr ? sink->tracer() : nullptr);
-    if (sink == nullptr) return;
-    // Deltas start from the attach point, so a sink attached mid-run never
-    // re-counts traffic the previous sink (or nobody) already saw.
-    tel_last_ = engine_.stats();
-    tel_pulses_ = &sink->counter("net.pulses");
-    tel_messages_ = &sink->counter("net.messages");
-    tel_bytes_ = &sink->counter("net.payload_bytes");
-    tel_dropped_ = &sink->counter("net.dropped");
-    tel_delayed_ = &sink->counter("net.delayed");
-}
-
 void Pipeline_authority::sample_telemetry(common::Pulse executed)
 {
     const sim::Traffic_stats& stats = engine_.stats();
@@ -247,27 +267,6 @@ void Pipeline_authority::sample_telemetry(common::Pulse executed)
             telemetry_->event(std::move(e));
         }
     }
-}
-
-void Pipeline_authority::run_pulses(common::Pulse count)
-{
-    for (common::Pulse i = 0; i < count; ++i) {
-        const common::Pulse executed = engine_.now();
-        engine_.run_pulse();
-        enact_disconnections();
-        if (telemetry_ != nullptr) sample_telemetry(executed);
-    }
-}
-
-void Pipeline_authority::inject_transient_fault()
-{
-    engine_.inject_transient_fault();
-}
-
-void Pipeline_authority::expel_agent(common::Agent_id id)
-{
-    common::ensure(id >= 0 && id < n_, "expel_agent: agent out of range");
-    if (!engine_.is_disconnected(id)) engine_.disconnect(id);
 }
 
 } // namespace ga::pipeline

@@ -152,7 +152,6 @@ private:
     void sample_telemetry(common::Pulse executed);
 
     int n_;
-    int f_;
     authority::Game_spec spec_;
     std::set<common::Processor_id> byzantine_;
     sim::Engine engine_;

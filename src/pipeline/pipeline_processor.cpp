@@ -278,7 +278,7 @@ void Pipeline_processor::on_pulse(sim::Pulse_context& ctx)
                     telemetry_->event(std::move(e));
                     ic_started_at_ = -1;
                 }
-                process_phase_result(phase, ctx.pulse());
+                process_phase_result(phase, session_->agreed_vector(), ctx.pulse());
             }
         }
 
@@ -387,32 +387,34 @@ bft::Value Pipeline_processor::phase_input(Phase phase, common::Pulse now)
     return {};
 }
 
-void Pipeline_processor::process_phase_result(Phase phase, common::Pulse now)
+void Pipeline_processor::process_phase_result(Phase phase, const std::vector<bft::Value>& agreed,
+                                              common::Pulse now)
 {
     switch (phase) {
-    case Phase::outcome: process_outcome_result(); break;
-    case Phase::commit: process_commit_result(now); break;
-    case Phase::reveal: process_reveal_result(now); break;
-    case Phase::foul: process_foul_result(now); break;
+    case Phase::outcome: process_outcome_result(agreed); break;
+    case Phase::commit: process_commit_result(agreed, now); break;
+    case Phase::reveal: process_reveal_result(agreed, now); break;
+    case Phase::foul: process_foul_result(agreed, now); break;
     }
 }
 
-void Pipeline_processor::process_outcome_result()
+void Pipeline_processor::process_outcome_result(const std::vector<bft::Value>& agreed)
 {
     // Majority view wins; with no majority (fresh boot or post-fault
     // divergence) fall back to the deterministic first-play profile.
-    const std::optional<game::Pure_profile> majority = majority_profile(agreed(), spec_);
+    const std::optional<game::Pure_profile> majority = majority_profile(agreed, spec_);
     if (telemetry_ != nullptr && !majority.has_value()) {
         telemetry_->counter("outcome.divergence") += 1;
     }
     previous_ = majority.value_or(first_play_profile(spec_));
 }
 
-void Pipeline_processor::process_commit_result(common::Pulse now)
+void Pipeline_processor::process_commit_result(const std::vector<bft::Value>& agreed,
+                                               common::Pulse now)
 {
     for (common::Agent_id a = 0; a < n_; ++a) {
         roots_[static_cast<std::size_t>(a)] =
-            decode_batch_root(agreed()[static_cast<std::size_t>(a)], k_);
+            decode_batch_root(agreed[static_cast<std::size_t>(a)], k_);
     }
     if (telemetry_ != nullptr) {
         std::int64_t sealed = 0;
@@ -433,7 +435,8 @@ void Pipeline_processor::process_commit_result(common::Pulse now)
                     std::vector<Reveal_slot>(static_cast<std::size_t>(n_)));
 }
 
-void Pipeline_processor::process_reveal_result(common::Pulse now)
+void Pipeline_processor::process_reveal_result(const std::vector<bft::Value>& agreed,
+                                               common::Pulse now)
 {
     // Mid-batch transient faults leave no window to publish from; the next
     // clock wrap starts a clean batch (all honest replicas skip in lockstep).
@@ -447,7 +450,7 @@ void Pipeline_processor::process_reveal_result(common::Pulse now)
     // not open the agreed root is voided wholesale — without per-position
     // proofs no position of a broken vector is trustworthy.
     for (common::Agent_id a = 0; a < n_; ++a) {
-        const bft::Value& value = agreed()[static_cast<std::size_t>(a)];
+        const bft::Value& value = agreed[static_cast<std::size_t>(a)];
         const auto& root = roots_[static_cast<std::size_t>(a)];
         Reveal_slot::Status status = Reveal_slot::Status::missing;
         std::optional<Batch_reveal> reveal;
@@ -507,10 +510,11 @@ void Pipeline_processor::process_reveal_result(common::Pulse now)
     published_this_batch_ = true;
 }
 
-void Pipeline_processor::process_foul_result(common::Pulse now)
+void Pipeline_processor::process_foul_result(const std::vector<bft::Value>& agreed,
+                                             common::Pulse now)
 {
     // N' = agents flagged by a strict majority of the agreed bitmasks.
-    const std::vector<bool> flagged = strict_majority_flags(agreed(), n_);
+    const std::vector<bool> flagged = strict_majority_flags(agreed, n_);
     const std::vector<bool> active = executive_.active_mask();
     std::vector<common::Agent_id> punished;
     for (common::Agent_id a = 0; a < n_; ++a) {
@@ -563,8 +567,8 @@ void Pipeline_processor::process_foul_result(common::Pulse now)
                         }
                     }
                 }
-                for (std::size_t i = 0; i < agreed().size(); ++i) {
-                    const bft::Value& mask = agreed()[i];
+                for (std::size_t i = 0; i < agreed.size(); ++i) {
+                    const bft::Value& mask = agreed[i];
                     if (mask.size() == static_cast<std::size_t>(n_) &&
                         mask[static_cast<std::size_t>(a)] == 1) {
                         ev.flagged_by.push_back(static_cast<int>(i));

@@ -99,11 +99,9 @@ public:
     void corrupt(common::Rng& rng) override;
 
     [[nodiscard]] int clock() const { return clock_.value(); }
-    [[nodiscard]] int batch_k() const { return k_; }
     [[nodiscard]] std::int64_t batches_completed() const { return batches_; }
     [[nodiscard]] const std::vector<authority::Play_record>& plays() const { return plays_; }
     [[nodiscard]] const authority::Executive_service& executive() const { return executive_; }
-    [[nodiscard]] const game::Pure_profile& previous_outcome() const { return previous_; }
 
     /// Attach a telemetry sink (nullptr detaches). Only one replica per group
     /// — the group's reference slot — carries a sink, so the replicated
@@ -123,18 +121,12 @@ private:
     [[nodiscard]] bft::Value phase_input(Phase phase, common::Pulse now);
 
     /// Consume the agreed vector once phase `phase`'s activation completes.
-    void process_phase_result(Phase phase, common::Pulse now);
-    void process_outcome_result();
-    void process_commit_result(common::Pulse now);
-    void process_reveal_result(common::Pulse now);
-    void process_foul_result(common::Pulse now);
-
-    /// The in-flight activation's agreed vector (valid inside the
-    /// process_*_result functions only).
-    [[nodiscard]] const std::vector<bft::Value>& agreed() const
-    {
-        return session_->agreed_vector();
-    }
+    void process_phase_result(Phase phase, const std::vector<bft::Value>& agreed,
+                              common::Pulse now);
+    void process_outcome_result(const std::vector<bft::Value>& agreed);
+    void process_commit_result(const std::vector<bft::Value>& agreed, common::Pulse now);
+    void process_reveal_result(const std::vector<bft::Value>& agreed, common::Pulse now);
+    void process_foul_result(const std::vector<bft::Value>& agreed, common::Pulse now);
 
     void reset_section_buffer(int phase);
     /// Drop the in-flight batch (batch edge and transient faults).
