@@ -17,31 +17,14 @@ Engine::Engine(Graph graph, common::Rng rng, Engine_config config, Net_model net
       byzantine_(static_cast<std::size_t>(graph_.size()), false),
       disconnected_(static_cast<std::size_t>(graph_.size()), false),
       inboxes_(static_cast<std::size_t>(graph_.size())),
-      next_inboxes_(static_cast<std::size_t>(graph_.size())),
       outboxes_(static_cast<std::size_t>(graph_.size()))
 {
     common::ensure(config_.threads >= 1, "Engine: threads must be >= 1");
     net_.validate(graph_.size());
-    net_active_ = !net_.is_clean();
-    if (net_active_) {
-        wheel_.assign(static_cast<std::size_t>(net_.delta),
-                      std::vector<std::vector<Message>>(static_cast<std::size_t>(graph_.size())));
-    }
-}
-
-void Engine::set_net_model(Net_model net)
-{
-    common::ensure(pulse_ == 0, "Engine::set_net_model: only callable before the first pulse");
-    net.validate(graph_.size());
-    net_ = std::move(net);
-    net_active_ = !net_.is_clean();
-    wheel_.clear();
-    stage_net_.clear();
-    net_window_spans_.assign(net_.windows.size(), 0);
-    if (net_active_) {
-        wheel_.assign(static_cast<std::size_t>(net_.delta),
-                      std::vector<std::vector<Message>>(static_cast<std::size_t>(graph_.size())));
-    }
+    clean_ = net_.is_clean();
+    wheel_.assign(static_cast<std::size_t>(net_.delta),
+                  std::vector<std::vector<Message>>(static_cast<std::size_t>(graph_.size())));
+    due_after_.assign(wheel_.size(), nullptr);
 }
 
 void Engine::install(std::unique_ptr<Processor> processor, bool byzantine)
@@ -92,8 +75,8 @@ void Engine::throw_processor_type_mismatch(common::Processor_id id, const char* 
                                  " is not of the requested type " + requested_type};
 }
 
-void Engine::step_processor(common::Processor_id id, std::vector<std::vector<Message>>& rows,
-                            Traffic_stats& stats)
+template <typename Route>
+void Engine::step_processor(common::Processor_id id, Traffic_stats& stats, Route route)
 {
     const auto slot = static_cast<std::size_t>(id);
     std::vector<Message>& outbox = outboxes_[slot];
@@ -104,50 +87,12 @@ void Engine::step_processor(common::Processor_id id, std::vector<std::vector<Mes
     // Fast path: a fully connected sender on an undamaged network can only
     // produce deliverable or silently-droppable messages (an out-of-range or
     // self target is dropped for honest and Byzantine senders alike, exactly
-    // as the general path below does), so per-message validation reduces to
-    // three integer compares.
-    if (!any_disconnected_ && static_cast<int>(graph_.neighbors(id).size()) == size() - 1) {
-        for (Message& msg : outbox) {
-            if (msg.to < 0 || msg.to >= size() || msg.to == id) continue;
-            msg.sent_at = pulse_; // transport-stamped: senders cannot forge it
-            stats.messages += 1;
-            stats.payload_bytes += static_cast<std::int64_t>(msg.payload.size());
-            rows[static_cast<std::size_t>(msg.to)].push_back(std::move(msg));
-        }
-        return;
-    }
-
-    const bool sender_byzantine = byzantine_[slot];
-    for (Message& msg : outbox) {
-        const bool target_valid = msg.to >= 0 && msg.to < size() && msg.to != id;
-        const bool edge_exists = target_valid && graph_.has_edge(id, msg.to);
-        if (!edge_exists || disconnected_[static_cast<std::size_t>(msg.to)]) {
-            // Honest protocol code must not address non-neighbors; a
-            // Byzantine processor attempting it just loses the message.
-            common::ensure(sender_byzantine || !target_valid ||
-                               disconnected_[static_cast<std::size_t>(msg.to)] || edge_exists,
-                           "honest processor sent to a non-neighbor");
-            continue;
-        }
-        msg.sent_at = pulse_;
-        stats.messages += 1;
-        stats.payload_bytes += static_cast<std::int64_t>(msg.payload.size());
-        rows[static_cast<std::size_t>(msg.to)].push_back(std::move(msg));
-    }
-}
-
-template <typename Route>
-void Engine::step_processor_net(common::Processor_id id, Traffic_stats& stats, Route route)
-{
-    const auto slot = static_cast<std::size_t>(id);
-    std::vector<Message>& outbox = outboxes_[slot];
-    outbox.clear();
-    Pulse_context ctx{pulse_, id, size(), &graph_.neighbors(id), &inboxes_[slot], &outbox};
-    processors_[slot]->on_pulse(ctx);
-
-    const bool sender_byzantine = byzantine_[slot];
+    // as the general path does), so per-message validation reduces to three
+    // integer compares.
     const bool fully_connected =
         !any_disconnected_ && static_cast<int>(graph_.neighbors(id).size()) == size() - 1;
+    const bool sender_byzantine = byzantine_[slot];
+    const bool clean = clean_;
     int index = 0;
     for (Message& msg : outbox) {
         // The verdict stream is keyed by outbox position, which is identical
@@ -159,15 +104,21 @@ void Engine::step_processor_net(common::Processor_id id, Traffic_stats& stats, R
             const bool target_valid = msg.to >= 0 && msg.to < size() && msg.to != id;
             const bool edge_exists = target_valid && graph_.has_edge(id, msg.to);
             if (!edge_exists || disconnected_[static_cast<std::size_t>(msg.to)]) {
+                // Honest protocol code must not address non-neighbors; a
+                // Byzantine processor attempting it just loses the message.
                 common::ensure(sender_byzantine || !target_valid ||
                                    disconnected_[static_cast<std::size_t>(msg.to)] || edge_exists,
                                "honest processor sent to a non-neighbor");
                 continue;
             }
         }
-        msg.sent_at = pulse_;
+        msg.sent_at = pulse_; // transport-stamped: senders cannot forge it
         stats.messages += 1;
         stats.payload_bytes += static_cast<std::int64_t>(msg.payload.size());
+        if (clean) {
+            route(1, msg);
+            continue;
+        }
         const Net_verdict verdict = net_.verdict(pulse_, id, msg.to, msg_index);
         if (verdict.dropped) {
             stats.dropped += 1;
@@ -178,26 +129,17 @@ void Engine::step_processor_net(common::Processor_id id, Traffic_stats& stats, R
     }
 }
 
-void Engine::run_pulse_single()
-{
-    for (std::vector<Message>& inbox : next_inboxes_) inbox.clear();
-    for (common::Processor_id id = 0; id < size(); ++id) {
-        if (disconnected_[static_cast<std::size_t>(id)]) continue;
-        step_processor(id, next_inboxes_, stats_);
-    }
-    inboxes_.swap(next_inboxes_);
-}
-
-void Engine::prepare_net_inboxes()
+void Engine::rotate_wheel()
 {
     // The slot due now becomes the inboxes; its previous contents (the inbox
     // consumed delta pulses ago) are discarded and the slot starts
     // accumulating deliveries for pulse_ + delta. No slot conflict with this
     // pulse's sends: delay delta maps right back here, *after* the swap.
-    std::vector<std::vector<Message>>& due =
-        wheel_[static_cast<std::size_t>(pulse_ % net_.delta)];
-    inboxes_.swap(due);
-    for (std::vector<Message>& row : due) row.clear();
+    const auto delta = static_cast<std::size_t>(net_.delta);
+    const auto now = static_cast<std::size_t>(pulse_) % delta;
+    inboxes_.swap(wheel_[now]);
+    for (std::vector<Message>& row : wheel_[now]) row.clear();
+    for (std::size_t d = 1; d <= delta; ++d) due_after_[d - 1] = &wheel_[(now + d) % delta];
 
     if (net_.shuffle) {
         for (common::Processor_id to = 0; to < size(); ++to) {
@@ -209,29 +151,28 @@ void Engine::prepare_net_inboxes()
     }
 }
 
-void Engine::run_pulse_net_single()
+void Engine::step_all_single()
 {
-    const auto route = [this](int delay, Message& msg) {
+    const auto route = [due = due_after_.data()](int delay, Message& msg) {
         const common::Processor_id to = msg.to;
-        wheel_[static_cast<std::size_t>((pulse_ + delay) % net_.delta)]
-              [static_cast<std::size_t>(to)]
-                  .push_back(std::move(msg));
+        (*due[delay - 1])[static_cast<std::size_t>(to)].push_back(std::move(msg));
     };
     for (common::Processor_id id = 0; id < size(); ++id) {
         if (disconnected_[static_cast<std::size_t>(id)]) continue;
-        step_processor_net(id, stats_, route);
+        step_processor(id, stats_, route);
     }
 }
 
-void Engine::run_pulse_net_parallel()
+void Engine::step_all_parallel()
 {
     ensure_pool();
     const std::size_t workers = slices_.size();
 
-    // Phase 1: workers step their sender slices into private (delay,
-    // recipient) staging rows.
+    // Phase 1: every worker steps its contiguous slice of senders into its
+    // private (delay, recipient) staging rows. No shared mutable state;
+    // reads (inboxes, graph, flags) are frozen for the whole phase.
     pool_->parallel_for(workers, [this](std::size_t s) {
-        std::vector<std::vector<std::vector<Message>>>& rows = stage_net_[s];
+        std::vector<std::vector<std::vector<Message>>>& rows = stage_[s];
         for (auto& delay_rows : rows)
             for (std::vector<Message>& row : delay_rows) row.clear();
         Traffic_stats local;
@@ -243,7 +184,7 @@ void Engine::run_pulse_net_parallel()
         };
         for (common::Processor_id id = begin; id < end; ++id) {
             if (disconnected_[static_cast<std::size_t>(id)]) continue;
-            step_processor_net(id, local, route);
+            step_processor(id, local, route);
         }
         slice_stats_[s] = local;
     });
@@ -255,13 +196,10 @@ void Engine::run_pulse_net_parallel()
     pool_->parallel_for(workers, [this](std::size_t s) {
         const auto [begin, end] = slices_[s];
         for (common::Processor_id to = begin; to < end; ++to) {
-            for (int delay = 1; delay <= net_.delta; ++delay) {
-                std::vector<Message>& dest =
-                    wheel_[static_cast<std::size_t>((pulse_ + delay) % net_.delta)]
-                          [static_cast<std::size_t>(to)];
-                for (std::size_t from_slice = 0; from_slice < stage_net_.size(); ++from_slice) {
-                    for (Message& msg : stage_net_[from_slice][static_cast<std::size_t>(delay - 1)]
-                                                  [static_cast<std::size_t>(to)])
+            for (std::size_t d = 0; d < due_after_.size(); ++d) {
+                std::vector<Message>& dest = (*due_after_[d])[static_cast<std::size_t>(to)];
+                for (auto& slice_rows : stage_) {
+                    for (Message& msg : slice_rows[d][static_cast<std::size_t>(to)])
                         dest.push_back(std::move(msg));
                 }
             }
@@ -278,10 +216,7 @@ void Engine::run_pulse_net_parallel()
 
 void Engine::ensure_pool()
 {
-    if (pool_ && pool_->threads() == config_.threads &&
-        (!net_active_ || !stage_net_.empty())) {
-        return;
-    }
+    if (pool_ && pool_->threads() == config_.threads) return;
     pool_ = std::make_unique<common::Executor>(config_.threads);
     const auto n = static_cast<std::size_t>(size());
     const auto workers = static_cast<std::size_t>(config_.threads);
@@ -290,55 +225,9 @@ void Engine::ensure_pool()
         slices_.emplace_back(static_cast<int>(s * n / workers),
                              static_cast<int>((s + 1) * n / workers));
     }
-    stage_.assign(workers, std::vector<std::vector<Message>>(n));
-    if (net_active_) {
-        stage_net_.assign(workers, std::vector<std::vector<std::vector<Message>>>(
-                                       static_cast<std::size_t>(net_.delta),
-                                       std::vector<std::vector<Message>>(n)));
-    }
+    stage_.assign(workers, std::vector<std::vector<std::vector<Message>>>(
+                               wheel_.size(), std::vector<std::vector<Message>>(n)));
     slice_stats_.assign(workers, Traffic_stats{});
-}
-
-void Engine::run_pulse_parallel()
-{
-    ensure_pool();
-    const std::size_t workers = slices_.size();
-
-    // Phase 1: every worker steps its contiguous slice of senders into its
-    // private staging rows. No shared mutable state; reads (inboxes, graph,
-    // flags) are frozen for the whole phase.
-    pool_->parallel_for(workers, [this](std::size_t s) {
-        std::vector<std::vector<Message>>& rows = stage_[s];
-        for (std::vector<Message>& row : rows) row.clear();
-        Traffic_stats local;
-        const auto [begin, end] = slices_[s];
-        for (common::Processor_id id = begin; id < end; ++id) {
-            if (disconnected_[static_cast<std::size_t>(id)]) continue;
-            step_processor(id, rows, local);
-        }
-        slice_stats_[s] = local;
-    });
-
-    // Phase 2: gather, partitioned by recipient. Slices hold contiguous
-    // ascending sender ranges and each worker stepped its senders in
-    // ascending order, so concatenating stage rows in slice order rebuilds
-    // exactly the delivery order of the sequential loop.
-    pool_->parallel_for(workers, [this](std::size_t s) {
-        const auto [begin, end] = slices_[s];
-        for (common::Processor_id to = begin; to < end; ++to) {
-            std::vector<Message>& inbox = inboxes_[static_cast<std::size_t>(to)];
-            inbox.clear();
-            for (std::size_t from_slice = 0; from_slice < stage_.size(); ++from_slice) {
-                for (Message& msg : stage_[from_slice][static_cast<std::size_t>(to)])
-                    inbox.push_back(std::move(msg));
-            }
-        }
-    });
-
-    for (const Traffic_stats& local : slice_stats_) {
-        stats_.messages += local.messages;
-        stats_.payload_bytes += local.payload_bytes;
-    }
 }
 
 void Engine::set_link(Pulse_link* link)
@@ -378,28 +267,15 @@ void Engine::run_pulse()
                    "Engine::run_pulse: not all processors installed");
 
     trace_net_windows();
-    if (net_active_) {
-        prepare_net_inboxes();
-        // The wire boundary sits at delivery time: the pulse's finalized
-        // inboxes cross the link right before the processors consume them.
-        // Runs on the coordinating thread, so it is sequenced against the
-        // worker pool on every path.
-        if (link_ != nullptr) link_->cross_pulse(inboxes_, pulse_);
-        if (config_.threads > 1 && size() > 1) {
-            run_pulse_net_parallel();
-        } else {
-            run_pulse_net_single();
-        }
+    rotate_wheel();
+    // The wire boundary sits at delivery time: the pulse's finalized inboxes
+    // cross the link right before the processors consume them. Runs on the
+    // coordinating thread, so it is sequenced against the worker pool.
+    if (link_ != nullptr) link_->cross_pulse(inboxes_, pulse_);
+    if (config_.threads > 1 && size() > 1) {
+        step_all_parallel();
     } else {
-        // Classic transport: inboxes_ was finalized at the end of the
-        // previous pulse (single path swaps, parallel path gathers in
-        // place), so it crosses here, at the same consumption point.
-        if (link_ != nullptr) link_->cross_pulse(inboxes_, pulse_);
-        if (config_.threads > 1 && size() > 1) {
-            run_pulse_parallel();
-        } else {
-            run_pulse_single();
-        }
+        step_all_single();
     }
     ++pulse_;
     ++stats_.pulses;
@@ -420,6 +296,8 @@ void Engine::inject_transient_fault()
     // iff other recipients still alias it (copy-on-write isolation). Delivery
     // *timing* is a network property, not processor state, so sent_at and the
     // wheel-slot placement stay intact — age invariants survive the fault.
+    // The wheel holds all in-flight traffic (inboxes_ are the already
+    // consumed rows awaiting recycling), garbled in slot-index order.
     const auto garble = [this](std::vector<std::vector<Message>>& boxes) {
         for (auto& box : boxes) {
             std::vector<Message> corrupted;
@@ -432,13 +310,7 @@ void Engine::inject_transient_fault()
             box = std::move(corrupted);
         }
     };
-    if (net_active_) {
-        // The wheel holds all in-flight traffic (inboxes_ are the already
-        // consumed rows awaiting recycling).
-        for (auto& slot : wheel_) garble(slot);
-    } else {
-        garble(inboxes_);
-    }
+    for (auto& slot : wheel_) garble(slot);
 }
 
 void Engine::inject_fault_at(common::Processor_id id)
@@ -453,7 +325,6 @@ void Engine::disconnect(common::Processor_id id)
     common::ensure(id >= 0 && id < size(), "disconnect: id out of range");
     disconnected_[static_cast<std::size_t>(id)] = true;
     any_disconnected_ = true;
-    inboxes_[static_cast<std::size_t>(id)].clear();
     for (auto& slot : wheel_) slot[static_cast<std::size_t>(id)].clear();
 }
 
@@ -465,11 +336,14 @@ bool Engine::is_disconnected(common::Processor_id id) const
 
 std::int64_t Engine::in_flight() const
 {
+    // Slot pulse_ % delta is due at the next pulse; every other slot is due
+    // later. Under delta = 1 there is no other slot.
+    const auto next = static_cast<std::size_t>(pulse_) % wheel_.size();
     std::int64_t total = 0;
-    for (const auto& slot : wheel_) {
-        for (const std::vector<Message>& row : slot) {
+    for (std::size_t s = 0; s < wheel_.size(); ++s) {
+        if (s == next) continue;
+        for (const std::vector<Message>& row : wheel_[s])
             total += static_cast<std::int64_t>(row.size());
-        }
     }
     return total;
 }

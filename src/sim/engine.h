@@ -7,27 +7,27 @@
 // may do anything) and transient faults (state corruption of every processor
 // plus arbitrary in-flight messages).
 //
-// The pulse loop is allocation-free in steady state (double-buffered inboxes,
-// persistent per-processor outboxes that keep their high-water capacity) and
+// Delivery has one path, a delta-slot delivery wheel: every validated
+// message is stamped with its send pulse and routed into the slot due
+// `delay` pulses later, and the slot due at pulse p becomes the inboxes
+// consumed at p. §4.1's next-pulse rule is the delta = 1 case of §2's
+// partial-synchrony bound, so the default clean Net_model is the one-slot
+// wheel with every delay 1 (no per-message verdict is computed); any other
+// model gives each message a pure-function verdict (drop, or a delay d in
+// [1, delta]). Because the transport stamps Message::sent_at, no sender —
+// Byzantine included — can forge a timestamp, and receivers may trust that
+// message age is always < delta.
+//
+// The pulse loop is allocation-free in steady state (wheel rows and
+// persistent per-processor outboxes keep their high-water capacity) and
 // payloads are zero-copy (one refcounted buffer per broadcast, aliased by
 // every recipient — see common::Shared_payload). With Engine_config{threads}
 // > 1 the pulse runs on a worker pool: each worker steps a contiguous slice
-// of processors into private staging rows, then a sender-id-ordered gather
-// rebuilds every inbox exactly as the single-thread loop would have, so an
-// N-thread run is bit-identical to the 1-thread run (same delivery order,
-// same stats, same verdicts downstream).
-//
-// An adversarial Net_model replaces the one-pulse delivery rule with timed
-// delivery: every validated message gets a pure-function verdict (drop, or a
-// delay d in [1, delta]) and is routed into a delta-slot delivery wheel; the
-// slot due at pulse p becomes the inboxes consumed at p. The transport stamps
-// Message::sent_at on every validated message, so no sender — Byzantine
-// included — can forge a timestamp, and receivers may trust that message age
-// is always < delta. The parallel path stages per (slice, delay, recipient)
-// and gathers per recipient in (delay, slice) order, reproducing the
-// sequential wheel order exactly: the determinism contract holds under loss,
-// reorder, and partitions. A clean model (the default) bypasses the wheel
-// entirely — the classic paths run unchanged.
+// of senders into private (delay, recipient) staging rows, then a gather per
+// recipient in (delay, slice) order rebuilds every wheel row exactly as the
+// single-thread loop would have, so an N-thread run is bit-identical to the
+// 1-thread run (same delivery order, same stats, same verdicts downstream)
+// under loss, reorder and partitions alike.
 #ifndef GA_SIM_ENGINE_H
 #define GA_SIM_ENGINE_H
 
@@ -99,40 +99,33 @@ public:
     void install(std::unique_ptr<Processor> processor, bool byzantine = false);
 
     [[nodiscard]] int size() const { return graph_.size(); }
-    [[nodiscard]] const Graph& graph() const { return graph_; }
     [[nodiscard]] bool is_byzantine(common::Processor_id id) const;
     [[nodiscard]] int byzantine_count() const;
     [[nodiscard]] common::Pulse now() const { return pulse_; }
     [[nodiscard]] const Traffic_stats& stats() const { return stats_; }
 
-    /// Messages sitting in the timed-delivery wheel waiting for a future
-    /// pulse (0 under the clean model, which delivers everything next pulse).
+    /// Messages in the delivery wheel due *after* the next pulse — the
+    /// backlog the net deferred past the one-pulse rule. Always 0 under a
+    /// delta = 1 model (clean or lossy), which delivers everything next pulse.
     [[nodiscard]] std::int64_t in_flight() const;
 
     /// Resize the worker pool (>= 1). Callable between pulses at any time;
     /// has no effect on results, only on wall-clock speed.
     void set_threads(int threads);
-    [[nodiscard]] int threads() const { return config_.threads; }
 
-    /// Replace the net model. Only callable before the first pulse: the wheel
-    /// geometry and every message's fate are part of the run's identity.
-    void set_net_model(Net_model net);
     [[nodiscard]] const Net_model& net() const { return net_; }
 
     /// Attach the wire link every delivered pulse batch crosses (nullptr
     /// detaches — messages then stay in place, the historical behavior).
-    /// Only callable before the first pulse, like set_net_model: the
-    /// boundary is part of the run's shape even though a conforming link
-    /// never changes results.
+    /// Only callable before the first pulse: the boundary is part of the
+    /// run's shape even though a conforming link never changes results.
     void set_link(Pulse_link* link);
-    [[nodiscard]] Pulse_link* link() const { return link_; }
 
     /// Attach a span recorder (nullptr detaches). The engine then traces its
     /// own fault-model activity — net burst/partition windows as spans,
     /// transient faults as zero-length markers — onto the caller's track.
     /// Observation only: a traced run is bit-identical to an untraced one.
     void set_tracer(telemetry::Tracer* tracer);
-    [[nodiscard]] telemetry::Tracer* tracer() const { return tracer_; }
 
     /// Typed access to an installed processor (tests and result harvesting).
     [[nodiscard]] Processor& processor(common::Processor_id id);
@@ -181,47 +174,46 @@ private:
     [[noreturn]] static void throw_processor_type_mismatch(common::Processor_id id,
                                                            const char* requested_type);
 
-    /// Step `id` into its persistent outbox, then validate and move each
-    /// message into `rows[recipient]`, accounting into `stats`.
-    void step_processor(common::Processor_id id, std::vector<std::vector<Message>>& rows,
-                        Traffic_stats& stats);
-
-    /// Net-model variant: validate, stamp sent_at, ask the net for a verdict,
-    /// and hand surviving messages to `route(delay, msg)`. Defined in the .cpp
-    /// (all instantiations live there).
+    /// Step `id` into its persistent outbox, then validate and stamp sent_at
+    /// on each message, ask the net for a verdict (skipped under the clean
+    /// model, where every delay is 1), and hand surviving messages to
+    /// `route(delay, msg)`, accounting into `stats`. Defined in the .cpp (all
+    /// instantiations live there).
     template <typename Route>
-    void step_processor_net(common::Processor_id id, Traffic_stats& stats, Route route);
+    void step_processor(common::Processor_id id, Traffic_stats& stats, Route route);
 
     /// Open/close net-window spans as `pulse_` crosses window bounds (no-op
     /// without a tracer or without windows).
     void trace_net_windows();
 
-    void run_pulse_single();
-    void run_pulse_parallel();
     /// Rotate the wheel: the slot due at the current pulse becomes the
     /// inboxes, freeing the slot for pulse_ + delta; applies the optional
-    /// per-recipient shuffle.
-    void prepare_net_inboxes();
-    void run_pulse_net_single();
-    void run_pulse_net_parallel();
+    /// per-recipient shuffle and resolves due_after_ for this pulse.
+    void rotate_wheel();
+    /// The two executors of step_processor: one worker routing straight into
+    /// the wheel, or the pool staging per (slice, delay, recipient).
+    void step_all_single();
+    void step_all_parallel();
     void ensure_pool();
 
     Graph graph_;
     common::Rng rng_;
     Engine_config config_;
     Net_model net_;
-    bool net_active_ = false; ///< !net_.is_clean(); selects the wheel paths
+    bool clean_ = true; ///< net_.is_clean(), evaluated once: skip the verdicts
     std::vector<std::unique_ptr<Processor>> processors_;
     std::vector<bool> byzantine_;
     std::vector<bool> disconnected_;
     bool any_disconnected_ = false; ///< skips per-message disconnect checks while false
-    std::vector<std::vector<Message>> inboxes_;      ///< indexed by recipient
-    std::vector<std::vector<Message>> next_inboxes_; ///< double buffer (1-thread path)
-    std::vector<std::vector<Message>> outboxes_;     ///< persistent, indexed by sender
-    /// Timed-delivery wheel (net paths only): wheel_[p % delta][recipient]
-    /// holds the messages due at pulse p. Slot rotation happens in
-    /// prepare_net_inboxes.
+    std::vector<std::vector<Message>> inboxes_;  ///< indexed by recipient
+    std::vector<std::vector<Message>> outboxes_; ///< persistent, indexed by sender
+    /// Delivery wheel: wheel_[p % delta][recipient] holds the messages due at
+    /// pulse p (one slot under a delta = 1 model). Slot rotation happens in
+    /// rotate_wheel.
     std::vector<std::vector<std::vector<Message>>> wheel_;
+    /// due_after_[d - 1] is the wheel slot due d pulses after the current
+    /// one, resolved once per pulse so routing does no modular arithmetic.
+    std::vector<std::vector<std::vector<Message>>*> due_after_;
     common::Pulse pulse_ = 0;
     Traffic_stats stats_;
     Pulse_link* link_ = nullptr; ///< wire boundary (null = in-place delivery)
@@ -231,10 +223,9 @@ private:
     // ---- Worker-pool state (built lazily on the first parallel pulse).
     std::unique_ptr<common::Executor> pool_;
     std::vector<std::pair<int, int>> slices_; ///< contiguous [begin, end) id ranges
-    std::vector<std::vector<std::vector<Message>>> stage_; ///< [slice][recipient]
-    /// Net staging: stage_net_[slice][delay - 1][recipient].
-    std::vector<std::vector<std::vector<std::vector<Message>>>> stage_net_;
-    std::vector<Traffic_stats> slice_stats_;               ///< per-slice accumulators
+    /// Staging rows: stage_[slice][delay - 1][recipient].
+    std::vector<std::vector<std::vector<std::vector<Message>>>> stage_;
+    std::vector<Traffic_stats> slice_stats_; ///< per-slice accumulators
 };
 
 } // namespace ga::sim

@@ -1,10 +1,10 @@
 // Seeded adversarial network model: partial synchrony as a pure function.
 //
-// The engine's classic transport is perfectly pulse-synchronous: a message
-// sent at pulse t is delivered at pulse t+1, always, to everyone. Net_model
-// interposes a fault-injection layer between Pulse_context::broadcast and
-// inbox delivery that implements the bounded-delay partial-synchrony model
-// the ROADMAP's adversarial-network item calls for:
+// §4.1's synchronous rule — a message sent at pulse t is delivered at pulse
+// t+1, always, to everyone — is the delta = 1 case of §2's partial-synchrony
+// bound. Net_model is the fault-injection layer between
+// Pulse_context::broadcast and inbox delivery that implements that bounded-
+// delay model for any delta:
 //
 //   delay      every message is assigned a delivery delay in [1, delta]
 //              (sent at t, delivered at some t+d with d <= delta) — with
@@ -29,9 +29,9 @@
 // result" to "thread count never changes the result, even under timed
 // delivery, loss, and partitions".
 //
-// The default-constructed model is clean (delta = 1, no loss, no windows):
-// the engine then bypasses this layer entirely and behaves exactly like the
-// classic synchronous transport.
+// The default-constructed model is clean (delta = 1, no loss, no shuffle, no
+// windows): the engine's delivery wheel then has one slot and every message
+// is delivered at the next pulse without consulting verdict().
 #ifndef GA_SIM_NET_MODEL_H
 #define GA_SIM_NET_MODEL_H
 
@@ -68,8 +68,9 @@ struct Net_model {
     std::uint64_t seed = 0; ///< the net's own randomness stream (never the engine Rng)
     std::vector<Net_window> windows;
 
-    /// True when the model is the identity transport (the engine then skips
-    /// the fault-injection layer entirely).
+    /// True when the model is the identity transport: every delay is 1, so
+    /// the engine skips the per-message verdict (delivery still runs through
+    /// its one-slot wheel).
     [[nodiscard]] bool is_clean() const;
 
     /// Throws Contract_error on out-of-range knobs (delta, probabilities,

@@ -20,7 +20,7 @@ struct Pulse_trace {
     std::int64_t payload_bytes = 0; ///< their total payload size
     std::int64_t dropped = 0;       ///< messages the Net_model lost this pulse
     std::int64_t delayed = 0;       ///< messages deferred past the next pulse
-    std::int64_t deferred = 0;      ///< delivery-wheel backlog after this pulse
+    std::int64_t deferred = 0;      ///< in flight after this pulse, due past the next one
 };
 
 /// Records per-pulse traffic deltas; keeps the most recent `capacity` pulses.

@@ -283,17 +283,6 @@ TEST(NetModel, AdversarialTracesAreThreadCountInvariant)
     }
 }
 
-TEST(NetModel, SetNetModelOnlyBeforeFirstPulse)
-{
-    Engine engine{complete_graph(2), Rng{1}};
-    for (Processor_id id = 0; id < 2; ++id) engine.install(std::make_unique<Recorder>(id));
-    Net_model net;
-    net.delta = 2;
-    engine.set_net_model(net);
-    engine.run(1);
-    EXPECT_THROW(engine.set_net_model(Net_model{}), Contract_error);
-}
-
 TEST(NetModel, ByzantineSenderCannotForgeTimestamps)
 {
     // The transport stamps sent_at on every validated message, so even a

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "sim/trace.h"
 #include "ssba/ssba.h"
@@ -138,6 +140,65 @@ TEST(Trace, RecordsNetFaultDeltasUnderLossyModel)
     EXPECT_EQ(delayed, engine.stats().delayed);
     EXPECT_GT(dropped, 0);
     EXPECT_GT(delayed, 0);
+}
+
+/// Broadcasts every pulse and logs (delivery pulse, send pulse) of each
+/// message it consumes.
+class Arrivals final : public Processor {
+public:
+    explicit Arrivals(Processor_id id) : Processor{id} {}
+    void on_pulse(Pulse_context& ctx) override
+    {
+        for (const Message& m : ctx.inbox()) log.emplace_back(ctx.pulse(), m.sent_at);
+        ctx.broadcast(Bytes{0x01});
+    }
+    void corrupt(Rng&) override {}
+
+    std::vector<std::pair<ga::common::Pulse, ga::common::Pulse>> log;
+};
+
+TEST(Trace, DeferredCountsOnlyMessagesPastTheNextPulse)
+{
+    const int n = 4;
+    const int pulses = 24;
+    Net_model net;
+    net.delta = 3;
+    net.jitter = 1.0;
+    net.seed = 19;
+    Engine engine{complete_graph(n), Rng{3}, {}, net};
+    for (Processor_id id = 0; id < n; ++id) engine.install(std::make_unique<Arrivals>(id));
+    Trace trace;
+    for (int t = 0; t < pulses; ++t) {
+        engine.run_pulse();
+        trace.sample(engine);
+    }
+    // Every message sent at or before p has been consumed by pulse p + delta,
+    // so the logs are complete for each p checked here.
+    std::int64_t total_deferred = 0;
+    for (int p = 0; p + net.delta < pulses; ++p) {
+        std::int64_t past_next = 0;
+        for (Processor_id id = 0; id < n; ++id) {
+            for (const auto& [delivered, sent] : engine.processor_as<Arrivals>(id).log)
+                if (sent <= p && delivered > p + 1) ++past_next;
+        }
+        EXPECT_EQ(trace.at(static_cast<std::size_t>(p)).deferred, past_next) << "pulse " << p;
+        total_deferred += past_next;
+    }
+    EXPECT_GT(total_deferred, 0);
+
+    // A delta = 1 model delivers everything at the next pulse, lossy or not.
+    Net_model lossy;
+    lossy.drop = 0.3;
+    lossy.seed = 19;
+    Engine prompt{complete_graph(n), Rng{3}, {}, lossy};
+    for (Processor_id id = 0; id < n; ++id) prompt.install(std::make_unique<Arrivals>(id));
+    Trace prompt_trace;
+    for (int t = 0; t < pulses; ++t) {
+        prompt.run_pulse();
+        prompt_trace.sample(prompt);
+        EXPECT_EQ(prompt_trace.at(prompt_trace.size() - 1).deferred, 0);
+    }
+    EXPECT_GT(prompt.stats().dropped, 0);
 }
 
 TEST(Trace, CountsEvictedRowsInsteadOfSilentWraparound)
