@@ -1,4 +1,4 @@
-// Golden pins: absolute results of two fixed fabric runs.
+// Golden pins: absolute results of three fixed fabric runs.
 //
 // The determinism suites compare runs against each other (1 vs N threads,
 // loopback vs ring); these pin what the runs produce. Each run records the
@@ -10,10 +10,16 @@
 //   static  : k = 1, 8 agents in 2 shards, one fined Fixed_action cheater,
 //             telemetry and tracing on;
 //   elastic : k = 4, delta 2 with jitter, ring transport, watchdog and
-//             tracing on, one migration mid-run.
+//             tracing on, one migration mid-run;
+//   ingest  : k = 2 behind the front door, watchdog and tracing on, a
+//             cheater expelled in epoch 0, then a split and a merge relabel
+//             while inlets hold queued work — pinned at 1 and 3 threads,
+//             with every Ingest_totals field and a digest of every agent's
+//             cross-epoch history, standing and expulsion flag.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string_view>
 
 #include "shard/fabric.h"
@@ -168,6 +174,131 @@ TEST(GoldenFabric, ElasticRingRunMatchesPin)
     want.trace_hash = 0x0dc3df1010088d16ULL;
     const Golden got = observe(fabric);
     expect_pin(got, want);
+}
+
+/// Every agent's cross-epoch view — history, standing, expulsion flag —
+/// serialized exactly (hexfloat doubles) and hashed.
+std::uint64_t agent_views_hash(const Fabric& fabric)
+{
+    std::ostringstream out;
+    out << std::hexfloat;
+    for (Agent_id g = 0; g < fabric.n_agents(); ++g) {
+        out << g << ':';
+        for (const Agent_play& play : fabric.agent_history(g)) {
+            out << play.completed_at << ',' << play.action << ',' << play.punished << ';';
+        }
+        const authority::Standing st = fabric.agent_standing(g);
+        out << '|' << st.active << ',' << st.fines << ',' << st.reputation << ','
+            << st.cumulative_cost << ',' << st.fouls << '|' << fabric.agent_disconnected(g)
+            << '\n';
+    }
+    return fnv1a(out.str());
+}
+
+struct Golden_ingest {
+    Golden run;
+    ingest::Ingest_totals totals;
+    std::uint64_t agents_hash = 0;
+};
+
+Golden_ingest run_ingest_elastic(int threads)
+{
+    Fabric_config config = base_config(/*seed=*/47);
+    config.threads = threads;
+    config.batch_k = 2;
+    // Expelled once its fines pass the deposit: the fourth foul.
+    config.punishment = [] { return std::make_unique<authority::Fine_scheme>(1.0, 3.0); };
+    config.watchdog = telemetry::Watchdog_config{};
+    config.trace = true;
+    ingest::Ingest_config front;
+    front.capacity = 2;
+    front.queue_capacity = 8;
+    config.ingest = front;
+    config.behavior_factory = [](Agent_id g) -> std::unique_ptr<authority::Agent_behavior> {
+        if (g == 2) return std::make_unique<authority::Fixed_action_behavior>(0);
+        return std::make_unique<authority::Honest_behavior>();
+    };
+    Fabric fabric{Shard_map{16, 2}, std::move(config)};
+    fabric.run_pulses(1);
+
+    std::int64_t client = 0;
+    const auto offer = [&fabric, &client] {
+        for (Agent_id g = 0; g < fabric.n_agents(); g += 3) {
+            (void)fabric.submit(ingest::Submission{g, 0, client++, 0});
+        }
+    };
+    const auto serve = [&](int windows) {
+        for (int w = 0; w < windows; ++w) {
+            offer();
+            (void)fabric.pump_ingest();
+        }
+    };
+    serve(5);
+    EXPECT_TRUE(fabric.agent_disconnected(2)) << "the cheater must be expelled before the split";
+
+    // Split shard 0 ({0..7}) with work still queued: both halves rebuild and
+    // the cheater's new group re-expels it.
+    offer();
+    Rebalance_plan split;
+    split.splits.push_back(Shard_split{0, {4, 5, 6, 7}});
+    fabric.apply_rebalance(split);
+    serve(3);
+
+    // Merge shard 0 ({0..3}) into shard 1 ({8..15}): shard 2 ({4..7}) is
+    // relabeled onto id 0 and carried with its queued inlet.
+    offer();
+    Rebalance_plan merge;
+    merge.merges.push_back(Shard_merge{0, 1});
+    const Rebalance_report report = fabric.apply_rebalance(merge);
+    EXPECT_EQ(report.carried, 1);
+    EXPECT_EQ(fabric.n_shards(), 2);
+    serve(3);
+    EXPECT_EQ(fabric.punished_agents(), std::vector<Agent_id>{2}) << "honest agents flagged";
+
+    Golden_ingest out;
+    out.run = observe(fabric);
+    out.totals = fabric.ingest_totals();
+    out.agents_hash = agent_views_hash(fabric);
+    return out;
+}
+
+TEST(GoldenFabric, IngestElasticRunMatchesPin)
+{
+    Golden_ingest want;
+    want.run.traffic.messages = 16088;
+    want.run.traffic.payload_bytes = 2444368;
+    want.run.traffic.pulses = 355;
+    want.run.traffic.delayed = 0;
+    want.run.plays = 50;
+    want.run.fouls = 10;
+    want.run.disconnected = 1;
+    want.run.telemetry_hash = 0x1f321a76e72ef6fbULL;
+    want.run.trace_hash = 0x76747fc7bf3f2fdaULL;
+    want.totals.offered = 78;
+    want.totals.accepted = 49;
+    want.totals.queued = 4;
+    want.totals.retry_after = 10;
+    want.totals.shed = 15;
+    want.totals.shed_deadline = 0;
+    want.totals.served = 46;
+    want.totals.completed = 46;
+    want.totals.queue_depth_max = 13;
+    want.agents_hash = 0xaf655b8c690a9cc3ULL;
+    for (const int threads : {1, 3}) {
+        SCOPED_TRACE(threads);
+        const Golden_ingest got = run_ingest_elastic(threads);
+        expect_pin(got.run, want.run);
+        EXPECT_EQ(got.totals.offered, want.totals.offered);
+        EXPECT_EQ(got.totals.accepted, want.totals.accepted);
+        EXPECT_EQ(got.totals.queued, want.totals.queued);
+        EXPECT_EQ(got.totals.retry_after, want.totals.retry_after);
+        EXPECT_EQ(got.totals.shed, want.totals.shed);
+        EXPECT_EQ(got.totals.shed_deadline, want.totals.shed_deadline);
+        EXPECT_EQ(got.totals.served, want.totals.served);
+        EXPECT_EQ(got.totals.completed, want.totals.completed);
+        EXPECT_EQ(got.totals.queue_depth_max, want.totals.queue_depth_max);
+        EXPECT_EQ(got.agents_hash, want.agents_hash) << std::hex << got.agents_hash;
+    }
 }
 
 } // namespace
