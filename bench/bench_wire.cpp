@@ -1,8 +1,9 @@
 // Experiment E19 — wire codec and transport throughput.
 //
-// The wire layer puts a real boundary's cost model between router and shards:
-// every pulse message can be framed through the flat codec and crossed via
-// the lock-free SPSC frame ring instead of moving refcounted handles. This
+// The wire layer puts a real boundary's cost model under each replica
+// group's engine: every intra-group pulse message can be framed through the
+// flat codec and crossed via the lock-free SPSC frame ring instead of moving
+// refcounted handles. This
 // bench quantifies what that costs:
 //
 //   1. Codec microbench: encode+decode round-trip rate (frames/sec and

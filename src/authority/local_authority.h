@@ -55,7 +55,6 @@ public:
     /// Import an exclusion decided outside this authority instance (e.g. a
     /// previous era's expulsion carried over by Governance). Not a new foul.
     void exclude_agent(common::Agent_id i) { executive_.deactivate(i); }
-    [[nodiscard]] const game::Pure_profile& previous_outcome() const { return previous_; }
     [[nodiscard]] int rounds_played() const { return round_; }
 
     /// §5.2 batched credibility audit over all plays so far: flags agents

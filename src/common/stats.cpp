@@ -34,11 +34,6 @@ double Running_stats::variance() const
     return m2_ / static_cast<double>(count_ - 1);
 }
 
-double Running_stats::stddev() const
-{
-    return std::sqrt(variance());
-}
-
 double Running_stats::min() const
 {
     ensure(count_ > 0, "Running_stats::min on empty accumulator");

@@ -18,7 +18,6 @@ public:
     [[nodiscard]] double mean() const;
     /// Unbiased sample variance; 0 when fewer than two samples.
     [[nodiscard]] double variance() const;
-    [[nodiscard]] double stddev() const;
     [[nodiscard]] double min() const;
     [[nodiscard]] double max() const;
 

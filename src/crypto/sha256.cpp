@@ -278,9 +278,4 @@ std::string digest_hex(const Digest& digest)
     return common::to_hex(common::Bytes{digest.begin(), digest.end()});
 }
 
-common::Bytes digest_bytes(const Digest& digest)
-{
-    return common::Bytes{digest.begin(), digest.end()};
-}
-
 } // namespace ga::crypto

@@ -46,9 +46,6 @@ Digest sha256(const common::Bytes& data);
 /// Digest as a 64-char lower-case hex string.
 std::string digest_hex(const Digest& digest);
 
-/// Digest copied into a Bytes buffer (for embedding in messages).
-common::Bytes digest_bytes(const Digest& digest);
-
 /// True when this build and CPU run the SHA-NI accelerated compression.
 bool sha256_accelerated();
 

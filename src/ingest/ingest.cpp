@@ -267,10 +267,10 @@ void Shard_inlet::end_window(common::Pulse now)
         }
         state_ = next;
     }
-    publish_gauges(now);
+    publish_gauges();
 }
 
-void Shard_inlet::publish_gauges(common::Pulse)
+void Shard_inlet::publish_gauges()
 {
     if (sink_ == nullptr) return;
     sink_->gauge("ingest.state") = static_cast<double>(state_);
@@ -289,11 +289,6 @@ std::vector<Shard_inlet::Pending> Shard_inlet::drain()
                              std::make_move_iterator(queue_.end())};
     queue_.clear();
     return out;
-}
-
-void Shard_inlet::set_sink(telemetry::Telemetry_sink* sink)
-{
-    sink_ = sink;
 }
 
 } // namespace ga::ingest

@@ -226,9 +226,6 @@ public:
     /// Take everything (epoch transition re-routing), FIFO by seq.
     [[nodiscard]] std::vector<Pending> drain();
 
-    /// Re-point telemetry (elastic carry keeps the sink's registries).
-    void set_sink(telemetry::Telemetry_sink* sink);
-
     [[nodiscard]] Health health() const { return state_; }
     [[nodiscard]] int depth() const { return static_cast<int>(queue_.size()); }
     [[nodiscard]] int tokens() const { return tokens_; }
@@ -242,7 +239,7 @@ private:
     /// graded by depth. Class 0 never sheds by priority.
     [[nodiscard]] int shed_depth_for(int priority) const;
 
-    void publish_gauges(common::Pulse now);
+    void publish_gauges();
     void count(Submit_status status, int priority);
 
     Ingest_config config_;

@@ -33,10 +33,10 @@ public:
     /// bft::ic_parallel_phase_king() to override. `tampers` makes the listed
     /// slots equivocate inside their sealed batches (test instrumentation for
     /// the batch-edge audit). `net` installs an adversarial network model on
-    /// the group's engine (default: clean classic transport); the replicas'
-    /// clock frames are sized to its delta so the batched schedule tolerates
-    /// timed delivery. `rng` is split for the engine stream (99) first, then
-    /// per processor slot.
+    /// the group's engine (default: clean, delta = 1 — the one-slot delivery
+    /// wheel, §4.1's next-pulse rule); the replicas' clock frames are sized
+    /// to its delta so the batched schedule tolerates timed delivery. `rng`
+    /// is split for the engine stream (99) first, then per processor slot.
     Pipeline_authority(authority::Game_spec spec, int f, int k,
                        std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors,
                        const std::set<common::Processor_id>& byzantine,

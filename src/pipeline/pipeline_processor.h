@@ -88,7 +88,8 @@ public:
     /// through Local_authority); the batch edge plays the role of the §5.3
     /// window edge. A null tamper is honest protocol; a Tamper equivocates
     /// inside the sealed vector (tests). `delta` must match the engine's
-    /// Net_model delivery bound (1 = the classic clean transport).
+    /// Net_model delivery bound (1 = the one-slot delivery wheel, §4.1's
+    /// next-pulse rule).
     Pipeline_processor(common::Processor_id id, int n, int f, authority::Game_spec spec, int k,
                        std::unique_ptr<authority::Agent_behavior> behavior,
                        std::unique_ptr<authority::Punishment_scheme> punishment,

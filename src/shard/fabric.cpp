@@ -45,6 +45,17 @@ Agent_play play_view(const authority::Play_record& play, common::Agent_id local)
     return entry;
 }
 
+/// True when no group of `map` holds more than f of the `byzantine` ids —
+/// the most Byzantine slots a Pipeline_authority accepts.
+bool byzantine_fit(const Shard_map& map, const std::set<common::Agent_id>& byzantine, int f)
+{
+    std::vector<int> count(static_cast<std::size_t>(map.n_shards()), 0);
+    for (const common::Agent_id g : byzantine) {
+        if (++count[static_cast<std::size_t>(map.shard_of(g))] > f) return false;
+    }
+    return true;
+}
+
 } // namespace
 
 void Fabric::validate_config() const
@@ -104,33 +115,26 @@ Fabric::Fabric(Shard_map initial, Fabric_config config)
                    "Fabric: elastic construction requires a behavior factory");
     if (config_.trace || config_.watchdog.has_value()) config_.telemetry = true;
     if (config_.watchdog.has_value()) watchdog_.emplace(*config_.watchdog);
-    std::vector<std::vector<std::unique_ptr<authority::Agent_behavior>>> per_shard;
-    per_shard.reserve(static_cast<std::size_t>(plan_.map().n_shards()));
-    for (int s = 0; s < plan_.map().n_shards(); ++s) {
-        per_shard.push_back(mint_behaviors(plan_.map(), s));
+    ledgers_.resize(static_cast<std::size_t>(n_agents()));
+    for (int s = 0; s < n_shards(); ++s) shards_.push_back(build_shard(plan_, s));
+    if (config_.telemetry) {
+        fabric_sink_ = std::make_unique<telemetry::Telemetry_sink>(
+            telemetry::Telemetry_sink::Scope{-1, plan_.epoch()});
+        if (config_.trace) {
+            fabric_sink_->enable_tracer();
+            fabric_run_span_ = fabric_sink_->tracer()->begin_span("fabric_run", 0);
+        }
     }
-    build_all(std::move(per_shard));
     if (config_.rebalance != nullptr) rebalancer_.emplace(config_.rebalance);
 }
 
-std::vector<std::unique_ptr<authority::Agent_behavior>>
-Fabric::mint_behaviors(const Shard_map& map, int s) const
-{
-    const std::vector<common::Agent_id>& members = map.members(s);
-    std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors;
-    behaviors.reserve(members.size());
-    for (const common::Agent_id g : members) {
-        behaviors.push_back(config_.behavior_factory(g));
-    }
-    return behaviors;
-}
-
-Fabric::Built_group
-Fabric::build_group(const Shard_plan& plan, int s,
-                    std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors) const
+Fabric::Shard Fabric::build_shard(const Shard_plan& plan, int s) const
 {
     const Shard_map& map = plan.map();
     const std::vector<common::Agent_id>& members = map.members(s);
+    std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors;
+    behaviors.reserve(members.size());
+    for (const common::Agent_id g : members) behaviors.push_back(config_.behavior_factory(g));
     authority::Game_spec spec = config_.spec_factory(s, members);
     common::ensure(spec.game != nullptr, "Fabric: shard spec factory returned a null game");
     common::ensure(spec.game->n_agents() == static_cast<int>(members.size()),
@@ -141,8 +145,8 @@ Fabric::build_group(const Shard_plan& plan, int s,
         if (map.shard_of(g) == s) local_byzantine.insert(map.local_of(g));
     }
 
-    Built_group built;
-    built.optimum = enumerable_optimum_cost(*spec.game);
+    Shard shard;
+    shard.optimum = enumerable_optimum_cost(*spec.game);
 
     common::Rng shard_rng{common::derive_seed(config_.seed, static_cast<std::uint64_t>(s),
                                               static_cast<std::uint64_t>(plan.epoch()))};
@@ -153,55 +157,25 @@ Fabric::build_group(const Shard_plan& plan, int s,
     for (const auto& [g, tamper] : config_.tampers) {
         if (map.shard_of(g) == s) local_tampers.emplace(map.local_of(g), tamper);
     }
-    built.group = std::make_unique<pipeline::Pipeline_authority>(
+    shard.group = std::make_unique<pipeline::Pipeline_authority>(
         std::move(spec), config_.f, config_.batch_k, std::move(behaviors), local_byzantine,
         config_.punishment, std::move(shard_rng), config_.byzantine_factory, config_.ic_factory,
         std::move(local_tampers), std::move(net));
     // Every group gets its own cross-boundary link, minted fresh like the
     // group itself — ring state never leaks across epochs.
-    built.group->set_wire(wire::make_transport(config_.transport));
-    return built;
-}
-
-void Fabric::build_all(
-    std::vector<std::vector<std::unique_ptr<authority::Agent_behavior>>> per_shard)
-{
-    ledgers_.resize(static_cast<std::size_t>(plan_.map().n_agents()));
-    shards_.clear();
-    shards_.reserve(static_cast<std::size_t>(plan_.map().n_shards()));
-    optimum_costs_.assign(static_cast<std::size_t>(plan_.map().n_shards()), std::nullopt);
-    for (int s = 0; s < plan_.map().n_shards(); ++s) {
-        Built_group built =
-            build_group(plan_, s, std::move(per_shard[static_cast<std::size_t>(s)]));
-        shards_.push_back(std::move(built.group));
-        optimum_costs_[static_cast<std::size_t>(s)] = built.optimum;
-    }
+    shard.group->set_wire(wire::make_transport(config_.transport));
     if (config_.telemetry) {
-        fabric_sink_ = std::make_unique<telemetry::Telemetry_sink>(
-            telemetry::Telemetry_sink::Scope{-1, plan_.epoch()});
-        if (config_.trace) {
-            fabric_sink_->enable_tracer();
-            fabric_run_span_ = fabric_sink_->tracer()->begin_span("fabric_run", 0);
-        }
-        shard_sinks_.clear();
-        for (int s = 0; s < plan_.map().n_shards(); ++s) {
-            shard_sinks_.push_back(std::make_unique<telemetry::Telemetry_sink>(
-                telemetry::Telemetry_sink::Scope{s, plan_.epoch()}));
-            // The tracer must exist before set_telemetry: groups cache the
-            // sink's tracer pointer at attach time.
-            if (config_.trace) shard_sinks_.back()->enable_tracer();
-            shards_[static_cast<std::size_t>(s)]->set_telemetry(
-                shard_sinks_.back().get());
-        }
+        shard.sink = std::make_unique<telemetry::Telemetry_sink>(
+            telemetry::Telemetry_sink::Scope{s, plan.epoch()});
+        // The tracer must exist before set_telemetry: groups cache the
+        // sink's tracer pointer at attach time.
+        if (config_.trace) shard.sink->enable_tracer();
+        shard.group->set_telemetry(shard.sink.get());
     }
     if (config_.ingest.has_value()) {
-        inlets_.clear();
-        for (int s = 0; s < plan_.map().n_shards(); ++s) {
-            telemetry::Telemetry_sink* sink =
-                config_.telemetry ? shard_sinks_[static_cast<std::size_t>(s)].get() : nullptr;
-            inlets_.push_back(std::make_unique<ingest::Shard_inlet>(*config_.ingest, sink));
-        }
+        shard.inlet = std::make_unique<ingest::Shard_inlet>(*config_.ingest, shard.sink.get());
     }
+    return shard;
 }
 
 ingest::Submit_result Fabric::submit(const ingest::Submission& sub)
@@ -209,52 +183,42 @@ ingest::Submit_result Fabric::submit(const ingest::Submission& sub)
     common::ensure(ingest_enabled(), "Fabric::submit: config.ingest not set");
     common::ensure(sub.agent >= 0 && sub.agent < n_agents(),
                    "Fabric::submit: agent out of range");
-    const int s = plan_.map().shard_of(sub.agent);
-    ingest::Shard_inlet& inlet = *inlets_[static_cast<std::size_t>(s)];
+    Shard& shard = shards_[static_cast<std::size_t>(plan_.map().shard_of(sub.agent))];
     if (agent_disconnected(sub.agent)) {
-        if (static_cast<std::size_t>(s) < shard_sinks_.size() &&
-            shard_sinks_[static_cast<std::size_t>(s)] != nullptr) {
-            shard_sinks_[static_cast<std::size_t>(s)]->counter("ingest.shed_expelled") += 1;
-        }
-        return {ingest::Submit_status::shed, 0, inlet.health(), inlet.depth()};
+        if (shard.sink != nullptr) shard.sink->counter("ingest.shed_expelled") += 1;
+        return {ingest::Submit_status::shed, 0, shard.inlet->health(), shard.inlet->depth()};
     }
-    return inlet.offer(sub, ingest_seq_++, shards_[static_cast<std::size_t>(s)]->now());
+    return shard.inlet->offer(sub, ingest_seq_++, shard.group->now());
 }
 
 int Fabric::pump_ingest()
 {
     common::ensure(ingest_enabled(), "Fabric::pump_ingest: config.ingest not set");
     const int service = config_.ingest->window_batches * config_.batch_k;
-    std::vector<std::vector<ingest::Shard_inlet::Pending>> taken(
-        static_cast<std::size_t>(n_shards()));
-    std::vector<common::Pulse> from(static_cast<std::size_t>(n_shards()), 0);
+    std::vector<std::vector<ingest::Shard_inlet::Pending>> taken(shards_.size());
+    std::vector<common::Pulse> from(shards_.size(), 0);
     std::vector<std::function<void()>> jobs;
     int total = 0;
-    for (int s = 0; s < n_shards(); ++s) {
-        from[static_cast<std::size_t>(s)] = shards_[static_cast<std::size_t>(s)]->now();
-        taken[static_cast<std::size_t>(s)] = inlets_[static_cast<std::size_t>(s)]->take(
-            service, from[static_cast<std::size_t>(s)]);
-        const int m = static_cast<int>(taken[static_cast<std::size_t>(s)].size());
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        pipeline::Pipeline_authority* group = shards_[s].group.get();
+        from[s] = group->now();
+        taken[s] = shards_[s].inlet->take(service, from[s]);
+        const int m = static_cast<int>(taken[s].size());
         total += m;
-        if (m == 0) continue;
-        pipeline::Pipeline_authority* group = shards_[static_cast<std::size_t>(s)].get();
-        jobs.push_back([group, m] { group->run_plays(m); });
+        if (m > 0) jobs.push_back([group, m] { group->run_plays(m); });
     }
     executor_.run_all(jobs);
-    for (int s = 0; s < n_shards(); ++s) {
-        ingest::Shard_inlet& inlet = *inlets_[static_cast<std::size_t>(s)];
-        const common::Pulse landed = shards_[static_cast<std::size_t>(s)]->now();
-        for (const ingest::Shard_inlet::Pending& p : taken[static_cast<std::size_t>(s)]) {
-            inlet.complete(p, landed);
-        }
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        ingest::Shard_inlet& inlet = *shards_[s].inlet;
+        const common::Pulse landed = shards_[s].group->now();
+        for (const ingest::Shard_inlet::Pending& p : taken[s]) inlet.complete(p, landed);
         inlet.end_window(landed);
-        const int m = static_cast<int>(taken[static_cast<std::size_t>(s)].size());
-        if (m > 0 && fabric_sink_ != nullptr && fabric_sink_->tracer() != nullptr) {
+        if (!taken[s].empty() && fabric_sink_ != nullptr && fabric_sink_->tracer() != nullptr) {
             // Fabric-track ticks are the served shard's engine pulses, same
             // convention as the quiesce spans.
-            fabric_sink_->tracer()->add_span("ingest_window",
-                                             from[static_cast<std::size_t>(s)], landed,
-                                             fabric_run_span_, s, m);
+            fabric_sink_->tracer()->add_span("ingest_window", from[s], landed, fabric_run_span_,
+                                             static_cast<int>(s),
+                                             static_cast<std::int64_t>(taken[s].size()));
         }
     }
     if (fabric_sink_ != nullptr) fabric_sink_->counter("ingest.windows") += 1;
@@ -269,13 +233,15 @@ const ingest::Shard_inlet& Fabric::inlet(int s) const
         throw common::Contract_error{"Fabric::inlet: shard " + std::to_string(s) +
                                      " out of range [0, " + std::to_string(n_shards()) + ")"};
     }
-    return *inlets_[static_cast<std::size_t>(s)];
+    return *shards_[static_cast<std::size_t>(s)].inlet;
 }
 
 ingest::Ingest_totals Fabric::ingest_totals() const
 {
     ingest::Ingest_totals out = retired_ingest_;
-    for (const auto& inlet : inlets_) out.fold(inlet->totals());
+    for (const Shard& shard : shards_) {
+        if (shard.inlet != nullptr) out.fold(shard.inlet->totals());
+    }
     return out;
 }
 
@@ -285,15 +251,15 @@ const pipeline::Pipeline_authority& Fabric::shard(int s) const
         throw common::Contract_error{"Fabric::shard: shard " + std::to_string(s) +
                                      " out of range [0, " + std::to_string(n_shards()) + ")"};
     }
-    return *shards_[static_cast<std::size_t>(s)];
+    return *shards_[static_cast<std::size_t>(s)].group;
 }
 
 void Fabric::run_pulses(common::Pulse count)
 {
     std::vector<std::function<void()>> jobs;
     jobs.reserve(shards_.size());
-    for (auto& shard : shards_) {
-        jobs.push_back([&shard, count] { shard->run_pulses(count); });
+    for (Shard& shard : shards_) {
+        jobs.push_back([group = shard.group.get(), count] { group->run_pulses(count); });
     }
     executor_.run_all(jobs);
     poll_watchdog();
@@ -303,8 +269,8 @@ void Fabric::run_plays(int plays)
 {
     std::vector<std::function<void()>> jobs;
     jobs.reserve(shards_.size());
-    for (auto& shard : shards_) {
-        jobs.push_back([&shard, plays] { shard->run_plays(plays); });
+    for (Shard& shard : shards_) {
+        jobs.push_back([group = shard.group.get(), plays] { group->run_plays(plays); });
     }
     executor_.run_all(jobs);
     poll_watchdog();
@@ -312,7 +278,7 @@ void Fabric::run_plays(int plays)
 
 void Fabric::inject_transient_fault()
 {
-    for (auto& shard : shards_) shard->inject_transient_fault();
+    for (Shard& shard : shards_) shard.group->inject_transient_fault();
 }
 
 bool Fabric::maybe_rebalance()
@@ -321,15 +287,15 @@ bool Fabric::maybe_rebalance()
     // The policy's load view is O(shards) to assemble — counts only, not the
     // O(total plays) cost/standings fold a full harvest() performs.
     std::vector<Shard_load> loads;
-    loads.reserve(static_cast<std::size_t>(n_shards()));
+    loads.reserve(shards_.size());
     for (int s = 0; s < n_shards(); ++s) {
-        const pipeline::Pipeline_authority& group = *shards_[static_cast<std::size_t>(s)];
+        const Shard& shard = shards_[static_cast<std::size_t>(s)];
         Shard_load load;
         load.shard = s;
-        load.agents = group.n_agents();
-        load.plays = static_cast<std::int64_t>(group.agreed_plays().size());
-        load.messages = group.traffic().messages;
-        if (!inlets_.empty()) load.backlog = inlets_[static_cast<std::size_t>(s)]->depth();
+        load.agents = shard.group->n_agents();
+        load.plays = static_cast<std::int64_t>(shard.group->agreed_plays().size());
+        load.messages = shard.group->traffic().messages;
+        if (shard.inlet != nullptr) load.backlog = shard.inlet->depth();
         loads.push_back(load);
     }
     const Rebalance_plan proposal = rebalancer_->propose(plan_, std::move(loads));
@@ -346,63 +312,63 @@ bool Fabric::maybe_rebalance()
     // Transform with the structural floor only: a *malformed* plan (stale
     // shard ids, duplicate movers, ...) is a policy bug and propagates. A
     // well-formed plan whose resulting groups would dip under this fabric's
-    // 3f+1 replica floor — which the policy cannot know — is skipped
-    // (deterministically, every window it recurs); explicit apply_rebalance
-    // stays strict about the floor too.
+    // 3f+1 replica floor, or hold more than f of its Byzantine agents —
+    // neither of which the policy can know — is skipped (deterministically,
+    // every window it recurs); explicit apply_rebalance stays strict.
     Shard_plan next = plan_.apply(proposal, /*min_members=*/1);
     const int floor = 3 * config_.f + 1;
     for (const int size : next.map().shard_sizes()) {
         if (size < floor) return false;
     }
+    if (!byzantine_fit(next.map(), config_.byzantine, config_.f)) return false;
     apply_next_plan(std::move(next));
     return true;
 }
 
 Rebalance_report Fabric::apply_rebalance(const Rebalance_plan& plan)
 {
-    return apply_next_plan(plan_.apply(plan, 3 * config_.f + 1));
+    Shard_plan next = plan_.apply(plan, 3 * config_.f + 1);
+    common::ensure(byzantine_fit(next.map(), config_.byzantine, config_.f),
+                   "Fabric: rebalance puts more than f Byzantine agents in one group");
+    return apply_next_plan(std::move(next));
 }
 
 Rebalance_report Fabric::apply_next_plan(Shard_plan next)
 {
     const std::vector<int> carried = carried_shards(plan_.map(), next.map());
-
-    const int old_count = plan_.map().n_shards();
-    std::vector<bool> keep(static_cast<std::size_t>(old_count), false);
+    std::vector<bool> keep(shards_.size(), false);
     for (const int old_shard : carried) {
         if (old_shard >= 0) keep[static_cast<std::size_t>(old_shard)] = true;
     }
 
-    // ---- Build every replacement group first (the only step that runs
-    // user-supplied factories): a throw here leaves the fabric untouched.
-    std::vector<std::unique_ptr<pipeline::Pipeline_authority>> next_groups(
-        static_cast<std::size_t>(next.map().n_shards()));
-    std::vector<std::optional<double>> next_optima(
-        static_cast<std::size_t>(next.map().n_shards()), std::nullopt);
+    // ---- Build every replacement shard first (the only step that runs
+    // user-supplied factories): a throw here leaves the fabric untouched. A
+    // rebuilt inlet starts fresh but quiesce-degraded: the transition cost
+    // service time its (empty) queue cannot show, so admission opens
+    // conservatively for one window.
+    std::vector<Shard> next_shards(carried.size());
     Rebalance_report report;
     report.epoch = next.epoch();
     report.moves = next.pending();
-    for (std::size_t s = 0; s < next_groups.size(); ++s) {
+    for (std::size_t s = 0; s < next_shards.size(); ++s) {
         if (carried[s] >= 0) continue;
-        Built_group built = build_group(next, static_cast<int>(s),
-                                        mint_behaviors(next.map(), static_cast<int>(s)));
-        next_groups[s] = std::move(built.group);
-        next_optima[s] = built.optimum;
+        next_shards[s] = build_shard(next, static_cast<int>(s));
+        if (next_shards[s].inlet != nullptr) next_shards[s].inlet->note_quiesce();
         ++report.rebuilt;
     }
 
     // ---- Quiesce every retiring group to its play-window edge (concurrent
     // across the pool; each group's pulse count is its own, so the schedule
     // is result-invariant).
-    std::vector<common::Pulse> quiesce(static_cast<std::size_t>(old_count), 0);
-    std::vector<common::Pulse> quiesce_from(static_cast<std::size_t>(old_count), 0);
+    std::vector<common::Pulse> quiesce(shards_.size(), 0);
+    std::vector<common::Pulse> quiesce_from(shards_.size(), 0);
     std::vector<std::function<void()>> jobs;
-    for (int s = 0; s < old_count; ++s) {
-        if (keep[static_cast<std::size_t>(s)]) continue;
-        const common::Pulse pulses = shards_[static_cast<std::size_t>(s)]->pulses_to_window_edge();
-        quiesce[static_cast<std::size_t>(s)] = pulses;
-        quiesce_from[static_cast<std::size_t>(s)] = shards_[static_cast<std::size_t>(s)]->now();
-        pipeline::Pipeline_authority* group = shards_[static_cast<std::size_t>(s)].get();
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        if (keep[s]) continue;
+        pipeline::Pipeline_authority* group = shards_[s].group.get();
+        const common::Pulse pulses = group->pulses_to_window_edge();
+        quiesce[s] = pulses;
+        quiesce_from[s] = group->now();
         jobs.push_back([group, pulses] { group->run_pulses(pulses); });
     }
     executor_.run_all(jobs);
@@ -412,121 +378,86 @@ Rebalance_report Fabric::apply_next_plan(Shard_plan next)
     // and are re-adopted (in global seq order) by the successor shards that
     // own their agents after the swap below.
     std::vector<ingest::Shard_inlet::Pending> rerouted;
-    for (int s = 0; s < old_count; ++s) {
-        if (keep[static_cast<std::size_t>(s)]) continue;
-        if (!inlets_.empty()) {
-            ingest::Shard_inlet& inlet = *inlets_[static_cast<std::size_t>(s)];
-            std::vector<ingest::Shard_inlet::Pending> drained = inlet.drain();
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        if (keep[s]) continue;
+        const Shard& shard = shards_[s];
+        if (shard.inlet != nullptr) {
+            std::vector<ingest::Shard_inlet::Pending> drained = shard.inlet->drain();
             rerouted.insert(rerouted.end(), std::make_move_iterator(drained.begin()),
                             std::make_move_iterator(drained.end()));
-            retired_ingest_.fold(inlet.totals());
+            retired_ingest_.fold(shard.inlet->totals());
         }
-        const common::Pulse pulses = quiesce[static_cast<std::size_t>(s)];
+        const common::Pulse pulses = quiesce[s];
         report.max_quiesce_pulses = std::max(report.max_quiesce_pulses, pulses);
         if (fabric_sink_ != nullptr) {
             fabric_sink_->histogram("rebalance.quiesce_pulses").record(pulses);
             if (auto* tr = fabric_sink_->tracer()) {
                 // Fabric-track ticks are the paused group's engine pulses —
                 // each quiesce span lives on the clock of the shard it paused.
-                tr->add_span("rebalance_quiesce", quiesce_from[static_cast<std::size_t>(s)],
-                             quiesce_from[static_cast<std::size_t>(s)] + pulses,
-                             fabric_run_span_, s, pulses);
+                tr->add_span("rebalance_quiesce", quiesce_from[s], quiesce_from[s] + pulses,
+                             fabric_run_span_, static_cast<int>(s), pulses);
             }
         }
         if (watchdog_.has_value()) {
             // Last look at the retiring sink (its final interval would
             // otherwise go unobserved), then the elastic contract itself:
             // a quiesce must fit one play window.
-            if (static_cast<std::size_t>(s) < shard_sinks_.size() &&
-                shard_sinks_[static_cast<std::size_t>(s)] != nullptr) {
-                watchdog_->observe(*shard_sinks_[static_cast<std::size_t>(s)]);
-            }
-            watchdog_->observe_quiesce(
-                s, plan_.epoch(), pulses,
-                shards_[static_cast<std::size_t>(s)]->pulses_for_plays(1));
+            watchdog_->observe(*shard.sink);
+            watchdog_->observe_quiesce(static_cast<int>(s), plan_.epoch(), pulses,
+                                       shard.group->pulses_for_plays(1));
         }
-        retire_group(s);
+        retire_group(static_cast<int>(s));
         ++report.retired;
     }
 
-    // ---- Swap the topology: adopt carried groups under their new ids. A
-    // carried group keeps its sink — relabeled to its new (shard, epoch)
-    // scope — so its registries stay continuous across the transition while
+    // ---- Swap the topology: adopt carried shards whole under their new ids.
+    // A carried shard keeps its group, inlet (queue, bucket, health and
+    // totals stay continuous) and sink — relabeled to its new (shard, epoch)
+    // scope, so its registries stay continuous across the transition while
     // events before and after the edge carry the tags they happened under.
-    std::vector<std::unique_ptr<telemetry::Telemetry_sink>> next_sinks(
-        config_.telemetry ? next_groups.size() : 0);
-    std::vector<std::unique_ptr<ingest::Shard_inlet>> next_inlets(
-        config_.ingest.has_value() ? next_groups.size() : 0);
-    for (std::size_t s = 0; s < next_groups.size(); ++s) {
-        if (carried[s] >= 0) {
-            next_groups[s] = std::move(shards_[static_cast<std::size_t>(carried[s])]);
-            next_optima[s] = optimum_costs_[static_cast<std::size_t>(carried[s])];
-            if (config_.ingest.has_value()) {
-                // A carried shard keeps its inlet: queue, bucket, health, and
-                // totals stay continuous across the relabel.
-                next_inlets[s] = std::move(inlets_[static_cast<std::size_t>(carried[s])]);
+    for (std::size_t s = 0; s < next_shards.size(); ++s) {
+        if (carried[s] < 0) continue;
+        Shard& kept = next_shards[s] = std::move(shards_[static_cast<std::size_t>(carried[s])]);
+        if (kept.sink != nullptr) {
+            const telemetry::Telemetry_sink::Scope old = kept.sink->scope();
+            kept.sink->set_scope({static_cast<int>(s), next.epoch()});
+            if (watchdog_.has_value()) {
+                watchdog_->adopt_scope(old.shard, old.epoch, static_cast<int>(s), next.epoch());
             }
-            if (config_.telemetry) {
-                next_sinks[s] = std::move(shard_sinks_[static_cast<std::size_t>(carried[s])]);
-                const telemetry::Telemetry_sink::Scope old = next_sinks[s]->scope();
-                next_sinks[s]->set_scope({static_cast<int>(s), next.epoch()});
-                if (watchdog_.has_value()) {
-                    watchdog_->adopt_scope(old.shard, old.epoch, static_cast<int>(s),
-                                           next.epoch());
-                }
-            }
-            ++report.carried;
-        } else if (config_.telemetry) {
-            next_sinks[s] = std::make_unique<telemetry::Telemetry_sink>(
-                telemetry::Telemetry_sink::Scope{static_cast<int>(s), next.epoch()});
-            // Tracer before attach: the group caches the pointer then.
-            if (config_.trace) next_sinks[s]->enable_tracer();
-            next_groups[s]->set_telemetry(next_sinks[s].get());
         }
-        if (carried[s] < 0 && config_.ingest.has_value()) {
-            // A rebuilt shard's inlet starts fresh but quiesce-degraded: the
-            // transition cost service time its (empty) queue cannot show, so
-            // admission opens conservatively for one window.
-            next_inlets[s] = std::make_unique<ingest::Shard_inlet>(
-                *config_.ingest, config_.telemetry ? next_sinks[s].get() : nullptr);
-            next_inlets[s]->note_quiesce();
-        }
+        ++report.carried;
     }
     plan_ = std::move(next);
-    shards_ = std::move(next_groups);
-    optimum_costs_ = std::move(next_optima);
-    shard_sinks_ = std::move(next_sinks);
-    inlets_ = std::move(next_inlets);
+    shards_ = std::move(next_shards);
 
     // ---- Finish the rebuilt shards against the now-folded ledger:
     // expulsion is permanent, so re-expel members disconnected in any
     // earlier epoch, then boot each fresh group's clock so it joins the
     // fabric's play cadence on the next fabric step.
-    for (int s = 0; s < plan_.map().n_shards(); ++s) {
+    for (int s = 0; s < n_shards(); ++s) {
         if (carried[static_cast<std::size_t>(s)] >= 0) continue;
+        pipeline::Pipeline_authority& group = *shards_[static_cast<std::size_t>(s)].group;
         const std::vector<common::Agent_id>& members = plan_.map().members(s);
         for (common::Agent_id local = 0; local < static_cast<int>(members.size()); ++local) {
             if (ledgers_[static_cast<std::size_t>(members[static_cast<std::size_t>(local)])]
                     .expelled) {
-                shards_[static_cast<std::size_t>(s)]->expel_agent(local);
+                group.expel_agent(local);
             }
         }
-        shards_[static_cast<std::size_t>(s)]->run_pulses(1);
+        group.run_pulses(1);
     }
 
     // ---- Re-admit the retired shards' in-flight submissions into their
     // agents' new owners, in fabric-global seq order (FIFO survives the
     // transition). adopt() bypasses admission — queued work is never shed by
     // a rebalance, even if a merge transiently overfills the target queue.
-    if (!rerouted.empty()) {
-        std::sort(rerouted.begin(), rerouted.end(),
-                  [](const ingest::Shard_inlet::Pending& a,
-                     const ingest::Shard_inlet::Pending& b) { return a.seq < b.seq; });
-        for (ingest::Shard_inlet::Pending& p : rerouted) {
-            const int t = plan_.map().shard_of(p.sub.agent);
-            inlets_[static_cast<std::size_t>(t)]->adopt(
-                std::move(p), shards_[static_cast<std::size_t>(t)]->now());
-        }
+    std::sort(rerouted.begin(), rerouted.end(),
+              [](const ingest::Shard_inlet::Pending& a, const ingest::Shard_inlet::Pending& b) {
+                  return a.seq < b.seq;
+              });
+    for (ingest::Shard_inlet::Pending& p : rerouted) {
+        Shard& owner = shards_[static_cast<std::size_t>(plan_.map().shard_of(p.sub.agent))];
+        owner.inlet->adopt(std::move(p), owner.group->now());
     }
 
     if (fabric_sink_ != nullptr) {
@@ -547,7 +478,8 @@ Rebalance_report Fabric::apply_next_plan(Shard_plan next)
 void Fabric::retire_group(int s)
 {
     retired_samples_.push_back(harvest(s));
-    const pipeline::Pipeline_authority& group = *shards_[static_cast<std::size_t>(s)];
+    const Shard& shard = shards_[static_cast<std::size_t>(s)];
+    const pipeline::Pipeline_authority& group = *shard.group;
     const std::vector<common::Agent_id>& members = plan_.map().members(s);
     const std::vector<authority::Play_record>& plays = group.agreed_plays();
     const std::vector<authority::Standing>& standings = group.agreed_standings();
@@ -561,9 +493,8 @@ void Fabric::retire_group(int s)
             ledger.carried, standings[static_cast<std::size_t>(local)]);
         if (group.is_agent_disconnected(local)) ledger.expelled = true;
     }
-    if (static_cast<std::size_t>(s) < shard_sinks_.size() &&
-        shard_sinks_[static_cast<std::size_t>(s)] != nullptr) {
-        const telemetry::Telemetry_sink& sink = *shard_sinks_[static_cast<std::size_t>(s)];
+    if (shard.sink != nullptr) {
+        const telemetry::Telemetry_sink& sink = *shard.sink;
         if (sink.tracer() != nullptr && !sink.tracer()->empty()) {
             retired_spans_.push_back(
                 {sink.scope().shard, sink.scope().epoch, sink.tracer()->spans()});
@@ -576,7 +507,6 @@ void Fabric::retire_group(int s)
             ledgers_[static_cast<std::size_t>(global)].evidence.push_back(std::move(ev));
         }
     }
-    shards_[static_cast<std::size_t>(s)].reset();
 }
 
 std::vector<Agent_play> Fabric::agent_history(common::Agent_id global) const
@@ -618,7 +548,8 @@ std::vector<common::Agent_id> Fabric::punished_agents() const
 
 metrics::Shard_sample Fabric::harvest(int s) const
 {
-    const pipeline::Pipeline_authority& group = shard(s);
+    const Shard& shard = shards_[static_cast<std::size_t>(s)];
+    const pipeline::Pipeline_authority& group = *shard.group;
     metrics::Shard_sample sample;
     sample.shard = s;
     sample.epoch = plan_.epoch();
@@ -630,9 +561,8 @@ metrics::Shard_sample Fabric::harvest(int s) const
     for (const authority::Play_record& play : plays) {
         sample.social_cost += game::social_cost(*group.spec().game, play.outcome);
     }
-    if (optimum_costs_[static_cast<std::size_t>(s)].has_value()) {
-        sample.optimal_cost =
-            static_cast<double>(sample.plays) * *optimum_costs_[static_cast<std::size_t>(s)];
+    if (shard.optimum.has_value()) {
+        sample.optimal_cost = static_cast<double>(sample.plays) * *shard.optimum;
     }
     for (const authority::Standing& standing : group.agreed_standings()) {
         sample.fouls += standing.fouls;
@@ -647,10 +577,7 @@ metrics::Shard_sample Fabric::harvest(int s) const
             ledgers_[static_cast<std::size_t>(members[static_cast<std::size_t>(local)])].expelled;
         if (group.is_agent_disconnected(local) && !carried_expulsion) ++sample.disconnected;
     }
-    if (static_cast<std::size_t>(s) < shard_sinks_.size() &&
-        shard_sinks_[static_cast<std::size_t>(s)] != nullptr) {
-        sample.telemetry = shard_sinks_[static_cast<std::size_t>(s)]->snapshot();
-    }
+    if (shard.sink != nullptr) sample.telemetry = shard.sink->snapshot();
     return sample;
 }
 
@@ -676,10 +603,8 @@ telemetry::Report Fabric::telemetry_report() const
         }
     }
     for (int s = 0; s < n_shards(); ++s) {
-        if (static_cast<std::size_t>(s) < shard_sinks_.size() &&
-            shard_sinks_[static_cast<std::size_t>(s)] != nullptr) {
-            report.shards.push_back(
-                {s, plan_.epoch(), shard_sinks_[static_cast<std::size_t>(s)]->snapshot()});
+        if (const auto& sink = shards_[static_cast<std::size_t>(s)].sink; sink != nullptr) {
+            report.shards.push_back({s, plan_.epoch(), sink->snapshot()});
         }
     }
     std::stable_sort(report.shards.begin(), report.shards.end(),
@@ -700,11 +625,10 @@ std::vector<telemetry::Evidence> Fabric::provenance(common::Agent_id global) con
 {
     common::ensure(global >= 0 && global < n_agents(), "Fabric::provenance: id out of range");
     std::vector<telemetry::Evidence> chains = ledgers_[static_cast<std::size_t>(global)].evidence;
-    const int s = plan_.map().shard_of(global);
-    if (static_cast<std::size_t>(s) < shard_sinks_.size() &&
-        shard_sinks_[static_cast<std::size_t>(s)] != nullptr) {
+    const auto& sink = shards_[static_cast<std::size_t>(plan_.map().shard_of(global))].sink;
+    if (sink != nullptr) {
         const common::Agent_id local = plan_.map().local_of(global);
-        for (telemetry::Evidence ev : shard_sinks_[static_cast<std::size_t>(s)]->evidence()) {
+        for (telemetry::Evidence ev : sink->evidence()) {
             if (ev.agent != local) continue;
             ev.agent = global;
             chains.push_back(std::move(ev));
@@ -721,11 +645,8 @@ telemetry::Trace_report Fabric::trace_report() const
     }
     report.shards = retired_spans_;
     for (int s = 0; s < n_shards(); ++s) {
-        if (static_cast<std::size_t>(s) >= shard_sinks_.size() ||
-            shard_sinks_[static_cast<std::size_t>(s)] == nullptr) {
-            continue;
-        }
-        const telemetry::Tracer* tracer = shard_sinks_[static_cast<std::size_t>(s)]->tracer();
+        const auto& sink = shards_[static_cast<std::size_t>(s)].sink;
+        const telemetry::Tracer* tracer = sink != nullptr ? sink->tracer() : nullptr;
         if (tracer == nullptr || tracer->empty()) continue;
         report.shards.push_back({s, plan_.epoch(), tracer->spans()});
     }
@@ -746,8 +667,8 @@ void Fabric::poll_watchdog()
 {
     if (!watchdog_.has_value()) return;
     if (fabric_sink_ != nullptr) watchdog_->observe(*fabric_sink_);
-    for (const auto& sink : shard_sinks_) {
-        if (sink != nullptr) watchdog_->observe(*sink);
+    for (const Shard& shard : shards_) {
+        if (shard.sink != nullptr) watchdog_->observe(*shard.sink);
     }
 }
 

@@ -89,20 +89,21 @@ struct Fabric_config {
     std::uint64_t seed = 0;  ///< fabric seed; shard s at epoch e uses derive_seed(seed, s, e)
     int threads = 1;                   ///< executor width (result-invariant)
     /// Adversarial network model every shard's engine delivers through
-    /// (default: clean classic transport). The model's own seed is re-derived
-    /// per shard and epoch — derive_seed(net.seed, s, e) — so no two groups
-    /// (or rebuilds of one) share a fault schedule, and the whole elastic
-    /// run stays a pure function of (seed, map, policy, config, net).
+    /// (default: clean, delta = 1 — the one-slot delivery wheel, §4.1's
+    /// next-pulse rule). The model's own seed is re-derived per shard and
+    /// epoch — derive_seed(net.seed, s, e) — so no two groups (or rebuilds
+    /// of one) share a fault schedule, and the whole elastic run stays a
+    /// pure function of (seed, map, policy, config, net).
     sim::Net_model net;
-    /// Wire transport each shard's per-pulse cross-boundary traffic flows
-    /// through (src/wire/): behaviors' actions out, verdicts/outcomes/
-    /// standings back — everything riding the pulse messages. `loopback`
-    /// moves the refcounted payload handles (the historical in-process
-    /// behavior, now explicit); `ring` round-trips every message through the
-    /// flat frame codec and a lock-free SPSC ring, the full cost model of a
-    /// process boundary. Part of the determinism contract: verdicts, stats,
-    /// and telemetry are bit-identical between the two kinds and across
-    /// executor widths — the choice moves wall-clock cost, never results.
+    /// Wire transport each shard's per-pulse traffic flows through
+    /// (src/wire/): the replica group's intra-group pulse inboxes — every
+    /// message its replicas exchange in one pulse. `loopback` moves the
+    /// refcounted payload handles (the historical in-process behavior, now
+    /// explicit); `ring` round-trips every message through the flat frame
+    /// codec and a lock-free SPSC ring, the full cost model of a process
+    /// boundary. Part of the determinism contract: verdicts, stats, and
+    /// telemetry are bit-identical between the two kinds and across executor
+    /// widths — the choice moves wall-clock cost, never results.
     /// One link per shard group, rebuilt with the group at epoch edges.
     wire::Wire_config transport;
     /// Plays agreed per BA activation batch of every shard's
@@ -185,7 +186,6 @@ public:
     [[nodiscard]] int n_shards() const { return plan_.map().n_shards(); }
     [[nodiscard]] int n_agents() const { return plan_.map().n_agents(); }
     [[nodiscard]] int epoch() const { return plan_.epoch(); }
-    [[nodiscard]] const Shard_plan& plan() const { return plan_; }
     [[nodiscard]] const Shard_map& map() const { return plan_.map(); }
     /// Throws Contract_error naming the shard id when out of range.
     [[nodiscard]] const pipeline::Pipeline_authority& shard(int s) const;
@@ -272,10 +272,6 @@ public:
 
     // ---- Harvesting.
 
-    /// Harvest one live shard's current totals (plays, traffic, fouls,
-    /// costs), tagged with the current epoch.
-    [[nodiscard]] metrics::Shard_sample harvest(int s) const;
-
     /// Fabric-level aggregation: every retired group's final harvest plus
     /// every live shard's current harvest — totals sum across epochs without
     /// loss or double counting. With telemetry enabled the report's merged
@@ -283,8 +279,6 @@ public:
     [[nodiscard]] metrics::Fabric_metrics report() const;
 
     // ---- Observability (config.telemetry).
-
-    [[nodiscard]] bool telemetry_enabled() const { return config_.telemetry; }
 
     /// The whole run's telemetry: the fabric-scope sink plus one scoped
     /// snapshot per group lifetime — retired groups' final snapshots and live
@@ -324,6 +318,19 @@ private:
         std::vector<telemetry::Evidence> evidence;
     };
 
+    /// One live shard: its replica group and everything the fabric keeps
+    /// beside it. `sink` is null with telemetry off, `inlet` null without
+    /// config.ingest. A sink is written only by its group — from the group's
+    /// stepping job while the executor runs — and an inlet only from the
+    /// fabric thread between runs, so the single-writer contract holds on
+    /// any thread count.
+    struct Shard {
+        std::unique_ptr<pipeline::Pipeline_authority> group;
+        std::optional<double> optimum; ///< the shard game's social optimum
+        std::unique_ptr<telemetry::Telemetry_sink> sink;
+        std::unique_ptr<ingest::Shard_inlet> inlet;
+    };
+
     void validate_config() const;
     /// The static constructor's config: `behaviors` (one per global agent)
     /// wrapped into a one-shot behavior factory that refuses to mint any
@@ -331,26 +338,18 @@ private:
     [[nodiscard]] static Fabric_config
     static_config(int n_agents, std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors,
                   Fabric_config config);
-    /// A freshly built replica group plus its game's enumerable optimum.
-    struct Built_group {
-        std::unique_ptr<pipeline::Pipeline_authority> group;
-        std::optional<double> optimum;
-    };
-    /// Build the group for shard `s` of `plan` (any epoch). `behaviors` must
-    /// be ordered by local id; null entries only for Byzantine slots. Pure
-    /// with respect to fabric state, so apply_rebalance can build every
-    /// replacement group *before* mutating anything — a throwing spec or
+    /// Assemble shard `s` of `plan` (any epoch): mint its members'
+    /// behaviors, build its group and wire link, and give it a sink (tracer
+    /// enabled before attach) and an inlet as the config asks. Pure with
+    /// respect to fabric state, so apply_rebalance can build every
+    /// replacement shard *before* mutating anything — a throwing spec or
     /// behavior factory leaves the fabric intact.
-    [[nodiscard]] Built_group
-    build_group(const Shard_plan& plan, int s,
-                std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors) const;
-    /// Mint a shard's behavior vector through config_.behavior_factory.
-    [[nodiscard]] std::vector<std::unique_ptr<authority::Agent_behavior>>
-    mint_behaviors(const Shard_map& map, int s) const;
-    /// Install groups for every shard of plan_ (construction time).
-    void build_all(std::vector<std::vector<std::unique_ptr<authority::Agent_behavior>>> per_shard);
-    /// Fold a quiesced group's harvest, histories, standings, and expulsions
-    /// into the carried state, then destroy it.
+    [[nodiscard]] Shard build_shard(const Shard_plan& plan, int s) const;
+    /// Harvest one live shard's current totals (plays, traffic, fouls,
+    /// costs), tagged with the current epoch.
+    [[nodiscard]] metrics::Shard_sample harvest(int s) const;
+    /// Fold a quiesced shard's harvest, histories, standings, evidence and
+    /// expulsions into the carried state (the swap then drops its record).
     void retire_group(int s);
     /// The epoch transition proper, over an already-validated successor
     /// snapshot (shared by apply_rebalance and maybe_rebalance so the plan
@@ -363,22 +362,10 @@ private:
 
     Shard_plan plan_;
     Fabric_config config_;
-    std::vector<std::unique_ptr<pipeline::Pipeline_authority>> shards_;
-    std::vector<std::optional<double>> optimum_costs_; ///< per-shard social optimum
+    std::vector<Shard> shards_; ///< indexed by plan_'s shard ids
     common::Executor executor_;
     std::optional<Rebalancer> rebalancer_;
-
-    /// Per-group sinks, parallel to shards_ (empty when telemetry is off).
-    /// Each is written only by its group — from the group's stepping job
-    /// while the executor runs, never by the fabric thread concurrently — so
-    /// the single-writer contract holds on any thread count.
-    std::vector<std::unique_ptr<telemetry::Telemetry_sink>> shard_sinks_;
     std::unique_ptr<telemetry::Telemetry_sink> fabric_sink_; ///< epoch transitions
-
-    /// Per-shard front-door inlets, parallel to shards_ (empty without
-    /// config.ingest). Written only from the fabric thread between executor
-    /// runs — same single-writer contract as the sinks.
-    std::vector<std::unique_ptr<ingest::Shard_inlet>> inlets_;
     std::int64_t ingest_seq_ = 0; ///< fabric-global submission ordinal
     ingest::Ingest_totals retired_ingest_; ///< totals folded from retired inlets
 

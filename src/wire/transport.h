@@ -1,8 +1,8 @@
 // Pluggable cross-boundary transports for one shard's pulse traffic.
 //
-// Every pulse, a shard's engine delivers the router↔shard protocol traffic —
-// behaviors' actions out, verdicts/outcomes/standings back, all riding the
-// pulse messages — as in-address-space Shared_payload handles. A Transport
+// Every pulse, a shard's engine delivers its replica group's intra-group
+// pulse inboxes — the replicas' agreement rounds, commitments, reveals and
+// clock beacons — as in-address-space Shared_payload handles. A Transport
 // makes that boundary explicit: the engine hands it the whole pulse's
 // delivered inboxes (sim::Pulse_link) and the transport moves them "across".
 // Two implementations:

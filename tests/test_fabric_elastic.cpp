@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "shard/fabric.h"
 
@@ -461,6 +462,38 @@ TEST(ElasticFabric, InfeasiblePolicyProposalIsSkippedNotFatal)
     Rebalance_plan plan;
     plan.splits.push_back(Shard_split{0, {3, 4, 5}});
     EXPECT_THROW(fabric.apply_rebalance(plan), common::Contract_error);
+}
+
+TEST(ElasticFabric, ProposalOverloadingAGroupWithByzantineAgentsIsSkippedNotFatal)
+{
+    // f = 1 and one Byzantine agent per shard: migrating agent 6 into shard
+    // 0 keeps both groups above the 3f+1 floor but puts two Byzantine agents
+    // in one group. The policy's load view carries no Byzantine count, so
+    // maybe_rebalance must skip the proposal rather than abort the run.
+    Rebalance_plan plan;
+    plan.migrations.push_back(Migration{6, 1, 0});
+    Fabric_config config = elastic_config(1, /*seed=*/5, {});
+    config.byzantine = {0, 6};
+    config.rebalance = rebalance_explicit({plan});
+    Fabric fabric{Shard_map{12, 2}, std::move(config)};
+    fabric.run_pulses(1);
+    fabric.run_plays(1);
+
+    EXPECT_FALSE(fabric.maybe_rebalance());
+    EXPECT_EQ(fabric.epoch(), 0);
+    fabric.run_plays(1); // the fabric keeps running untouched
+
+    // The explicit path stays strict and refuses before building anything.
+    try {
+        fabric.apply_rebalance(plan);
+        ADD_FAILURE() << "apply_rebalance accepted two Byzantine agents in one group";
+    } catch (const common::Contract_error& e) {
+        EXPECT_EQ(std::string{e.what()}.rfind("Fabric:", 0), 0u) << e.what();
+    }
+    EXPECT_EQ(fabric.epoch(), 0);
+    EXPECT_EQ(fabric.map().shard_of(6), 1);
+    fabric.run_plays(1);
+    EXPECT_GE(fabric.report().total_plays, 6);
 }
 
 TEST(ElasticFabric, StaticFabricRefusesToRebalance)
