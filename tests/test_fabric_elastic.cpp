@@ -595,6 +595,87 @@ TEST(ElasticFabric, SizeCapRunIsBitIdenticalAcrossExecutorWidthsAndRuns)
     }
 }
 
+TEST(ElasticFabric, AnarchyTermsHoldExactlyAcrossASplit)
+{
+    // 16 agents over 2 shards of 8; cheater 5 is fined, never expelled, so
+    // it plays 0 in every play while everyone else plays the dominant 1.
+    // Shard 0 splits 4+4 mid-run: its epoch-0 group retires and two fresh
+    // groups take over, while shard 1 is carried.
+    Fabric fabric{contiguous(16, 2), elastic_config(1, /*seed=*/17, {5})};
+    fabric.run_pulses(1);
+    fabric.run_plays(2);
+
+    Rebalance_plan plan;
+    plan.splits.push_back(Shard_split{0, {4, 5, 6, 7}});
+    const Rebalance_report transition = fabric.apply_rebalance(plan);
+    ASSERT_EQ(transition.retired, 1);
+    ASSERT_EQ(transition.rebuilt, 2);
+    fabric.run_plays(3);
+
+    const metrics::Fabric_metrics report = fabric.report();
+    ASSERT_EQ(report.per_shard.size(), 4u); // one retiree + three live groups
+    ASSERT_EQ(report.epochs, 2);
+    double social = 0.0;
+    double optimal = 0.0;
+    for (const metrics::Shard_sample& sample : report.per_shard) {
+        ASSERT_GT(sample.plays, 0) << "epoch " << sample.epoch << " shard " << sample.shard;
+        // The all-ones optimum costs one per agent per play.
+        ASSERT_TRUE(sample.optimal_cost.has_value());
+        EXPECT_EQ(*sample.optimal_cost, static_cast<double>(sample.plays * sample.agents))
+            << "epoch " << sample.epoch << " shard " << sample.shard;
+        // The cheater's group pays one extra unit per play.
+        const bool holds_cheater = sample.epoch == 0 ? sample.shard == 0 : sample.shard == 2;
+        const std::int64_t extra = holds_cheater ? sample.plays : 0;
+        EXPECT_EQ(sample.social_cost, static_cast<double>(sample.plays * sample.agents + extra))
+            << "epoch " << sample.epoch << " shard " << sample.shard;
+        social += sample.social_cost;
+        optimal += *sample.optimal_cost;
+    }
+    ASSERT_TRUE(report.price_of_anarchy.has_value());
+    EXPECT_EQ(*report.price_of_anarchy, social / optimal);
+    EXPECT_GT(*report.price_of_anarchy, 1.0);
+}
+
+/// A game in which the last agent has no applicable action at all, so it
+/// has no pure profile and no play the authority could ever agree on.
+class Actionless_game final : public game::Strategic_game {
+public:
+    explicit Actionless_game(int n) : n_{n} {}
+    int n_agents() const override { return n_; }
+    int n_actions(Agent_id i) const override { return i == n_ - 1 ? 0 : 2; }
+    double cost(Agent_id, const game::Pure_profile&) const override { return 1.0; }
+
+private:
+    int n_;
+};
+
+TEST(ElasticFabric, GameWithAnActionlessAgentIsRefusedAtConstructionAndRebalance)
+{
+    // Four-member groups get the actionless game; larger groups the sound one.
+    Fabric_config config = elastic_config(1, /*seed=*/9, {});
+    config.spec_factory = [sound = dominant_specs()](int s, const std::vector<Agent_id>& members) {
+        authority::Game_spec spec = sound(s, members);
+        if (members.size() == 4) {
+            spec.game = std::make_shared<Actionless_game>(static_cast<int>(members.size()));
+        }
+        return spec;
+    };
+    EXPECT_THROW((Fabric{contiguous(8, 2), config}), common::Contract_error);
+
+    // A split into 4+4 would need the actionless game: refused before the
+    // fabric is touched.
+    Fabric fabric{contiguous(16, 2), config};
+    fabric.run_pulses(1);
+    fabric.run_plays(1);
+    Rebalance_plan plan;
+    plan.splits.push_back(Shard_split{0, {4, 5, 6, 7}});
+    EXPECT_THROW(fabric.apply_rebalance(plan), common::Contract_error);
+    EXPECT_EQ(fabric.epoch(), 0);
+    EXPECT_EQ(fabric.n_shards(), 2);
+    fabric.run_plays(1);
+    EXPECT_EQ(fabric.report().total_plays, 4);
+}
+
 // -------------------------------------------------- Pipelined elastic mode
 
 TEST(PipelinedElastic, MigrationWaitsForTheBatchEdge)
