@@ -120,7 +120,7 @@ Value Eig_session::resolve(const Path& path) const
     }
 
     // Internal node: strict majority over all children path+[j], j not in path.
-    std::map<Value, int> votes;
+    std::map<Value, int, Value_order> votes;
     int children = 0;
     Path child = path;
     child.push_back(0);
@@ -158,7 +158,7 @@ const std::vector<Value>& Eig_session::agreed_vector() const
 Value Eig_session::decision() const
 {
     common::ensure(done_, "Eig_session::decision before completion");
-    std::map<Value, int> votes;
+    std::map<Value, int, Value_order> votes;
     for (const Value& value : agreed_vector_) {
         if (!value.empty()) ++votes[value];
     }

@@ -30,6 +30,9 @@
 #ifndef GA_BFT_SESSION_H
 #define GA_BFT_SESSION_H
 
+#include <algorithm>
+#include <cstddef>
+#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -41,6 +44,22 @@ namespace ga::bft {
 /// Agreement values are opaque byte strings; the empty string is the default
 /// ("bottom") value decided when the protocol cannot attribute a real value.
 using Value = common::Bytes;
+
+/// std::less<Value>'s order, spelled out for ordered vote tallies: bytes
+/// compared as unsigned chars, then the shorter value first when one is a
+/// prefix of the other. (GCC 12 flags the library's own comparison inside
+/// std::map with a false -Wstringop-overread in optimized builds.)
+struct Value_order {
+    bool operator()(const Value& a, const Value& b) const
+    {
+        const std::size_t shared = std::min(a.size(), b.size());
+        if (shared != 0) {
+            const int order = std::memcmp(a.data(), b.data(), shared);
+            if (order != 0) return order < 0;
+        }
+        return a.size() < b.size();
+    }
+};
 
 /// Per-sender payloads for one round; index j views what processor j sent
 /// (borrowed for the deliver_round call only, see the lifetime note above).

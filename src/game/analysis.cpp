@@ -4,23 +4,6 @@
 
 namespace ga::game {
 
-void for_each_profile(const Strategic_game& game,
-                      const std::function<void(const Pure_profile&)>& visit)
-{
-    const int n = game.n_agents();
-    Pure_profile profile(static_cast<std::size_t>(n), 0);
-    while (true) {
-        visit(profile);
-        int digit = n - 1;
-        while (digit >= 0) {
-            if (++profile[static_cast<std::size_t>(digit)] < game.n_actions(digit)) break;
-            profile[static_cast<std::size_t>(digit)] = 0;
-            --digit;
-        }
-        if (digit < 0) return;
-    }
-}
-
 std::vector<int> best_response_set(const Strategic_game& game, common::Agent_id i,
                                    const Pure_profile& pi, double eps)
 {
@@ -90,10 +73,16 @@ double social_cost(const Strategic_game& game, const Pure_profile& pi,
 
 Social_optimum social_optimum(const Strategic_game& game)
 {
+    const int n = game.n_agents();
+    for (common::Agent_id i = 0; i < n; ++i) {
+        common::ensure(game.n_actions(i) >= 1, "social_optimum: agent with no actions");
+    }
     Social_optimum best;
     best.cost = std::numeric_limits<double>::infinity();
     for_each_profile(game, [&](const Pure_profile& pi) {
-        const double cost = social_cost(game, pi);
+        // social_cost's sum, in its order, without its per-profile checks.
+        double cost = 0.0;
+        for (common::Agent_id i = 0; i < n; ++i) cost += game.cost(i, pi);
         if (cost < best.cost) {
             best.cost = cost;
             best.profile = pi;

@@ -3,16 +3,40 @@
 #ifndef GA_GAME_ANALYSIS_H
 #define GA_GAME_ANALYSIS_H
 
-#include <functional>
+#include <cstddef>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "game/strategic_game.h"
 
 namespace ga::game {
 
-/// Invoke `visit` on every pure profile of the game (mixed-radix counting).
-void for_each_profile(const Strategic_game& game,
-                      const std::function<void(const Pure_profile&)>& visit);
+/// Invoke `visit` on every pure profile of the game, in mixed-radix order
+/// with agent 0 the most significant digit: the last agent's action varies
+/// fastest, starting from the all-zeros profile. The profiles are legitimate
+/// only when every agent has at least one action; a game in which some agent
+/// has none has no pure profile, yet `visit` still sees the all-zeros one,
+/// so callers that need legitimacy check n_actions first.
+template <typename Visit>
+void for_each_profile(const Strategic_game& game, Visit&& visit)
+{
+    const int n = game.n_agents();
+    std::vector<int> radix(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) radix[static_cast<std::size_t>(i)] = game.n_actions(i);
+    Pure_profile profile(static_cast<std::size_t>(n), 0);
+    while (true) {
+        visit(std::as_const(profile));
+        int digit = n - 1;
+        while (digit >= 0) {
+            const auto d = static_cast<std::size_t>(digit);
+            if (++profile[d] < radix[d]) break;
+            profile[d] = 0;
+            --digit;
+        }
+        if (digit < 0) return;
+    }
+}
 
 /// The set of cost-minimizing actions of agent i against profile `pi`
 /// (pi's own i-th entry is ignored); within `eps` of the minimum.
@@ -39,7 +63,10 @@ std::vector<Pure_profile> pure_nash_equilibria(const Strategic_game& game, doubl
 double social_cost(const Strategic_game& game, const Pure_profile& pi,
                    const std::vector<bool>& honest = {});
 
-/// The profile minimizing social cost (the centralistic optimum).
+/// The profile minimizing social cost (the centralistic optimum): the first
+/// strict minimum in for_each_profile order, with each profile's cost summed
+/// exactly as social_cost sums it, so both the profile and the double match
+/// a social_cost scan. Throws Contract_error when some agent has no action.
 struct Social_optimum {
     Pure_profile profile;
     double cost = 0.0;

@@ -200,7 +200,8 @@ std::vector<Shard_inlet::Pending> Shard_inlet::take(int n, common::Pulse now)
                 e.at = now;
                 e.a = p.sub.agent;
                 e.b = now - p.enqueued_at;
-                e.note = std::string{"p"} + std::to_string(p.sub.priority);
+                e.note = "p";
+                e.note += std::to_string(p.sub.priority);
                 sink_->event(std::move(e));
             }
             continue;

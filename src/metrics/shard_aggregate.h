@@ -40,6 +40,9 @@ struct Shard_sample {
     double social_cost = 0.0;       ///< sum over plays of the outcome's social cost
     /// plays x the shard game's optimum social cost; nullopt when the game is
     /// too large to enumerate (the ratio is then omitted from the report).
+    /// The fabric enumerates the optimum when it harvests the sample — at
+    /// report() for a live group, at retirement for a retired one — never
+    /// while it builds a shard.
     std::optional<double> optimal_cost;
     /// The group's telemetry snapshot at harvest time (empty when the fabric
     /// runs without sinks). Unique per (epoch, shard) like the rest of the

@@ -19,12 +19,13 @@ constexpr std::int64_t k_max_enumerable_profiles = std::int64_t{1} << 20;
 /// enough to enumerate, nullopt otherwise. Counts profiles with an early
 /// exit rather than via Strategic_game::profile_count, which throws (instead
 /// of saturating) once the space tops 2^40 — large shards must degrade to
-/// "no price-of-anarchy term", not refuse to construct.
+/// "no price-of-anarchy term", not refuse to construct. Every agent has at
+/// least one action: build_shard refuses any other game.
 std::optional<double> enumerable_optimum_cost(const game::Strategic_game& game)
 {
     std::int64_t count = 1;
     for (common::Agent_id i = 0; i < game.n_agents(); ++i) {
-        count *= std::max(1, game.n_actions(i));
+        count *= game.n_actions(i);
         if (count > k_max_enumerable_profiles) return std::nullopt;
     }
     return game::social_optimum(game).cost;
@@ -139,6 +140,10 @@ Fabric::Shard Fabric::build_shard(const Shard_plan& plan, int s) const
     common::ensure(spec.game != nullptr, "Fabric: shard spec factory returned a null game");
     common::ensure(spec.game->n_agents() == static_cast<int>(members.size()),
                    "Fabric: shard game size must match the shard population");
+    for (common::Agent_id i = 0; i < spec.game->n_agents(); ++i) {
+        common::ensure(spec.game->n_actions(i) >= 1,
+                       "Fabric: every shard game agent needs at least one action");
+    }
 
     std::set<common::Processor_id> local_byzantine;
     for (const common::Agent_id g : config_.byzantine) {
@@ -146,8 +151,6 @@ Fabric::Shard Fabric::build_shard(const Shard_plan& plan, int s) const
     }
 
     Shard shard;
-    shard.optimum = enumerable_optimum_cost(*spec.game);
-
     common::Rng shard_rng{common::derive_seed(config_.seed, static_cast<std::uint64_t>(s),
                                               static_cast<std::uint64_t>(plan.epoch()))};
     sim::Net_model net = config_.net;
@@ -556,13 +559,14 @@ metrics::Shard_sample Fabric::harvest(int s) const
     sample.agents = group.n_agents();
     sample.traffic = group.traffic();
 
+    const game::Strategic_game& game = *group.spec().game;
     const auto& plays = group.agreed_plays();
     sample.plays = static_cast<std::int64_t>(plays.size());
     for (const authority::Play_record& play : plays) {
-        sample.social_cost += game::social_cost(*group.spec().game, play.outcome);
+        sample.social_cost += game::social_cost(game, play.outcome);
     }
-    if (shard.optimum.has_value()) {
-        sample.optimal_cost = static_cast<double>(sample.plays) * *shard.optimum;
+    if (const std::optional<double> optimum = enumerable_optimum_cost(game)) {
+        sample.optimal_cost = static_cast<double>(sample.plays) * *optimum;
     }
     for (const authority::Standing& standing : group.agreed_standings()) {
         sample.fouls += standing.fouls;

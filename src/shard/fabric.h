@@ -326,7 +326,6 @@ private:
     /// any thread count.
     struct Shard {
         std::unique_ptr<pipeline::Pipeline_authority> group;
-        std::optional<double> optimum; ///< the shard game's social optimum
         std::unique_ptr<telemetry::Telemetry_sink> sink;
         std::unique_ptr<ingest::Shard_inlet> inlet;
     };
@@ -343,10 +342,13 @@ private:
     /// enabled before attach) and an inlet as the config asks. Pure with
     /// respect to fabric state, so apply_rebalance can build every
     /// replacement shard *before* mutating anything — a throwing spec or
-    /// behavior factory leaves the fabric intact.
+    /// behavior factory, or a game in which some agent has no action, leaves
+    /// the fabric intact. Enumerates no profiles: the optimum is harvest's.
     [[nodiscard]] Shard build_shard(const Shard_plan& plan, int s) const;
     /// Harvest one live shard's current totals (plays, traffic, fouls,
-    /// costs), tagged with the current epoch.
+    /// costs), tagged with the current epoch. The only place the shard
+    /// game's social optimum is enumerated (when small enough), for
+    /// optimal_cost — called by report() and retire_group.
     [[nodiscard]] metrics::Shard_sample harvest(int s) const;
     /// Fold a quiesced shard's harvest, histories, standings, evidence and
     /// expulsions into the carried state (the swap then drops its record).

@@ -63,6 +63,21 @@ TEST(Eig, RequiresNGreaterThan3F)
     EXPECT_NO_THROW(Eig_session(4, 1, 0, val("x")));
 }
 
+TEST(Eig, ValueOrderIsUnsignedLexicographicShorterFirst)
+{
+    // Listed in std::less<Value> order: bytes compare as unsigned, and a
+    // prefix sorts before its extensions. EIG's tie-break depends on it.
+    const std::vector<Value> sorted{{},           {0x00},       {0x01},       {0x01, 0x00},
+                                    {0x01, 0x02}, {0x01, 0xff}, {0x7f},       {0x80},
+                                    {0xff},       {0xff, 0x00}, {0xff, 0xff}};
+    const Value_order before;
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+        for (std::size_t j = 0; j < sorted.size(); ++j) {
+            EXPECT_EQ(before(sorted[i], sorted[j]), i < j) << i << " vs " << j;
+        }
+    }
+}
+
 TEST(Eig, AllHonestSameInputDecidesThatInput)
 {
     const int n = 4;

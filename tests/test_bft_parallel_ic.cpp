@@ -2,6 +2,8 @@
 // honest slots carry real inputs, full-vector agreement, attacker sweeps.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bft/attackers.h"
 #include "bft/driver.h"
 #include "bft/parallel_ic.h"
@@ -17,6 +19,15 @@ using ga::common::Rng;
 std::unique_ptr<Session> make_ic(int n, int f, Processor_id self, Value input)
 {
     return std::make_unique<Parallel_ic_session>(n, f, self, std::move(input));
+}
+
+/// bytes_of(prefix followed by i), appended piecewise: GCC 12 flags
+/// "lit" + std::to_string with a false -Wrestrict in optimized builds.
+Value tagged(const char* prefix, int i)
+{
+    std::string text = prefix;
+    text += std::to_string(i);
+    return bytes_of(text);
 }
 
 const Parallel_ic_session& as_ic(const Participant& p)
@@ -44,13 +55,13 @@ TEST(ParallelIc, AllHonestVectorCarriesEveryInput)
     const int f = 1;
     std::vector<Participant> ps(n);
     for (int i = 0; i < n; ++i)
-        ps[static_cast<std::size_t>(i)].session = make_ic(n, f, i, bytes_of("v" + std::to_string(i)));
+        ps[static_cast<std::size_t>(i)].session = make_ic(n, f, i, tagged("v", i));
     drive(ps);
     for (int i = 0; i < n; ++i) {
         const auto& vec = as_ic(ps[static_cast<std::size_t>(i)]).agreed_vector();
         ASSERT_EQ(static_cast<int>(vec.size()), n);
         for (int j = 0; j < n; ++j)
-            EXPECT_EQ(vec[static_cast<std::size_t>(j)], bytes_of("v" + std::to_string(j)));
+            EXPECT_EQ(vec[static_cast<std::size_t>(j)], tagged("v", j));
     }
 }
 
@@ -62,14 +73,14 @@ TEST(ParallelIc, HonestSlotsSurviveGarbageAttacker)
         std::vector<Participant> ps(n);
         for (int i = 0; i < n - 1; ++i)
             ps[static_cast<std::size_t>(i)].session =
-                make_ic(n, f, i, bytes_of("in" + std::to_string(i)));
+                make_ic(n, f, i, tagged("in", i));
         ps[n - 1].attacker = std::make_unique<Garbage_attacker>(Rng{seed});
         drive(ps);
         const std::vector<Value>* reference = nullptr;
         for (int i = 0; i < n - 1; ++i) {
             const auto& vec = as_ic(ps[static_cast<std::size_t>(i)]).agreed_vector();
             for (int j = 0; j < n - 1; ++j)
-                EXPECT_EQ(vec[static_cast<std::size_t>(j)], bytes_of("in" + std::to_string(j)));
+                EXPECT_EQ(vec[static_cast<std::size_t>(j)], tagged("in", j));
             if (reference == nullptr) {
                 reference = &vec;
             } else {
@@ -88,7 +99,7 @@ TEST(ParallelIc, SplitBrainCannotBreakVectorAgreement)
         std::vector<Participant> ps(n);
         for (int i = 0; i < n - 1; ++i)
             ps[static_cast<std::size_t>(i)].session =
-                make_ic(n, f, i, bytes_of("w" + std::to_string(i)));
+                make_ic(n, f, i, tagged("w", i));
         ps[n - 1].attacker = std::make_unique<Split_brain_attacker>(shadow, bytes_of("evil-a"),
                                                                     bytes_of("evil-b"),
                                                                     static_cast<Processor_id>(split));
@@ -122,7 +133,7 @@ TEST(ParallelIc, LargerSystemWithTwoAttackers)
     const int f = 2;
     std::vector<Participant> ps(n);
     for (int i = 0; i < n - 2; ++i)
-        ps[static_cast<std::size_t>(i)].session = make_ic(n, f, i, bytes_of("x" + std::to_string(i)));
+        ps[static_cast<std::size_t>(i)].session = make_ic(n, f, i, tagged("x", i));
     ps[n - 2].attacker = std::make_unique<Garbage_attacker>(Rng{3});
     ps[n - 1].attacker = std::make_unique<Silent_attacker>();
     drive(ps);
@@ -130,7 +141,7 @@ TEST(ParallelIc, LargerSystemWithTwoAttackers)
     for (int i = 0; i < n - 2; ++i) {
         const auto& vec = as_ic(ps[static_cast<std::size_t>(i)]).agreed_vector();
         for (int j = 0; j < n - 2; ++j)
-            EXPECT_EQ(vec[static_cast<std::size_t>(j)], bytes_of("x" + std::to_string(j)));
+            EXPECT_EQ(vec[static_cast<std::size_t>(j)], tagged("x", j));
         if (reference == nullptr) {
             reference = &vec;
         } else {

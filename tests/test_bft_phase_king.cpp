@@ -146,9 +146,16 @@ INSTANTIATE_TEST_SUITE_P(
                       Pk_param{9, 2, "garbage", 0},      //
                       Pk_param{9, 2, "split-brain", 2}), // king of last phase
     [](const ::testing::TestParamInfo<Pk_param>& info) {
-        std::string name = "n" + std::to_string(info.param.n) + "_f" +
-                           std::to_string(info.param.f) + "_" + info.param.attacker + "_slot" +
-                           std::to_string(info.param.byz_slot);
+        // Appended piecewise: GCC 12 flags "lit" + std::to_string with a
+        // false -Wrestrict in optimized builds.
+        std::string name = "n";
+        name += std::to_string(info.param.n);
+        name += "_f";
+        name += std::to_string(info.param.f);
+        name += "_";
+        name += info.param.attacker;
+        name += "_slot";
+        name += std::to_string(info.param.byz_slot);
         for (auto& c : name)
             if (c == '-') c = '_';
         return name;

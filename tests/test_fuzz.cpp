@@ -351,7 +351,7 @@ public:
 
     [[nodiscard]] bft::Value decision() const
     {
-        std::map<bft::Value, int> votes;
+        std::map<bft::Value, int, bft::Value_order> votes;
         for (const bft::Value& value : agreed_vector_)
             if (!value.empty()) ++votes[value];
         bft::Value best;

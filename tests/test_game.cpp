@@ -2,9 +2,14 @@
 // social cost, anarchy/stability prices, and the paper's Fig. 1 numbers.
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "common/rng.h"
 #include "game/analysis.h"
 #include "game/canonical.h"
+#include "game/congestion.h"
 #include "game/linalg.h"
+#include "game/mac_game.h"
 #include "game/matrix_game.h"
 #include "game/mixed.h"
 
@@ -56,6 +61,17 @@ TEST(Analysis, ForEachProfileVisitsAll)
     EXPECT_EQ(visits, 6);
 }
 
+TEST(Analysis, ForEachProfileCountsInMixedRadixLastAgentFastest)
+{
+    const std::vector<double> zeros(6, 0.0);
+    const Matrix_game g{"radix", {2, 1, 3}, {zeros, zeros, zeros}};
+    std::vector<Pure_profile> visited;
+    for_each_profile(g, [&](const Pure_profile& pi) { visited.push_back(pi); });
+    const std::vector<Pure_profile> expected{{0, 0, 0}, {0, 0, 1}, {0, 0, 2},
+                                             {1, 0, 0}, {1, 0, 1}, {1, 0, 2}};
+    EXPECT_EQ(visited, expected);
+}
+
 TEST(Analysis, BestResponsePrisonersDilemmaIsDefect)
 {
     const Matrix_game pd = prisoners_dilemma();
@@ -104,6 +120,77 @@ TEST(Analysis, SocialOptimumOfPrisonersDilemmaIsCooperate)
     const auto opt = social_optimum(prisoners_dilemma());
     EXPECT_EQ(opt.profile, (Pure_profile{0, 0}));
     EXPECT_DOUBLE_EQ(opt.cost, 2.0);
+}
+
+/// The optimum as a plain social_cost scan: the first strict minimum in
+/// for_each_profile order, and how many profiles reach it.
+struct Scanned_optimum {
+    Social_optimum optimum;
+    int minimizers = 0;
+};
+
+Scanned_optimum scan_optimum(const Strategic_game& game)
+{
+    Scanned_optimum scan;
+    scan.optimum.cost = std::numeric_limits<double>::infinity();
+    for_each_profile(game, [&](const Pure_profile& pi) {
+        const double cost = social_cost(game, pi);
+        if (cost < scan.optimum.cost) {
+            scan.optimum = {pi, cost};
+            scan.minimizers = 1;
+        } else if (cost == scan.optimum.cost) {
+            ++scan.minimizers;
+        }
+    });
+    return scan;
+}
+
+/// Four agents with {2, 3, 4, 2} actions and costs drawn from {0, 1, 2}, so
+/// many profiles tie on social cost.
+Matrix_game seeded_tie_game(std::uint64_t seed)
+{
+    const std::vector<int> actions{2, 3, 4, 2};
+    ga::common::Rng rng{seed};
+    std::vector<std::vector<double>> costs(actions.size(), std::vector<double>(48));
+    for (auto& agent : costs) {
+        for (double& cost : agent) cost = static_cast<double>(rng.below(3));
+    }
+    return Matrix_game{"ties", actions, std::move(costs)};
+}
+
+TEST(Analysis, SocialOptimumMatchesASocialCostScanExactly)
+{
+    const Matrix_game ties = seeded_tie_game(/*seed=*/19);
+    const Singleton_congestion_game congestion{5, {{1.0, 0.0}, {2.0, 0.5}, {0.5, 1.25}}};
+    const Mac_game mac{4, {0.1, 0.3, 0.7, 1.0}, 0.2};
+    const Matrix_game pd = prisoners_dilemma();
+    const Matrix_game coordination = coordination_game();
+    const Matrix_game pennies = matching_pennies();
+    const std::vector<std::pair<const char*, const Strategic_game*>> games{
+        {"prisoners_dilemma", &pd}, {"coordination", &coordination},
+        {"matching_pennies", &pennies}, {"congestion", &congestion},
+        {"mac", &mac},           {"seeded_ties", &ties}};
+    for (const auto& [name, game] : games) {
+        const Scanned_optimum reference = scan_optimum(*game);
+        const Social_optimum optimum = social_optimum(*game);
+        EXPECT_EQ(optimum.cost, reference.optimum.cost) << name;
+        EXPECT_EQ(optimum.profile, reference.optimum.profile) << name;
+    }
+    // The seeded game really exercises the first-strict-minimum tie-break.
+    EXPECT_GT(scan_optimum(ties).minimizers, 1);
+}
+
+/// Two agents, the second with no action at all: no pure profile exists.
+class Actionless_game final : public Strategic_game {
+public:
+    int n_agents() const override { return 2; }
+    int n_actions(ga::common::Agent_id i) const override { return i == 0 ? 2 : 0; }
+    double cost(ga::common::Agent_id, const Pure_profile&) const override { return 0.0; }
+};
+
+TEST(Analysis, SocialOptimumRefusesAnAgentWithoutActions)
+{
+    EXPECT_THROW((void)social_optimum(Actionless_game{}), ga::common::Contract_error);
 }
 
 TEST(Analysis, AnarchyAndStabilityPricesOfCoordination)

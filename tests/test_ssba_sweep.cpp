@@ -66,9 +66,15 @@ INSTANTIATE_TEST_SUITE_P(Sweeps, Ssba_sweep,
                                            Sweep_param{7, 2, 0}, Sweep_param{7, 2, 3},
                                            Sweep_param{4, 0, 0}, Sweep_param{10, 3, 0}),
                          [](const ::testing::TestParamInfo<Sweep_param>& info) {
-                             return "n" + std::to_string(info.param.n) + "_f" +
-                                    std::to_string(info.param.f) + "_slack" +
-                                    std::to_string(info.param.period_slack);
+                             // Appended piecewise: GCC 12 flags "lit" +
+                             // std::to_string with a false -Wrestrict.
+                             std::string name = "n";
+                             name += std::to_string(info.param.n);
+                             name += "_f";
+                             name += std::to_string(info.param.f);
+                             name += "_slack";
+                             name += std::to_string(info.param.period_slack);
+                             return name;
                          });
 
 // Crypto property sweep: commitments bind and verify across payload sizes.
