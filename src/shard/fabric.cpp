@@ -559,13 +559,13 @@ metrics::Shard_sample Fabric::harvest(int s) const
     sample.agents = group.n_agents();
     sample.traffic = group.traffic();
 
-    const game::Strategic_game& game = *group.spec().game;
+    const game::Strategic_game& shard_game = *group.spec().game;
     const auto& plays = group.agreed_plays();
     sample.plays = static_cast<std::int64_t>(plays.size());
     for (const authority::Play_record& play : plays) {
-        sample.social_cost += game::social_cost(game, play.outcome);
+        sample.social_cost += game::social_cost(shard_game, play.outcome);
     }
-    if (const std::optional<double> optimum = enumerable_optimum_cost(game)) {
+    if (const std::optional<double> optimum = enumerable_optimum_cost(shard_game)) {
         sample.optimal_cost = static_cast<double>(sample.plays) * *optimum;
     }
     for (const authority::Standing& standing : group.agreed_standings()) {
