@@ -1,10 +1,31 @@
 #include "bft/eig.h"
 
 #include <algorithm>
+#include <cstring>
+#include <map>
 
 #include "common/ensure.h"
 
 namespace ga::bft {
+
+namespace {
+
+bool same_value(common::Byte_view a, common::Byte_view b)
+{
+    return a.size() == b.size() &&
+           (a.data() == b.data() || a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
+}
+
+/// #{p in path : p < id} — `id`'s index among the ids a child of `path` may
+/// append, i.e. the child's offset below its parent's rank.
+std::size_t index_below(const std::vector<common::Processor_id>& path, common::Processor_id id)
+{
+    return static_cast<std::size_t>(id) -
+           static_cast<std::size_t>(std::count_if(path.begin(), path.end(),
+                                                  [id](common::Processor_id p) { return p < id; }));
+}
+
+} // namespace
 
 Eig_session::Eig_session(int n, int f, common::Processor_id self, Value input)
     : n_{n}, f_{f}, self_{self}, input_{std::move(input)}
@@ -15,58 +36,95 @@ Eig_session::Eig_session(int n, int f, common::Processor_id self, Value input)
     common::ensure(self_ >= 0 && self_ < n_, "Eig_session: self out of range");
 }
 
-bool Eig_session::valid_path(const Path& path, std::size_t expected_len) const
+void Eig_session::lay_out()
 {
-    if (path.size() != expected_len) return false;
-    for (std::size_t i = 0; i < path.size(); ++i) {
-        if (path[i] < 0 || path[i] >= n_) return false;
-        for (std::size_t j = i + 1; j < path.size(); ++j)
-            if (path[i] == path[j]) return false;
+    if (!nodes_.empty()) return;
+    // Level k holds n(n-1)...(n-k+1) nodes; n > 3f keeps every factor >= 1.
+    level_base_.assign(static_cast<std::size_t>(f_) + 3, 0);
+    std::size_t width = 1;
+    for (int k = 1; k <= f_ + 1; ++k) {
+        const auto choices = static_cast<std::size_t>(n_ - k + 1);
+        common::ensure(width <= nodes_.max_size() / choices, "Eig_session: tree too large");
+        width *= choices;
+        const std::size_t base = level_base_[static_cast<std::size_t>(k)];
+        common::ensure(width <= nodes_.max_size() - base, "Eig_session: tree too large");
+        level_base_[static_cast<std::size_t>(k) + 1] = base + width;
     }
-    return true;
+    nodes_.resize(level_base_.back());
+    path_.reserve(static_cast<std::size_t>(f_) + 1);
+    votes_.reserve(static_cast<std::size_t>(n_) * static_cast<std::size_t>(f_ + 1));
+}
+
+void Eig_session::store(std::size_t node, common::Byte_view value)
+{
+    Node& slot = nodes_[node];
+    if (slot.present) return; // first writer wins
+    slot = Node{arena_.size(), value.size(), true};
+    arena_.insert(arena_.end(), value.begin(), value.end());
 }
 
 common::Bytes Eig_session::message_for_round(common::Round r)
 {
     common::Bytes payload;
     if (r < 0 || r > f_) return payload; // defensive after transient faults
+    lay_out();
 
     // Round 0: broadcast own input as the empty-path pair. Round r>0: relay
-    // every stored level-r node whose path does not already contain self.
-    std::vector<std::pair<Path, const Value*>> pairs;
-    if (r == 0) {
-        static const Path empty_path{};
-        pairs.emplace_back(empty_path, &input_);
-    } else {
-        pairs.reserve(tree_.size());
-        for (const auto& [path, value] : tree_) {
-            if (path.size() != static_cast<std::size_t>(r)) continue;
-            if (std::find(path.begin(), path.end(), self_) != path.end()) continue;
-            pairs.emplace_back(path, &value);
-        }
-    }
-
-    std::size_t wire_size = 4;
-    for (const auto& [path, value] : pairs) wire_size += 4 + 4 * path.size() + 4 + value->size();
-    payload.reserve(wire_size);
-
-    common::put_u32(payload, static_cast<std::uint32_t>(pairs.size()));
-    for (const auto& [path, value] : pairs) {
-        common::put_u32(payload, static_cast<std::uint32_t>(path.size()));
-        for (const common::Processor_id id : path)
-            common::put_u32(payload, static_cast<std::uint32_t>(id));
-        common::put_bytes(payload, *value);
-    }
-
+    // every stored level-r node whose path does not already contain self, in
+    // rank order — which is lexicographic path order.
+    //
     // Self-delivery: our own relays are part of our tree (node path+self),
     // so the session works whether or not the transport echoes broadcasts
     // back to their sender.
-    for (const auto& [path, value] : pairs) {
-        Path extended = path;
-        extended.push_back(self_);
-        tree_.emplace(std::move(extended), *value);
+    if (r == 0) {
+        payload.reserve(12 + input_.size());
+        common::put_u32(payload, 1);
+        common::put_u32(payload, 0);
+        common::put_bytes(payload, input_);
+        store(level_base_[1] + static_cast<std::size_t>(self_), input_);
+        return payload;
     }
+    const std::size_t width = level_base_[static_cast<std::size_t>(r) + 1] -
+                              level_base_[static_cast<std::size_t>(r)];
+    payload.reserve(4 + width * (8 + 4 * static_cast<std::size_t>(r)) + arena_.size());
+    common::put_u32(payload, 0); // pair count, patched once the walk is done
+    std::uint32_t pairs = 0;
+    path_.clear();
+    relay(r, 0, payload, pairs);
+    for (std::size_t b = 0; b < 4; ++b) payload[b] = static_cast<std::uint8_t>(pairs >> (8 * b));
     return payload;
+}
+
+void Eig_session::relay(common::Round r, std::size_t rank, common::Bytes& payload,
+                        std::uint32_t& pairs)
+{
+    // path_ is a level-|path_| path of rank `rank`; walk its descendants on
+    // level r in rank order, skipping every subtree whose path holds self.
+    const auto depth = static_cast<common::Round>(path_.size());
+    if (depth == r) {
+        const Node node = nodes_[level_base_[static_cast<std::size_t>(r)] + rank];
+        if (!node.present) return;
+        common::put_u32(payload, static_cast<std::uint32_t>(r));
+        for (const common::Processor_id id : path_)
+            common::put_u32(payload, static_cast<std::uint32_t>(id));
+        common::put_bytes(payload, view(node));
+        ++pairs;
+        // The self-relay path+self shares the relayed node's arena bytes.
+        Node& echo = nodes_[level_base_[static_cast<std::size_t>(r) + 1] +
+                            rank * static_cast<std::size_t>(n_ - r) + index_below(path_, self_)];
+        if (!echo.present) echo = node;
+        return;
+    }
+    std::size_t child = rank * static_cast<std::size_t>(n_ - depth);
+    for (common::Processor_id j = 0; j < n_; ++j) {
+        if (std::find(path_.begin(), path_.end(), j) != path_.end()) continue;
+        if (j != self_) {
+            path_.push_back(j);
+            relay(r, child, payload, pairs);
+            path_.pop_back();
+        }
+        ++child;
+    }
 }
 
 void Eig_session::deliver_round(common::Round r, const Round_payloads& payloads)
@@ -74,35 +132,71 @@ void Eig_session::deliver_round(common::Round r, const Round_payloads& payloads)
     if (r < 0 || r > f_ || done_) return;
     common::ensure(static_cast<int>(payloads.size()) == n_,
                    "Eig_session::deliver_round: payload vector size mismatch");
+    lay_out();
 
+    // Stored values never outgrow what arrived, so one reservation covers
+    // the round.
+    std::size_t received = 0;
+    for (const auto& payload : payloads)
+        if (payload.has_value()) received += payload->size();
+    arena_.reserve(arena_.size() + received);
+
+    // A legitimate round-r message carries at most the number of level-r
+    // nodes; anything larger is Byzantine spam — that sender is dropped.
+    const std::int64_t limit = eig_pairs_in_round(n_, r);
+    const auto children = static_cast<std::size_t>(n_ - r);
+    const std::size_t next_level = level_base_[static_cast<std::size_t>(r) + 1];
     for (common::Processor_id sender = 0; sender < n_; ++sender) {
         const auto& payload = payloads[static_cast<std::size_t>(sender)];
         if (!payload.has_value()) continue;
         try {
             common::Byte_reader reader{*payload};
             const std::uint32_t count = reader.get_u32();
-            // A legitimate round-r message carries at most the number of
-            // level-r nodes; anything larger is Byzantine spam — clamp it.
-            const std::int64_t limit = eig_pairs_in_round(n_, r);
             if (static_cast<std::int64_t>(count) > limit) continue;
             for (std::uint32_t p = 0; p < count; ++p) {
                 const std::uint32_t path_len = reader.get_u32();
                 if (path_len > static_cast<std::uint32_t>(f_ + 1)) throw common::Decode_error{"path too long"};
-                Path path;
-                path.reserve(path_len);
-                for (std::uint32_t i = 0; i < path_len; ++i)
-                    path.push_back(static_cast<common::Processor_id>(reader.get_u32()));
-                Value value = reader.get_bytes();
-
-                if (!valid_path(path, static_cast<std::size_t>(r))) continue;
-                if (std::find(path.begin(), path.end(), sender) != path.end()) continue;
-                path.push_back(sender);
+                // Fold the path into its level-r rank while decoding. A path
+                // that is not r distinct in-range ids, or that holds the
+                // sender, skips the pair — which is still decoded in full, so
+                // a truncation anywhere in it ends the message.
+                bool keep = path_len == static_cast<std::uint32_t>(r);
+                std::size_t rank = 0;
+                path_.clear();
+                for (std::uint32_t i = 0; i < path_len; ++i) {
+                    const auto id = static_cast<common::Processor_id>(reader.get_u32());
+                    if (!keep) continue;
+                    if (id < 0 || id >= n_ || id == sender ||
+                        std::find(path_.begin(), path_.end(), id) != path_.end()) {
+                        keep = false;
+                        continue;
+                    }
+                    rank = rank * static_cast<std::size_t>(n_ - static_cast<int>(i)) +
+                           index_below(path_, id);
+                    path_.push_back(id);
+                }
+                const common::Byte_view value = reader.get_view();
+                if (!keep) continue;
                 // First writer wins: a duplicate (path) pair in one round is
                 // itself Byzantine behaviour; honest senders never repeat.
-                tree_.emplace(std::move(path), std::move(value));
+                const std::size_t node = next_level + rank * children + index_below(path_, sender);
+                if (nodes_[node].present) continue;
+                // An honest relay repeats the value this processor holds for
+                // the parent path; it shares the parent's arena bytes, which
+                // also lets resolve's comparisons stop at the pointer.
+                if (r > 0) {
+                    const Node& parent = nodes_[level_base_[static_cast<std::size_t>(r)] + rank];
+                    if (parent.present && same_value(view(parent), value)) {
+                        nodes_[node] = parent;
+                        continue;
+                    }
+                }
+                store(node, value);
             }
         } catch (const common::Decode_error&) {
-            // Malformed payload: treat the entire message as missing.
+            // Malformed payload: the rest of this sender's message is
+            // dropped, but the pairs decoded before the malformed one stay
+            // in the tree.
         }
     }
 
@@ -112,40 +206,47 @@ void Eig_session::deliver_round(common::Round r, const Round_payloads& payloads)
     }
 }
 
-Value Eig_session::resolve(const Path& path) const
+common::Byte_view Eig_session::resolve(int level, std::size_t rank)
 {
-    if (path.size() == static_cast<std::size_t>(f_) + 1) {
-        const auto it = tree_.find(path);
-        return it == tree_.end() ? Value{} : it->second;
+    if (level == f_ + 1) {
+        const Node& node = nodes_[level_base_[static_cast<std::size_t>(level)] + rank];
+        return node.present ? view(node) : common::Byte_view{};
     }
 
-    // Internal node: strict majority over all children path+[j], j not in path.
-    std::map<Value, int, Value_order> votes;
-    int children = 0;
-    Path child = path;
-    child.push_back(0);
-    for (common::Processor_id j = 0; j < n_; ++j) {
-        if (std::find(path.begin(), path.end(), j) != path.end()) continue;
-        ++children;
-        child.back() = j;
-        ++votes[resolve(child)];
+    // Internal node: strict majority over its n-level children, which sit
+    // contiguously on the next level. A strict majority is unique, so one
+    // candidate pass (Boyer-Moore) plus a count finds it if there is one.
+    const auto children = static_cast<std::size_t>(n_ - level);
+    const std::size_t mark = votes_.size();
+    for (std::size_t c = 0; c < children; ++c)
+        votes_.push_back(resolve(level + 1, rank * children + c));
+    common::Byte_view candidate{};
+    std::size_t lead = 0;
+    for (std::size_t c = mark; c < votes_.size(); ++c) {
+        if (lead == 0) {
+            candidate = votes_[c];
+            lead = 1;
+        } else if (same_value(votes_[c], candidate)) {
+            ++lead;
+        } else {
+            --lead;
+        }
     }
-    for (const auto& [value, count] : votes) {
-        if (2 * count > children) return value;
-    }
-    return Value{};
+    std::size_t support = 0;
+    for (std::size_t c = mark; c < votes_.size(); ++c)
+        if (same_value(votes_[c], candidate)) ++support;
+    votes_.resize(mark);
+    return 2 * support > children ? candidate : common::Byte_view{};
 }
 
 void Eig_session::resolve_all()
 {
+    // Own subtree root holds the local input directly.
+    store(level_base_[1] + static_cast<std::size_t>(self_), input_);
     agreed_vector_.assign(static_cast<std::size_t>(n_), Value{});
     for (common::Processor_id source = 0; source < n_; ++source) {
-        Path path{source};
-        if (source == self_) {
-            // Own subtree root holds the local input directly.
-            tree_.emplace(path, input_);
-        }
-        agreed_vector_[static_cast<std::size_t>(source)] = resolve(path);
+        const common::Byte_view value = resolve(1, static_cast<std::size_t>(source));
+        agreed_vector_[static_cast<std::size_t>(source)].assign(value.begin(), value.end());
     }
 }
 

@@ -11,8 +11,6 @@
 #ifndef GA_BFT_EIG_H
 #define GA_BFT_EIG_H
 
-#include <map>
-
 #include "bft/session.h"
 
 namespace ga::bft {
@@ -37,19 +35,43 @@ public:
     [[nodiscard]] const std::vector<Value>& agreed_vector() const override;
 
 private:
-    using Path = std::vector<common::Processor_id>;
+    /// One tree node: its value lives in arena_[offset, offset + size).
+    struct Node {
+        std::size_t offset = 0;
+        std::size_t size = 0;
+        bool present = false;
+    };
 
+    [[nodiscard]] common::Byte_view view(const Node& node) const
+    {
+        return common::Byte_view{arena_}.subspan(node.offset, node.size);
+    }
+    void lay_out();
+    void store(std::size_t node, common::Byte_view value);
+    void relay(common::Round r, std::size_t rank, common::Bytes& payload, std::uint32_t& pairs);
     void resolve_all();
-    Value resolve(const Path& path) const;
-    [[nodiscard]] bool valid_path(const Path& path, std::size_t expected_len) const;
+    common::Byte_view resolve(int level, std::size_t rank);
 
     int n_;
     int f_;
     common::Processor_id self_;
     Value input_;
-    // tree_[path] = value attributed to the node labelled by `path`
-    // (path = [p1..pk] reads: pk said that p(k-1) said ... that p1's input is v).
-    std::map<Path, Value> tree_;
+    // The tree, levels 1..f+1 back to back. A level-k node is labelled by a
+    // path [p1..pk] of distinct ids (pk said that p(k-1) said ... that p1's
+    // input is v) and sits at level_base_[k] + rank(path), where rank orders
+    // a level's paths lexicographically:
+    //   rank([p1]) = p1,
+    //   rank(path+[j]) = rank(path)*(n-|path|) + (j - #{p in path : p < j}),
+    // so a node's n-|path| children are contiguous in the next level. Laid
+    // out on first use, so a session built only to ask total_rounds()
+    // allocates nothing. Values are copied into one arena, once, on store;
+    // a node that holds its parent's value (an honest relay, a self-relay)
+    // shares the parent's bytes instead.
+    std::vector<std::size_t> level_base_;
+    std::vector<Node> nodes_;
+    common::Bytes arena_;
+    std::vector<common::Processor_id> path_;  // scratch: the path being walked or decoded
+    std::vector<common::Byte_view> votes_;    // scratch: child values under resolution
     std::vector<Value> agreed_vector_;
     bool done_ = false;
 };

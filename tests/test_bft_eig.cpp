@@ -463,21 +463,22 @@ TEST_P(Eig_differential, MatchesMapReferenceEveryRound)
                     ps[slot].attacker = std::make_unique<Split_brain_attacker>(
                         shadow, val("evil-a"), val("evil-b"), static_cast<Processor_id>(n / 2));
                 } else {
-                    ps[slot].attacker =
-                        std::make_unique<Mutating_attacker>(shadow, val("mut"), Rng{seed * 31 + slot});
+                    ps[slot].attacker = std::make_unique<Mutating_attacker>(shadow, val("mut"),
+                                                                            Rng{seed * 31 + slot});
                 }
             } else {
                 // Three distinct inputs, shuffled by the seed, so some slots
                 // resolve to a majority and some to bottom.
-                const char tag = static_cast<char>('a' + (static_cast<std::uint64_t>(i) * seed) % 3);
-                ps[slot].session = std::make_unique<Lockstep_session>(n, f, i, val(std::string(1, tag)));
+                const char tag = "abc"[(static_cast<std::uint64_t>(i) * seed) % 3];
+                ps[slot].session =
+                    std::make_unique<Lockstep_session>(n, f, i, val(std::string(1, tag)));
             }
         }
         const Drive_result result = drive(ps);
         for (int i = 0; i < n - f; ++i) {
-            ASSERT_TRUE(result.decisions[static_cast<std::size_t>(i)].has_value());
-            static_cast<void>(
-                dynamic_cast<Ic_session&>(*ps[static_cast<std::size_t>(i)].session).agreed_vector());
+            const auto slot = static_cast<std::size_t>(i);
+            ASSERT_TRUE(result.decisions[slot].has_value());
+            static_cast<void>(dynamic_cast<Ic_session&>(*ps[slot].session).agreed_vector());
         }
         if (HasFailure()) {
             ADD_FAILURE() << attacker << " seed " << seed;
@@ -514,21 +515,23 @@ void put_pair(Bytes& out, const std::vector<std::uint32_t>& path, const std::str
     ga::common::put_bytes(out, val(value));
 }
 
-/// n honest sessions with inputs "in-<i>", driven through rounds [0, r);
+/// n honest sessions with inputs "<tag><i>", driven through rounds [0, r);
 /// `sent` holds the payloads each broadcasts in round r.
 struct Honest_prefix {
     std::vector<std::unique_ptr<Eig_session>> sessions;
     std::vector<Bytes> sent;
 };
 
-Honest_prefix run_honest_until(int n, int f, Round r)
+Honest_prefix run_honest_until(int n, int f, Round r, const std::string& tag = "in-")
 {
     Honest_prefix prefix;
     for (int i = 0; i < n; ++i)
-        prefix.sessions.push_back(std::make_unique<Eig_session>(n, f, i, val("in-" + std::to_string(i))));
+        prefix.sessions.push_back(
+            std::make_unique<Eig_session>(n, f, i, val(tag + std::to_string(i))));
     for (Round round = 0;; ++round) {
         prefix.sent.clear();
-        for (auto& session : prefix.sessions) prefix.sent.push_back(session->message_for_round(round));
+        for (auto& session : prefix.sessions)
+            prefix.sent.push_back(session->message_for_round(round));
         if (round == r) return prefix;
         const Round_payloads views(prefix.sent.begin(), prefix.sent.end());
         for (auto& session : prefix.sessions) session->deliver_round(round, views);
@@ -536,27 +539,45 @@ Honest_prefix run_honest_until(int n, int f, Round r)
 }
 
 /// Delivers round r to processor 0 with sender 1's payload replaced by
-/// `forged`, then returns the level-(r+1) nodes attributed to sender 1, as
-/// processor 0 relays them in round r+1 (every stored node whose path
-/// avoids processor 0).
-Relays stored_from_sender_1(int n, int f, Round r, const Bytes& forged)
+/// `from_1` (nullopt: sender 1 silent), then returns the level-(r+1) nodes
+/// processor 0 relays in round r+1 (every stored node whose path avoids
+/// processor 0).
+Relays relays_after(int n, int f, Round r, const std::optional<Bytes>& from_1)
 {
     Honest_prefix prefix = run_honest_until(n, f, r);
-    prefix.sent[1] = forged;
-    const Round_payloads views(prefix.sent.begin(), prefix.sent.end());
+    Round_payloads views(prefix.sent.begin(), prefix.sent.end());
+    views[1].reset();
+    if (from_1.has_value()) views[1] = *from_1;
     prefix.sessions[0]->deliver_round(r, views);
 
     const Bytes relay = prefix.sessions[0]->message_for_round(r + 1);
     ga::common::Byte_reader reader{relay};
-    Relays from_1;
+    Relays relays;
     const std::uint32_t count = reader.get_u32();
     for (std::uint32_t p = 0; p < count; ++p) {
         std::vector<Processor_id> path(reader.get_u32());
         for (auto& id : path) id = static_cast<Processor_id>(reader.get_u32());
-        Value value = reader.get_bytes();
-        if (path.back() == 1) from_1.emplace(std::move(path), std::move(value));
+        relays.emplace(std::move(path), reader.get_bytes());
     }
     EXPECT_TRUE(reader.exhausted());
+    return relays;
+}
+
+/// The nodes a forged sender-1 payload leaves in processor 0's tree. Every
+/// other node must be exactly what it is when sender 1 stays silent.
+Relays stored_from_sender_1(int n, int f, Round r, const Bytes& forged)
+{
+    Relays from_1 = relays_after(n, f, r, forged);
+    Relays others;
+    for (auto it = from_1.begin(); it != from_1.end();) {
+        if (it->first.back() == 1) {
+            ++it;
+        } else {
+            others.insert(from_1.extract(it++));
+        }
+    }
+    EXPECT_EQ(others, relays_after(n, f, r, std::nullopt))
+        << "a pair landed on another sender's node";
     return from_1;
 }
 
@@ -641,9 +662,9 @@ struct Round_fixture {
     Round_payloads views;
 };
 
-Round_fixture round_fixture(int n, int f, Round r)
+Round_fixture round_fixture(int n, int f, Round r, const std::string& tag = "in-")
 {
-    Honest_prefix prefix = run_honest_until(n, f, std::min<Round>(std::max<Round>(r, 0), f));
+    Honest_prefix prefix = run_honest_until(n, f, std::min<Round>(std::max<Round>(r, 0), f), tag);
     Round_fixture fixture{std::move(prefix.sent), {}};
     fixture.owned.back() = Bytes{0xde, 0xad, 0xbe};
     fixture.views.assign(fixture.owned.begin(), fixture.owned.end());
@@ -687,7 +708,8 @@ TEST(EigSchedule, FinalRoundFirstResolvesWithoutCrashing)
     ASSERT_TRUE(session.done());
     const std::vector<Value>& vec = session.agreed_vector();
     ASSERT_EQ(vec.size(), 7U);
-    for (int j = 0; j < 6; ++j) EXPECT_EQ(vec[static_cast<std::size_t>(j)], val("in-" + std::to_string(j)));
+    for (int j = 0; j < 6; ++j)
+        EXPECT_EQ(vec[static_cast<std::size_t>(j)], val("in-" + std::to_string(j)));
     static_cast<void>(session.decision());
 }
 
@@ -730,11 +752,14 @@ TEST(EigSchedule, RandomCallSequencesMatchTheReference)
 {
     // Arbitrary interleavings of in- and out-of-schedule calls, as a
     // transient fault can leave them, over honest, garbage and missing
-    // payloads — the flat table must agree with the map at every call.
+    // payloads from two systems with different inputs (so relays and
+    // stored values can disagree) — the flat table must agree with the map
+    // at every call.
     for (const auto& [n, f] : std::vector<std::pair<int, int>>{{4, 1}, {7, 2}}) {
         std::vector<Round_fixture> rounds;
-        for (Round r = 0; r <= f; ++r) rounds.push_back(round_fixture(n, f, r));
-        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        for (const char* tag : {"in-", "alt-"})
+            for (Round r = 0; r <= f; ++r) rounds.push_back(round_fixture(n, f, r, tag));
+        for (std::uint64_t seed = 1; seed <= 50; ++seed) {
             Rng rng{seed};
             const auto self = static_cast<Processor_id>(rng.below(static_cast<std::uint64_t>(n)));
             Lockstep_session session{n, f, self, val("in-" + std::to_string(self))};
@@ -743,9 +768,8 @@ TEST(EigSchedule, RandomCallSequencesMatchTheReference)
                 if (rng.chance(0.5)) {
                     static_cast<void>(session.message_for_round(r));
                 } else {
-                    Round_payloads views =
-                        rounds[static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(f + 1)))]
-                            .views;
+                    const auto source = rng.below(rounds.size());
+                    Round_payloads views = rounds[static_cast<std::size_t>(source)].views;
                     for (auto& view : views)
                         if (rng.chance(0.2)) view.reset();
                     session.deliver_round(r, views);
