@@ -6,8 +6,13 @@
 // scalability as further work. This bench quantifies that: EIG's exponential
 // message payloads against phase-king's polynomial ones, plus the per-play
 // pulse/message/byte budget of the full distributed play pipeline.
+//
+// `bench_bap_scaling --smoke` prints the tables, skips the timings, and
+// exits non-zero unless every row equals bench/BASELINES.md's exact value
+// and parallel IC moves under half of EIG's bytes per play at n = 9, f = 2.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <iostream>
 
 #include "pipeline/pipeline_authority.h"
@@ -63,8 +68,44 @@ private:
     int n_;
 };
 
-void print_tables()
+/// One row of an E7 table: rounds (protocol tables) or pulses per play
+/// (play table), messages, payload bytes.
+struct E7_row {
+    std::string table;
+    int n = 0;
+    int f = 0;
+    std::int64_t rounds = 0;
+    std::int64_t messages = 0;
+    std::int64_t bytes = 0;
+    bool operator==(const E7_row&) const = default;
+};
+
+/// bench/BASELINES.md's exact E7 rows. No perfbench workload runs EIG at
+/// f >= 2, so `--smoke` holds these rows as the pin on that output.
+const std::vector<E7_row>& expected_rows()
 {
+    static const std::vector<E7_row> rows{
+        {"eig", 4, 1, 2, 24, 672},
+        {"eig", 7, 2, 3, 126, 25578},
+        {"eig", 10, 3, 4, 360, 1075500},
+        {"eig", 13, 4, 5, 780, 51035244},
+        {"phase-king", 5, 1, 6, 120, 288},
+        {"phase-king", 9, 2, 8, 576, 1104},
+        {"phase-king", 13, 3, 10, 1560, 2544},
+        {"phase-king", 17, 4, 12, 3264, 4704},
+        {"play/eig", 4, 1, 14, 171, 9591},
+        {"play/eig", 7, 2, 18, 766, 301822},
+        {"play/eig", 9, 2, 18, 1314, 946962},
+        {"play/parallel-ic", 5, 1, 34, 685, 49085},
+        {"play/parallel-ic", 9, 2, 42, 3042, 344610},
+    };
+    return rows;
+}
+
+/// Prints the E7 tables and returns their rows.
+std::vector<E7_row> print_tables()
+{
+    std::vector<E7_row> rows;
     std::cout << "=== E7: agreement-protocol scaling and the cost of one play ===\n\n";
 
     std::cout << "EIG (n > 3f, f+1 rounds, exponential payloads):\n";
@@ -73,6 +114,7 @@ void print_tables()
         const Drive_result r = drive_eig(n, f);
         eig.add_row({std::to_string(n), std::to_string(f), std::to_string(r.rounds),
                      std::to_string(r.messages), std::to_string(r.payload_bytes)});
+        rows.push_back({"eig", n, f, r.rounds, r.messages, r.payload_bytes});
     }
     eig.print(std::cout);
 
@@ -82,6 +124,7 @@ void print_tables()
         const Drive_result r = drive_tc_phase_king(n, f);
         pk.add_row({std::to_string(n), std::to_string(f), std::to_string(r.rounds),
                     std::to_string(r.messages), std::to_string(r.payload_bytes)});
+        rows.push_back({"phase-king", n, f, r.rounds, r.messages, r.payload_bytes});
     }
     pk.print(std::cout);
 
@@ -108,6 +151,8 @@ void print_tables()
                       std::to_string(da.pulses_per_batch()),
                       std::to_string(stats.messages / plays),
                       std::to_string(stats.payload_bytes / plays)});
+        rows.push_back({std::string{"play/"} + label, n, f, da.pulses_per_batch(),
+                        stats.messages / plays, stats.payload_bytes / plays});
     };
     measure_play("eig", 4, 1, bft::ic_eig());
     measure_play("eig", 7, 2, bft::ic_eig());
@@ -119,6 +164,35 @@ void print_tables()
     std::cout << "\nShape check: EIG bytes blow up combinatorially in f while phase-king grows\n"
                  "polynomially — the paper's 'existence vs scalability' trade-off. One play\n"
                  "costs 4 agreement activations (outcome, commit, reveal, foul set).\n\n";
+    return rows;
+}
+
+/// The --smoke verdict: every row equals its BASELINES.md value, and a
+/// parallel-IC play at n = 9, f = 2 moves under half of EIG's bytes.
+bool check_rows(const std::vector<E7_row>& rows)
+{
+    bool exact = rows.size() == expected_rows().size();
+    for (std::size_t i = 0; i < rows.size() && i < expected_rows().size(); ++i) {
+        const E7_row& got = rows[i];
+        const E7_row& want = expected_rows()[i];
+        if (got == want) continue;
+        exact = false;
+        std::cout << "  drift: " << got.table << " n=" << got.n << " f=" << got.f << " gave "
+                  << got.rounds << " / " << got.messages << " / " << got.bytes << ", expected "
+                  << want.rounds << " / " << want.messages << " / " << want.bytes << "\n";
+    }
+    const auto bytes_of_row = [&](const std::string& table) {
+        for (const E7_row& row : rows)
+            if (row.table == table && row.n == 9 && row.f == 2) return row.bytes;
+        return std::int64_t{-1};
+    };
+    const std::int64_t eig_bytes = bytes_of_row("play/eig");
+    const std::int64_t pic_bytes = bytes_of_row("play/parallel-ic");
+    const bool cheaper = pic_bytes >= 0 && 2 * pic_bytes < eig_bytes;
+    std::cout << "E7 exact rows (BASELINES.md): " << (exact ? "PASS" : "FAIL") << "\n"
+              << "parallel-IC bytes/play < 1/2 EIG's at n = 9, f = 2 (" << pic_bytes << " vs "
+              << eig_bytes << "): " << (cheaper ? "PASS" : "FAIL") << "\n";
+    return exact && cheaper;
 }
 
 void BM_eig_activation(benchmark::State& state)
@@ -181,7 +255,18 @@ BENCHMARK(BM_authority_play)
 
 int main(int argc, char** argv)
 {
-    print_tables();
+    bool smoke = false;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+    }
+    const std::vector<E7_row> rows = print_tables();
+    if (smoke) {
+        // The tables are the whole check; Google Benchmark's timings are
+        // skipped.
+        const bool ok = check_rows(rows);
+        if (!ga::bench::dump_fabric_trace(ga::bench::trace_path(argc, argv))) return 1;
+        return ok ? 0 : 1;
+    }
     std::vector<std::string> args = ga::bench::gbench_args(argc, argv);
     std::vector<char*> argv2;
     argv2.reserve(args.size());

@@ -134,12 +134,14 @@ void Eig_session::deliver_round(common::Round r, const Round_payloads& payloads)
                    "Eig_session::deliver_round: payload vector size mismatch");
     lay_out();
 
-    // Stored values never outgrow what arrived, so one reservation covers
-    // the round.
-    std::size_t received = 0;
-    for (const auto& payload : payloads)
-        if (payload.has_value()) received += payload->size();
-    arena_.reserve(arena_.size() + received);
+    if (r == 0) {
+        // Round 0 stores every sender's input, so one reservation covers it.
+        // Later rounds mostly share their parent's bytes (honest relays).
+        std::size_t received = 0;
+        for (const auto& payload : payloads)
+            if (payload.has_value()) received += payload->size();
+        arena_.reserve(arena_.size() + received);
+    }
 
     // A legitimate round-r message carries at most the number of level-r
     // nodes; anything larger is Byzantine spam — that sender is dropped.

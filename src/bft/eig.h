@@ -58,8 +58,9 @@ private:
     Value input_;
     // The tree, levels 1..f+1 back to back. A level-k node is labelled by a
     // path [p1..pk] of distinct ids (pk said that p(k-1) said ... that p1's
-    // input is v) and sits at level_base_[k] + rank(path), where rank orders
-    // a level's paths lexicographically:
+    // input is v) and sits at level_base_[k] + rank(path) (level_base_[f+2]
+    // is the table size), where rank orders a level's paths
+    // lexicographically:
     //   rank([p1]) = p1,
     //   rank(path+[j]) = rank(path)*(n-|path|) + (j - #{p in path : p < j}),
     // so a node's n-|path| children are contiguous in the next level. Laid

@@ -24,12 +24,11 @@ Ic_factory ic_parallel_phase_king()
 Ic_factory choose_ic(int n, int f)
 {
     // E7 crossover (bench_bap_scaling, BM_authority_play): at f = 1 (n = 5)
-    // parallel-IC is now slightly cheaper in wall time per play (~0.24 vs
-    // ~0.29 ms), but it runs 7 send rounds to EIG's 2, so a play takes 34
-    // pulses instead of 14 — EIG stays the f <= 1 substrate because switching
-    // would stretch every play's latency in pulses. From f = 2 on EIG's
-    // exponential payloads dominate and parallel-IC wins ~14x per play at
-    // n = 9 — but it only exists for n > 4f.
+    // EIG is cheaper in wall time per play (~0.12-0.17 vs ~0.19-0.30 ms) and
+    // runs 2 send rounds to parallel-IC's 7, so a play takes 14 pulses
+    // instead of 34. From f = 2 on EIG's exponential payloads dominate:
+    // parallel-IC moves ~2.7x fewer bytes per play at n = 9 and is ~1.3-1.8x
+    // faster — but it only exists for n > 4f.
     if (f >= 2 && n > 4 * f) return ic_parallel_phase_king();
     return ic_eig();
 }

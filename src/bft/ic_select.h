@@ -6,11 +6,12 @@
 // phase-king (polynomial payloads, n > 4f, 3+2(f+1) rounds, its n instances
 // fused in one Parallel_ic_session). Which one is cheaper end-to-end depends
 // on (n, f): bench E7's BM_authority_play measures the crossover — at f = 1
-// EIG's payload blow-up has not kicked in yet, the two cost about the same
-// wall time per play, and EIG's shorter schedule (14 pulses per play against
-// 34) wins, while from f = 2 on parallel-IC is ~14x faster per play.
-// choose_ic encodes that measurement so callers get the right substrate by
-// default instead of hard-coding one.
+// EIG's payload blow-up has not kicked in yet, so EIG costs less wall time
+// per play than parallel-IC and also runs the shorter schedule (14 pulses
+// per play against 34), while from f = 2 on parallel-IC moves ~2.7x fewer
+// bytes and runs ~1.3-1.8x faster per play. choose_ic encodes that
+// measurement so callers get the right substrate by default instead of
+// hard-coding one.
 #ifndef GA_BFT_IC_SELECT_H
 #define GA_BFT_IC_SELECT_H
 

@@ -451,21 +451,9 @@ TEST_P(Eig_differential, MatchesMapReferenceEveryRound)
         for (int i = 0; i < n; ++i) {
             const auto slot = static_cast<std::size_t>(i);
             if (i >= n - f) {
-                const Session_factory shadow = [n, f, i](Value input) -> std::unique_ptr<Session> {
-                    return std::make_unique<Lockstep_session>(n, f, i, input);
-                };
-                const std::string kind = attacker;
-                if (kind == "silent") {
-                    ps[slot].attacker = std::make_unique<Silent_attacker>();
-                } else if (kind == "garbage") {
-                    ps[slot].attacker = std::make_unique<Garbage_attacker>(Rng{seed * 31 + slot});
-                } else if (kind == "split-brain") {
-                    ps[slot].attacker = std::make_unique<Split_brain_attacker>(
-                        shadow, val("evil-a"), val("evil-b"), static_cast<Processor_id>(n / 2));
-                } else {
-                    ps[slot].attacker = std::make_unique<Mutating_attacker>(shadow, val("mut"),
-                                                                            Rng{seed * 31 + slot});
-                }
+                // Attackers' shadow sessions are plain Eig_sessions: they only
+                // forge traffic for the honest slots under comparison.
+                ps[slot].attacker = make_attacker(attacker, n, f, i, seed * 31 + slot);
             } else {
                 // Three distinct inputs, shuffled by the seed, so some slots
                 // resolve to a majority and some to bottom.
@@ -477,7 +465,7 @@ TEST_P(Eig_differential, MatchesMapReferenceEveryRound)
         const Drive_result result = drive(ps);
         for (int i = 0; i < n - f; ++i) {
             const auto slot = static_cast<std::size_t>(i);
-            ASSERT_TRUE(result.decisions[slot].has_value());
+            ASSERT_TRUE(result.decisions[slot].has_value()); // decision() compared both
             static_cast<void>(dynamic_cast<Ic_session&>(*ps[slot].session).agreed_vector());
         }
         if (HasFailure()) {
