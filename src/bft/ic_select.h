@@ -9,7 +9,7 @@
 // EIG's payload blow-up has not kicked in yet, so EIG costs less wall time
 // per play than parallel-IC and also runs the shorter schedule (14 pulses
 // per play against 34), while from f = 2 on parallel-IC moves ~2.7x fewer
-// bytes and runs ~1.3-1.8x faster per play. choose_ic encodes that
+// bytes and runs ~1.5-2x faster per play. choose_ic encodes that
 // measurement so callers get the right substrate by default instead of
 // hard-coding one.
 #ifndef GA_BFT_IC_SELECT_H
