@@ -63,6 +63,34 @@ TEST(Rng, BelowIsRoughlyUniform)
     EXPECT_LT(chi_square_statistic(counts, expected), chi_square_critical_999(buckets - 1));
 }
 
+/// Rng::below's division path, drawn from a twin generator's raw stream:
+/// reject draws at or above the largest multiple of bound, then reduce.
+std::uint64_t below_by_division(Rng& raw, std::uint64_t bound)
+{
+    const std::uint64_t limit = Rng::max() - Rng::max() % bound;
+    std::uint64_t draw = raw.next_u64();
+    while (draw >= limit) draw = raw.next_u64();
+    return draw % bound;
+}
+
+TEST(Rng, BelowMatchesTheDivisionPathDrawForDraw)
+{
+    // Power-of-two bounds (1 and 2^63 included) and others, 10k draws each:
+    // same values and same consumption of the stream.
+    for (const std::uint64_t bound : {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{4},
+                                      std::uint64_t{256}, std::uint64_t{1} << 32,
+                                      std::uint64_t{1} << 63, std::uint64_t{3}, std::uint64_t{255},
+                                      (std::uint64_t{1} << 63) + 1}) {
+        Rng rng{bound * 7 + 1};
+        Rng raw{bound * 7 + 1};
+        for (int i = 0; i < 10000; ++i) {
+            ASSERT_EQ(rng.below(bound), below_by_division(raw, bound))
+                << "bound " << bound << " draw " << i;
+        }
+        EXPECT_EQ(rng.next_u64(), raw.next_u64()) << "bound " << bound;
+    }
+}
+
 TEST(Rng, BetweenCoversBothEndpoints)
 {
     Rng rng{3};
