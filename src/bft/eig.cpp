@@ -28,12 +28,23 @@ std::size_t index_below(const std::vector<common::Processor_id>& path, common::P
 } // namespace
 
 Eig_session::Eig_session(int n, int f, common::Processor_id self, Value input)
-    : n_{n}, f_{f}, self_{self}, input_{std::move(input)}
+    : n_{n}, f_{f}, self_{self}
 {
     common::ensure(n_ >= 1, "Eig_session: n must be positive");
     common::ensure(f_ >= 0, "Eig_session: f must be non-negative");
     common::ensure(n_ > 3 * f_, "Eig_session requires n > 3f");
     common::ensure(self_ >= 0 && self_ < n_, "Eig_session: self out of range");
+    restart(std::move(input));
+}
+
+void Eig_session::restart(Value input)
+{
+    input_ = std::move(input);
+    done_ = false;
+    // The laid-out table and the arena keep their capacity; only their
+    // contents go.
+    std::fill(nodes_.begin(), nodes_.end(), Node{});
+    arena_.clear();
 }
 
 void Eig_session::lay_out()
@@ -143,68 +154,72 @@ void Eig_session::deliver_round(common::Round r, const Round_payloads& payloads)
         arena_.reserve(arena_.size() + received);
     }
 
-    // A legitimate round-r message carries at most the number of level-r
-    // nodes; anything larger is Byzantine spam — that sender is dropped.
-    const std::int64_t limit = eig_pairs_in_round(n_, r);
-    const auto children = static_cast<std::size_t>(n_ - r);
-    const std::size_t next_level = level_base_[static_cast<std::size_t>(r) + 1];
     for (common::Processor_id sender = 0; sender < n_; ++sender) {
         const auto& payload = payloads[static_cast<std::size_t>(sender)];
-        if (!payload.has_value()) continue;
-        try {
-            common::Byte_reader reader{*payload};
-            const std::uint32_t count = reader.get_u32();
-            if (static_cast<std::int64_t>(count) > limit) continue;
-            for (std::uint32_t p = 0; p < count; ++p) {
-                const std::uint32_t path_len = reader.get_u32();
-                if (path_len > static_cast<std::uint32_t>(f_ + 1)) throw common::Decode_error{"path too long"};
-                // Fold the path into its level-r rank while decoding. A path
-                // that is not r distinct in-range ids, or that holds the
-                // sender, skips the pair — which is still decoded in full, so
-                // a truncation anywhere in it ends the message.
-                bool keep = path_len == static_cast<std::uint32_t>(r);
-                std::size_t rank = 0;
-                path_.clear();
-                for (std::uint32_t i = 0; i < path_len; ++i) {
-                    const auto id = static_cast<common::Processor_id>(reader.get_u32());
-                    if (!keep) continue;
-                    if (id < 0 || id >= n_ || id == sender ||
-                        std::find(path_.begin(), path_.end(), id) != path_.end()) {
-                        keep = false;
-                        continue;
-                    }
-                    rank = rank * static_cast<std::size_t>(n_ - static_cast<int>(i)) +
-                           index_below(path_, id);
-                    path_.push_back(id);
-                }
-                const common::Byte_view value = reader.get_view();
-                if (!keep) continue;
-                // First writer wins: a duplicate (path) pair in one round is
-                // itself Byzantine behaviour; honest senders never repeat.
-                const std::size_t node = next_level + rank * children + index_below(path_, sender);
-                if (nodes_[node].present) continue;
-                // An honest relay repeats the value this processor holds for
-                // the parent path; it shares the parent's arena bytes, which
-                // also lets resolve's comparisons stop at the pointer.
-                if (r > 0) {
-                    const Node& parent = nodes_[level_base_[static_cast<std::size_t>(r)] + rank];
-                    if (parent.present && same_value(view(parent), value)) {
-                        nodes_[node] = parent;
-                        continue;
-                    }
-                }
-                store(node, value);
-            }
-        } catch (const common::Decode_error&) {
-            // Malformed payload: the rest of this sender's message is
-            // dropped, but the pairs decoded before the malformed one stay
-            // in the tree.
-        }
+        if (payload.has_value()) store_pairs(r, sender, *payload);
     }
 
     if (r == f_) {
         resolve_all();
         done_ = true;
+    }
+}
+
+void Eig_session::store_pairs(common::Round r, common::Processor_id sender,
+                              common::Byte_view payload)
+{
+    // A legitimate round-r message carries at most the number of level-r
+    // nodes; anything larger is Byzantine spam — that sender is dropped. A
+    // malformed pair ends the sender's message, but the pairs decoded
+    // before it stay in the tree.
+    common::Byte_reader reader{payload};
+    std::uint32_t count = 0;
+    if (!reader.try_get_u32(count) || static_cast<std::int64_t>(count) > eig_pairs_in_round(n_, r))
+        return;
+    const auto children = static_cast<std::size_t>(n_ - r);
+    const std::size_t next_level = level_base_[static_cast<std::size_t>(r) + 1];
+    for (std::uint32_t p = 0; p < count; ++p) {
+        std::uint32_t path_len = 0;
+        if (!reader.try_get_u32(path_len) || path_len > static_cast<std::uint32_t>(f_ + 1)) return;
+        // Fold the path into its level-r rank while decoding. A path that is
+        // not r distinct in-range ids, or that holds the sender, skips the
+        // pair — which is still decoded in full, so a truncation anywhere in
+        // it ends the message.
+        bool keep = path_len == static_cast<std::uint32_t>(r);
+        std::size_t rank = 0;
+        path_.clear();
+        for (std::uint32_t i = 0; i < path_len; ++i) {
+            std::uint32_t raw = 0;
+            if (!reader.try_get_u32(raw)) return;
+            const auto id = static_cast<common::Processor_id>(raw);
+            if (!keep) continue;
+            if (id < 0 || id >= n_ || id == sender ||
+                std::find(path_.begin(), path_.end(), id) != path_.end()) {
+                keep = false;
+                continue;
+            }
+            rank = rank * static_cast<std::size_t>(n_ - static_cast<int>(i)) +
+                   index_below(path_, id);
+            path_.push_back(id);
+        }
+        common::Byte_view value;
+        if (!reader.try_get_view(value)) return;
+        if (!keep) continue;
+        // First writer wins: a duplicate (path) pair in one round is itself
+        // Byzantine behaviour; honest senders never repeat.
+        const std::size_t node = next_level + rank * children + index_below(path_, sender);
+        if (nodes_[node].present) continue;
+        // An honest relay repeats the value this processor holds for the
+        // parent path; it shares the parent's arena bytes, which also lets
+        // resolve's comparisons stop at the pointer.
+        if (r > 0) {
+            const Node& parent = nodes_[level_base_[static_cast<std::size_t>(r)] + rank];
+            if (parent.present && same_value(view(parent), value)) {
+                nodes_[node] = parent;
+                continue;
+            }
+        }
+        store(node, value);
     }
 }
 
@@ -245,7 +260,7 @@ void Eig_session::resolve_all()
 {
     // Own subtree root holds the local input directly.
     store(level_base_[1] + static_cast<std::size_t>(self_), input_);
-    agreed_vector_.assign(static_cast<std::size_t>(n_), Value{});
+    agreed_vector_.resize(static_cast<std::size_t>(n_)); // values keep their capacity
     for (common::Processor_id source = 0; source < n_; ++source) {
         const common::Byte_view value = resolve(1, static_cast<std::size_t>(source));
         agreed_vector_[static_cast<std::size_t>(source)].assign(value.begin(), value.end());

@@ -34,6 +34,9 @@ public:
     /// processors attribute to processor j. Valid only when done().
     [[nodiscard]] const std::vector<Value>& agreed_vector() const override;
 
+    /// Keeps the laid-out tree table, the arena and the scratch.
+    void restart(Value input) override;
+
 private:
     /// One tree node: its value lives in arena_[offset, offset + size).
     struct Node {
@@ -49,6 +52,8 @@ private:
     void lay_out();
     void store(std::size_t node, common::Byte_view value);
     void relay(common::Round r, std::size_t rank, common::Bytes& payload, std::uint32_t& pairs);
+    /// Decodes one sender's round-r pairs into the next level.
+    void store_pairs(common::Round r, common::Processor_id sender, common::Byte_view payload);
     void resolve_all();
     common::Byte_view resolve(int level, std::size_t rank);
 

@@ -7,10 +7,20 @@
 namespace ga::bft {
 
 Parallel_ic_session::Parallel_ic_session(int n, int f, common::Processor_id self, Value input)
-    : n_{n}, f_{f}, self_{self}, input_{std::move(input)}
+    : n_{n}, f_{f}, self_{self}
 {
     common::ensure(f_ >= 0 && n_ > 4 * f_, "Parallel_ic_session requires f >= 0 and n > 4f");
     common::ensure(self_ >= 0 && self_ < n_, "Parallel_ic_session: self out of range");
+    restart(std::move(input));
+}
+
+void Parallel_ic_session::restart(Value input)
+{
+    input_ = std::move(input);
+    seeded_ = false;
+    binary_started_ = false;
+    done_ = false;
+    // Sized once; a restart keeps every buffer and its values' capacity.
     const auto instances = static_cast<std::size_t>(n_);
     seed_.resize(instances);
     x_.resize(instances);
@@ -19,8 +29,10 @@ Parallel_ic_session::Parallel_ic_session(int n, int f, common::Processor_id self
     candidate_valid_.resize(instances);
     pref_.resize(instances);
     majority_.resize(instances);
-    sections_.resize(instances * instances);
-    sender_ok_.resize(instances);
+    row_.resize(instances);
+    votes_.resize(instances * instances);
+    vote_count_.resize(instances);
+    bits_.resize(2 * instances);
 }
 
 common::Bytes Parallel_ic_session::message_for_round(common::Round r)
@@ -77,11 +89,11 @@ void Parallel_ic_session::deliver_round(common::Round r, const Round_payloads& p
         for (int j = 0; j < n_; ++j) {
             const auto i = static_cast<std::size_t>(j);
             Value& seed = seed_[i];
-            seed.clear();
             if (j == self_) {
                 seed = input_; // own slot always carries the real input
                 continue;
             }
+            seed.clear();
             if (!payloads[i].has_value()) continue;
             common::Byte_reader reader{*payloads[i]};
             common::Byte_view value;
@@ -100,61 +112,49 @@ void Parallel_ic_session::deliver_round(common::Round r, const Round_payloads& p
     const common::Round tc_round = r - 1;
     const common::Round pk_round = tc_round - 2;
     if (tc_round >= 2 && (!binary_started_ || pk_round >= phase_king_rounds(f_))) return;
-    split(payloads);
-    if (tc_round == 0) {
-        deliver_quorum_round();
-    } else if (tc_round == 1) {
-        deliver_candidate_round();
+    if (tc_round <= 1) {
+        deliver_reduction_round(payloads, /*quorum_round=*/tc_round == 0);
+    } else if (pk_round % 2 == 0) {
+        deliver_exchange_round(payloads);
     } else {
-        deliver_phase_king_round(pk_round);
+        deliver_king_round(payloads, pk_round);
     }
 }
 
-void Parallel_ic_session::split(const Round_payloads& payloads)
+bool Parallel_ic_session::split(const std::optional<common::Byte_view>& payload)
+{
+    if (!payload.has_value()) return false;
+    common::Byte_reader reader{*payload};
+    for (common::Byte_view& section : row_) {
+        if (!reader.try_get_view(section)) return false;
+    }
+    return reader.exhausted();
+}
+
+void Parallel_ic_session::deliver_reduction_round(const Round_payloads& payloads,
+                                                  bool quorum_round)
 {
     const auto n = static_cast<std::size_t>(n_);
+    std::fill(vote_count_.begin(), vote_count_.end(), 0);
+    common::Byte_view value;
     for (std::size_t sender = 0; sender < n; ++sender) {
-        bool ok = payloads[sender].has_value();
-        if (ok) {
-            common::Byte_reader reader{*payloads[sender]};
-            for (std::size_t j = 0; ok && j < n; ++j)
-                ok = reader.try_get_view(sections_[sender * n + j]);
-            ok = ok && reader.exhausted();
+        if (!split(payloads[sender])) continue;
+        for (std::size_t j = 0; j < n; ++j) {
+            if (tagged_vote(row_[j], value))
+                votes_[j * n + static_cast<std::size_t>(vote_count_[j]++)] = value;
         }
-        sender_ok_[sender] = ok ? 1 : 0;
     }
-}
 
-std::optional<common::Byte_view> Parallel_ic_session::section(std::size_t sender,
-                                                              std::size_t instance) const
-{
-    if (!sender_ok_[sender]) return std::nullopt;
-    return sections_[sender * static_cast<std::size_t>(n_) + instance];
-}
-
-void Parallel_ic_session::tally_instance(std::size_t instance)
-{
-    tally_.clear();
-    for (std::size_t sender = 0; sender < static_cast<std::size_t>(n_); ++sender) {
-        const auto decoded = decode_tagged(section(sender, instance));
-        if (decoded.has_value() && decoded->has_value()) tally_.add(**decoded);
-    }
-}
-
-void Parallel_ic_session::deliver_quorum_round()
-{
-    for (std::size_t j = 0; j < static_cast<std::size_t>(n_); ++j) {
-        tally_instance(j);
-        const auto x = tally_.quorum(n_ - f_);
-        x_valid_[j] = x.has_value() ? 1 : 0;
-        if (x.has_value()) x_[j].assign(x->begin(), x->end());
-    }
-}
-
-void Parallel_ic_session::deliver_candidate_round()
-{
-    for (std::size_t j = 0; j < static_cast<std::size_t>(n_); ++j) {
-        tally_instance(j);
+    for (std::size_t j = 0; j < n; ++j) {
+        tally_.clear();
+        const auto first = votes_.begin() + static_cast<std::ptrdiff_t>(j * n);
+        for (auto vote = first; vote != first + vote_count_[j]; ++vote) tally_.add(*vote);
+        if (quorum_round) {
+            const auto x = tally_.quorum(n_ - f_);
+            x_valid_[j] = x.has_value() ? 1 : 0;
+            if (x.has_value()) x_[j].assign(x->begin(), x->end());
+            continue;
+        }
         const auto best = tally_.plurality();
         candidate_valid_[j] = best.has_value() ? 1 : 0;
         if (best.has_value()) candidate_[j].assign(best->begin(), best->end());
@@ -162,34 +162,43 @@ void Parallel_ic_session::deliver_candidate_round()
         pref_[j] = static_cast<std::uint8_t>(binary_input(tally_, n_, f_));
         majority_[j] = Phase_majority{};
     }
-    binary_started_ = true;
+    if (!quorum_round) binary_started_ = true;
 }
 
-void Parallel_ic_session::deliver_phase_king_round(common::Round r)
+void Parallel_ic_session::deliver_exchange_round(const Round_payloads& payloads)
 {
     const auto n = static_cast<std::size_t>(n_);
-    if (r % 2 == 0) {
+    std::fill(bits_.begin(), bits_.end(), 0);
+    for (std::size_t sender = 0; sender < n; ++sender) {
+        if (!split(payloads[sender])) continue;
         for (std::size_t j = 0; j < n; ++j) {
-            int count[2] = {0, 0};
-            for (std::size_t sender = 0; sender < n; ++sender) {
-                const auto bit = decode_bit(section(sender, j));
-                if (bit.has_value()) ++count[*bit];
-            }
-            majority_[j] = phase_majority(count[0], count[1]);
+            const common::Byte_view section = row_[j];
+            if (section.size() == 1 && section[0] <= 1) ++bits_[2 * j + section[0]];
         }
-        return;
     }
-    const auto king = static_cast<std::size_t>(r / 2);
-    for (std::size_t j = 0; j < n; ++j) {
-        pref_[j] = static_cast<std::uint8_t>(
-            king_adopt(majority_[j], decode_bit(section(king, j)), n_, f_));
-    }
-    if (r != phase_king_rounds(f_) - 1) return;
+    for (std::size_t j = 0; j < n; ++j) majority_[j] = phase_majority(bits_[2 * j], bits_[2 * j + 1]);
+}
 
-    // Instance j decides its candidate iff phase king decided 1.
-    agreed_vector_.assign(n, Value{});
+void Parallel_ic_session::deliver_king_round(const Round_payloads& payloads,
+                                             common::Round pk_round)
+{
+    const auto n = static_cast<std::size_t>(n_);
+    const bool heard = split(payloads[static_cast<std::size_t>(pk_round / 2)]);
     for (std::size_t j = 0; j < n; ++j) {
-        if (pref_[j] == 1 && candidate_valid_[j]) agreed_vector_[j] = std::move(candidate_[j]);
+        const std::optional<int> king_bit = heard ? decode_bit(row_[j]) : std::nullopt;
+        pref_[j] = static_cast<std::uint8_t>(king_adopt(majority_[j], king_bit, n_, f_));
+    }
+    if (pk_round != phase_king_rounds(f_) - 1) return;
+
+    // Instance j decides its candidate iff phase king decided 1. Swapping
+    // the candidate in keeps both values' buffers for the next activation.
+    agreed_vector_.resize(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        if (pref_[j] == 1 && candidate_valid_[j]) {
+            agreed_vector_[j].swap(candidate_[j]);
+        } else {
+            agreed_vector_[j].clear();
+        }
     }
     done_ = true;
 }

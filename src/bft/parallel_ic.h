@@ -13,12 +13,19 @@
 // The n instances are fused into one session: their state lives in arrays
 // indexed by instance, and since every deliver_round moves all of them to the
 // same round, their progress is one set of scalars. A round's message is one
-// length-prefixed section per instance, written straight into one payload;
-// an incoming round is split once per sender into a flat sender-major table
-// of section views. The per-instance rules (tagged codec, vote tally, phase
-// king's majority and king adoption) are the ones Turpin_coan_session and
-// Phase_king_session run, so the wire bytes are those of n standalone
-// Turpin-Coan-over-phase-king sessions side by side.
+// length-prefixed section per instance, written straight into one payload.
+// An incoming round is decoded in one sender-major pass: exchange rounds
+// count each sender's bits straight into per-instance counters, king rounds
+// read only the king's payload, and the two reduction rounds decode each
+// tagged section inline into an instance-major vote table. The per-instance
+// rules (tagged codec, vote tally, phase king's majority and king adoption)
+// are the ones Turpin_coan_session and Phase_king_session run, so the wire
+// bytes are those of n standalone Turpin-Coan-over-phase-king sessions side
+// by side.
+//
+// restart() keeps every per-instance buffer, so an owner that restarts one
+// session per activation reaches a steady state with no heap traffic beyond
+// the payloads it mints.
 #ifndef GA_BFT_PARALLEL_IC_H
 #define GA_BFT_PARALLEL_IC_H
 
@@ -50,22 +57,17 @@ public:
     /// The agreed vector (one slot per source); valid only when done().
     [[nodiscard]] const std::vector<Value>& agreed_vector() const override;
 
+    void restart(Value input) override;
+
 private:
-    /// Splits each sender's payload into its n sections (sections_). A
-    /// missing or malformed payload, or one with trailing bytes, clears the
-    /// sender's sender_ok_ flag: it is distrusted for every instance.
-    void split(const Round_payloads& payloads);
+    /// Splits one sender's payload into its n sections (row_). False when
+    /// the payload is missing, malformed, or has trailing bytes: the sender
+    /// is then distrusted for every instance.
+    bool split(const std::optional<common::Byte_view>& payload);
 
-    /// Sender s's section for instance j this round, or nullopt.
-    [[nodiscard]] std::optional<common::Byte_view> section(std::size_t sender,
-                                                           std::size_t instance) const;
-
-    /// Refills tally_ with instance j's non-bottom votes this round.
-    void tally_instance(std::size_t instance);
-
-    void deliver_quorum_round();
-    void deliver_candidate_round();
-    void deliver_phase_king_round(common::Round r);
+    void deliver_reduction_round(const Round_payloads& payloads, bool quorum_round);
+    void deliver_exchange_round(const Round_payloads& payloads);
+    void deliver_king_round(const Round_payloads& payloads, common::Round pk_round);
 
     int n_;
     int f_;
@@ -86,10 +88,14 @@ private:
     std::vector<std::uint8_t> pref_;         // phase-king preference
     std::vector<Phase_majority> majority_;   // last exchange round's majority
 
-    // One round's split, sender-major: sections_[s * n + j] views sender s's
-    // section for instance j. Valid only inside deliver_round.
-    std::vector<common::Byte_view> sections_;
-    std::vector<std::uint8_t> sender_ok_;
+    // Round scratch, valid only inside deliver_round: one sender's sections;
+    // the reduction rounds' votes, instance-major (instance j's votes are
+    // votes_[j * n, j * n + vote_count_[j]), in sender order); the exchange
+    // rounds' bit counts (bits_[2j + b] counts b for instance j).
+    std::vector<common::Byte_view> row_;
+    std::vector<common::Byte_view> votes_;
+    std::vector<int> vote_count_;
+    std::vector<int> bits_;
     Vote_tally tally_;
 
     std::vector<Value> agreed_vector_;

@@ -97,6 +97,16 @@ class Ic_session : public Session {
 public:
     /// Valid only when done(); identical at every honest processor.
     [[nodiscard]] virtual const std::vector<Value>& agreed_vector() const = 0;
+
+    /// Begin a new activation with `input`, in any state (done, unfinished,
+    /// or never run). Afterwards the session is indistinguishable from a
+    /// fresh one built on the same (n, f, self) with this input: the same
+    /// messages, the same outputs, whatever call pattern follows. What a
+    /// restart may keep is capacity — tables, arenas, scratch and value
+    /// buffers — so an owner that restarts one session per activation
+    /// stops paying for a session's allocations every activation. The
+    /// constructors delegate to it, so there is one initialization path.
+    virtual void restart(Value input) = 0;
 };
 
 } // namespace ga::bft

@@ -79,9 +79,9 @@ common::Bytes Turpin_coan_session::message_for_round(common::Round r)
 void Turpin_coan_session::tally_round(const Round_payloads& payloads)
 {
     tally_.clear();
+    common::Byte_view value;
     for (const auto& payload : payloads) {
-        const auto decoded = decode_tagged(payload);
-        if (decoded.has_value() && decoded->has_value()) tally_.add(**decoded);
+        if (payload.has_value() && tagged_vote(*payload, value)) tally_.add(value);
     }
 }
 

@@ -22,22 +22,14 @@ namespace ga::bft {
 /// then the length-prefixed value.
 void put_tagged(common::Bytes& out, std::optional<common::Byte_view> value);
 
-/// nullopt = missing or malformed; an inner nullopt = bottom; otherwise a
-/// view of the tagged value inside `payload`.
-[[nodiscard]] inline std::optional<std::optional<common::Byte_view>> decode_tagged(
-    const std::optional<common::Byte_view>& payload)
+/// True iff `section` is a well-formed tagged non-bottom value, which is
+/// then viewed in `value`. Bottom, malformed sections and sections with
+/// trailing bytes cast no vote.
+[[nodiscard]] inline bool tagged_vote(common::Byte_view section, common::Byte_view& value)
 {
-    if (!payload.has_value() || payload->empty()) return std::nullopt;
-    common::Byte_reader reader{*payload};
-    const std::uint8_t tag = reader.get_u8();
-    if (tag == 0) {
-        if (!reader.exhausted()) return std::nullopt;
-        return std::optional<common::Byte_view>{std::nullopt};
-    }
-    if (tag != 1) return std::nullopt;
-    common::Byte_view value;
-    if (!reader.try_get_view(value) || !reader.exhausted()) return std::nullopt;
-    return std::optional<common::Byte_view>{value};
+    if (section.empty() || section[0] != 1) return false;
+    common::Byte_reader reader{section.subspan(1)};
+    return reader.try_get_view(value) && reader.exhausted();
 }
 
 /// The non-bottom votes of one reduction round as distinct values with their

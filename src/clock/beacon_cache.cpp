@@ -9,6 +9,7 @@ namespace ga::clock {
 Beacon_cache::Beacon_cache(common::Processor_id self, int n, int period, int delta)
     : self_{self}, period_{period}, delta_{delta}, entries_(static_cast<std::size_t>(n))
 {
+    collected_.reserve(entries_.size());
     common::ensure(n >= 1, "Beacon_cache: n must be >= 1");
     common::ensure(self >= 0 && self < n, "Beacon_cache: self outside [0, n)");
     common::ensure(period >= 2, "Beacon_cache: period must be >= 2");
@@ -34,22 +35,21 @@ void Beacon_cache::observe(common::Processor_id from, int value, common::Pulse s
     entry = Entry{true, value, sent_at};
 }
 
-std::vector<int> Beacon_cache::collect(common::Pulse now) const
+const std::vector<int>& Beacon_cache::collect(common::Pulse now)
 {
     // Entering frame C: a beacon from frame T carries the sender's value as
     // of frame T, which in steady state (one increment per frame) has grown
     // to value + (C-1-T) by the frame the step compares against. Entries
     // staler than delta frames have expired.
     const common::Pulse frame = now / delta_;
-    std::vector<int> values;
-    values.reserve(entries_.size());
+    collected_.clear();
     for (const Entry& entry : entries_) {
         if (!entry.valid) continue;
         const common::Pulse staleness = (frame - 1) - entry.sent_at / delta_;
         if (staleness < 0 || staleness >= delta_) continue;
-        values.push_back((entry.value + static_cast<int>(staleness)) % period_);
+        collected_.push_back((entry.value + static_cast<int>(staleness)) % period_);
     }
-    return values;
+    return collected_;
 }
 
 void Beacon_cache::clear()

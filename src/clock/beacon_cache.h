@@ -52,8 +52,9 @@ public:
 
     /// Staleness-normalized values of all live entries at the frame boundary
     /// `now` (now % delta == 0), ordered by sender id — the `received`
-    /// vector Clock_core::step expects at this boundary.
-    [[nodiscard]] std::vector<int> collect(common::Pulse now) const;
+    /// vector Clock_core::step expects at this boundary. The vector is the
+    /// cache's own scratch, valid until the next collect().
+    [[nodiscard]] const std::vector<int>& collect(common::Pulse now);
 
     /// True when `now` is a frame boundary, i.e. a pulse at which the quorum
     /// rule steps (the boot pulse 0 is not one: nothing was in transit).
@@ -78,6 +79,7 @@ private:
     int period_;
     int delta_;
     std::vector<Entry> entries_; ///< indexed by sender
+    std::vector<int> collected_; ///< collect()'s result, capacity reused
 };
 
 } // namespace ga::clock

@@ -28,14 +28,14 @@ int Clock_core::step(const std::vector<int>& received)
     // can only add values, never push an honest receiver under the bound.
     if (static_cast<int>(received.size()) < n_ - f_ - 1) return value_;
 
-    std::vector<int> count(static_cast<std::size_t>(period_), 0);
-    ++count[static_cast<std::size_t>(value_)];
+    count_.assign(static_cast<std::size_t>(period_), 0);
+    ++count_[static_cast<std::size_t>(value_)];
     for (const int v : received) {
-        if (v >= 0 && v < period_) ++count[static_cast<std::size_t>(v)];
+        if (v >= 0 && v < period_) ++count_[static_cast<std::size_t>(v)];
     }
 
     for (int v = 0; v < period_; ++v) {
-        if (count[static_cast<std::size_t>(v)] >= n_ - f_) {
+        if (count_[static_cast<std::size_t>(v)] >= n_ - f_) {
             value_ = (v + 1) % period_;
             return value_;
         }

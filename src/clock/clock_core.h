@@ -50,6 +50,7 @@ private:
     int period_;
     int value_;
     common::Rng rng_;
+    std::vector<int> count_; ///< step()'s per-value tally, capacity reused
 };
 
 } // namespace ga::clock

@@ -84,10 +84,26 @@ public:
         return blob;
     }
 
-    /// get_view() for untrusted input on a hot path: on an underrun it
-    /// returns false instead of throwing and leaves the reader where it was.
-    /// (An out-parameter rather than an optional return: GCC spills an
-    /// optional span through the stack, which costs more than the parse.)
+    // Bounds-checked reads for untrusted input on a hot path: on an underrun
+    // they return false instead of throwing and leave the reader where it
+    // was. (Out-parameters rather than optional returns: GCC spills an
+    // optional span through the stack, which costs more than the parse.)
+
+    bool try_get_u8(std::uint8_t& value)
+    {
+        if (remaining() < 1) return false;
+        value = data_[pos_++];
+        return true;
+    }
+
+    bool try_get_u32(std::uint32_t& value)
+    {
+        if (remaining() < 4) return false;
+        value = get_u32();
+        return true;
+    }
+
+    /// get_view() without the throw.
     bool try_get_view(Byte_view& blob)
     {
         if (remaining() < 4) return false;

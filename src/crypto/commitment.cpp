@@ -21,12 +21,28 @@ Committed commit(const common::Bytes& payload, common::Rng& rng)
     return Committed{recommit(opening), std::move(opening)};
 }
 
+namespace {
+
+/// Stream one length-prefixed blob (common::put_bytes' encoding).
+void absorb_blob(Sha256& hash, common::Byte_view blob)
+{
+    const auto size = static_cast<std::uint32_t>(blob.size());
+    const std::array<std::uint8_t, 4> prefix = {
+        static_cast<std::uint8_t>(size), static_cast<std::uint8_t>(size >> 8),
+        static_cast<std::uint8_t>(size >> 16), static_cast<std::uint8_t>(size >> 24)};
+    hash.update(prefix.data(), prefix.size());
+    hash.update(blob);
+}
+
+} // namespace
+
 Commitment recommit(const Opening& opening)
 {
-    common::Bytes preimage;
-    common::put_bytes(preimage, opening.nonce);
-    common::put_bytes(preimage, opening.payload);
-    return Commitment{sha256(preimage)};
+    // The digest of put_bytes(nonce) || put_bytes(payload), streamed.
+    Sha256 hash;
+    absorb_blob(hash, opening.nonce);
+    absorb_blob(hash, opening.payload);
+    return Commitment{hash.finish()};
 }
 
 bool verify(const Commitment& commitment, const Opening& opening)
@@ -60,6 +76,16 @@ Opening decode_opening(common::Byte_reader& reader)
     opening.nonce = reader.get_bytes();
     opening.payload = reader.get_bytes();
     return opening;
+}
+
+bool decode_opening(common::Byte_reader& reader, Opening& opening)
+{
+    common::Byte_view nonce;
+    common::Byte_view payload;
+    if (!reader.try_get_view(nonce) || !reader.try_get_view(payload)) return false;
+    opening.nonce.assign(nonce.begin(), nonce.end());
+    opening.payload.assign(payload.begin(), payload.end());
+    return true;
 }
 
 } // namespace ga::crypto

@@ -46,6 +46,11 @@ Commitment decode_commitment(common::Byte_reader& reader);
 common::Bytes encode(const Opening& opening);
 Opening decode_opening(common::Byte_reader& reader);
 
+/// decode_opening for untrusted input: false on an underrun (the reader's
+/// position is then unspecified); otherwise fills `opening`, reusing its
+/// buffers' capacity.
+bool decode_opening(common::Byte_reader& reader, Opening& opening);
+
 } // namespace ga::crypto
 
 #endif // GA_CRYPTO_COMMITMENT_H

@@ -4,27 +4,26 @@
 
 namespace ga::crypto {
 
-namespace {
+// Both digests stream their one-byte domain tag and their input into the
+// hash; no preimage is assembled.
 
-Digest node_digest(const Digest& left, const Digest& right)
+Digest Merkle_tree::leaf_digest(common::Byte_view payload)
 {
-    common::Bytes preimage;
-    preimage.reserve(1 + left.size() + right.size());
-    preimage.push_back(0x01);
-    preimage.insert(preimage.end(), left.begin(), left.end());
-    preimage.insert(preimage.end(), right.begin(), right.end());
-    return sha256(preimage);
+    static constexpr std::uint8_t tag = 0x00;
+    Sha256 hash;
+    hash.update(&tag, 1);
+    hash.update(payload);
+    return hash.finish();
 }
 
-} // namespace
-
-Digest Merkle_tree::leaf_digest(const common::Bytes& payload)
+Digest Merkle_tree::node_digest(const Digest& left, const Digest& right)
 {
-    common::Bytes preimage;
-    preimage.reserve(1 + payload.size());
-    preimage.push_back(0x00);
-    preimage.insert(preimage.end(), payload.begin(), payload.end());
-    return sha256(preimage);
+    static constexpr std::uint8_t tag = 0x01;
+    Sha256 hash;
+    hash.update(&tag, 1);
+    hash.update(left.data(), left.size());
+    hash.update(right.data(), right.size());
+    return hash.finish();
 }
 
 Merkle_tree::Merkle_tree(const std::vector<common::Bytes>& leaves)
@@ -66,8 +65,8 @@ bool verify_inclusion(const Digest& root, const common::Bytes& payload, const Me
 {
     Digest current = Merkle_tree::leaf_digest(payload);
     for (const auto& node : proof) {
-        current = node.sibling_is_left ? node_digest(node.sibling, current)
-                                       : node_digest(current, node.sibling);
+        current = node.sibling_is_left ? Merkle_tree::node_digest(node.sibling, current)
+                                       : Merkle_tree::node_digest(current, node.sibling);
     }
     return current == root;
 }

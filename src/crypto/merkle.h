@@ -38,7 +38,10 @@ public:
     [[nodiscard]] Merkle_proof prove(std::size_t index) const;
 
     /// Digest of a leaf payload (domain-separated), exposed for verification.
-    static Digest leaf_digest(const common::Bytes& payload);
+    static Digest leaf_digest(common::Byte_view payload);
+
+    /// Digest of an interior node over its two children (domain-separated).
+    static Digest node_digest(const Digest& left, const Digest& right);
 
 private:
     std::vector<std::vector<Digest>> levels_; // levels_[0] = leaves, back() = root

@@ -211,6 +211,7 @@ Sha256::Sha256()
 void Sha256::update(const std::uint8_t* data, std::size_t len)
 {
     common::ensure(!finished_, "Sha256::update after finish");
+    if (len == 0) return; // an empty view may carry a null data pointer
     total_bits_ += static_cast<std::uint64_t>(len) * 8;
 
     // Top up a partially filled block first.

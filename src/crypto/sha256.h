@@ -27,7 +27,7 @@ public:
 
     /// Absorb more input; may be called repeatedly.
     void update(const std::uint8_t* data, std::size_t len);
-    void update(const common::Bytes& data) { update(data.data(), data.size()); }
+    void update(common::Byte_view data) { update(data.data(), data.size()); }
 
     /// Finish and return the digest; the context must not be reused afterwards.
     Digest finish();

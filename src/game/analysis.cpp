@@ -23,20 +23,70 @@ std::vector<int> best_response_set(const Strategic_game& game, common::Agent_id 
     return responses;
 }
 
+namespace {
+
+/// Agent i's cost for each of its actions against `pi`, one at a time,
+/// through a per-thread probe profile whose capacity is reused: the judicial
+/// path asks this for every agent of every play, on every replica. Not
+/// reentrant: a game's cost function must not itself ask for best responses.
+class Deviation_costs {
+public:
+    Deviation_costs(const Strategic_game& game, common::Agent_id i, const Pure_profile& pi)
+        : game_{game}, i_{i}, probe_{probe_profile()}
+    {
+        common::ensure(i >= 0 && i < game.n_agents(), "best_response: agent out of range");
+        probe_.assign(pi.begin(), pi.end());
+    }
+
+    double operator()(int action)
+    {
+        probe_[static_cast<std::size_t>(i_)] = action;
+        return game_.cost(i_, probe_);
+    }
+
+private:
+    static Pure_profile& probe_profile()
+    {
+        thread_local Pure_profile probe;
+        return probe;
+    }
+
+    const Strategic_game& game_;
+    common::Agent_id i_;
+    Pure_profile& probe_;
+};
+
+} // namespace
+
 int best_response(const Strategic_game& game, common::Agent_id i, const Pure_profile& pi)
 {
-    return best_response_set(game, i, pi).front();
+    // best_response_set(...).front() without the set: the minimum cost
+    // first, then the lowest action within eps of it (a second cost pass
+    // that usually stops early, instead of a stored cost vector).
+    constexpr double eps = 1e-9;
+    Deviation_costs cost{game, i, pi};
+    double best = std::numeric_limits<double>::infinity();
+    for (int a = 0; a < game.n_actions(i); ++a) best = std::min(best, cost(a));
+    for (int a = 0; a < game.n_actions(i); ++a) {
+        if (cost(a) <= best + eps) return a;
+    }
+    throw common::Contract_error{"best_response: agent has no action"};
 }
 
 bool is_best_response(const Strategic_game& game, common::Agent_id i, const Pure_profile& pi,
                       double eps)
 {
-    const std::vector<int> responses = best_response_set(game, i, pi, eps);
+    // Played action within eps of the minimum, in one cost pass.
+    Deviation_costs cost{game, i, pi};
     const int played = pi[static_cast<std::size_t>(i)];
-    for (const int a : responses) {
-        if (a == played) return true;
+    double best = std::numeric_limits<double>::infinity();
+    double played_cost = std::numeric_limits<double>::quiet_NaN();
+    for (int a = 0; a < game.n_actions(i); ++a) {
+        const double c = cost(a);
+        best = std::min(best, c);
+        if (a == played) played_cost = c;
     }
-    return false;
+    return played_cost <= best + eps; // false for an illegitimate action (NaN)
 }
 
 bool is_pure_nash(const Strategic_game& game, const Pure_profile& pi, double eps)

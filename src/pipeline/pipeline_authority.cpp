@@ -208,7 +208,8 @@ common::Processor_id Pipeline_authority::reference_slot() const
 
 void Pipeline_authority::enact_disconnections()
 {
-    std::vector<int> votes(static_cast<std::size_t>(n_), 0);
+    std::vector<int>& votes = disconnect_votes_;
+    votes.assign(static_cast<std::size_t>(n_), 0);
     int honest = 0;
     for (common::Processor_id id = 0; id < n_; ++id) {
         if (!is_honest_slot(id)) continue;

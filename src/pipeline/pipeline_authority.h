@@ -160,6 +160,7 @@ private:
     std::unique_ptr<wire::Transport> wire_;
     int k_;
     int ic_rounds_ = 0;
+    std::vector<int> disconnect_votes_; ///< enact_disconnections' tally, capacity reused
 
     // ---- Telemetry (observer-only). The counter references are stable map
     // nodes cached once at attach time, so the per-pulse cost is five adds.

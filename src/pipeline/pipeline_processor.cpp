@@ -6,47 +6,19 @@ namespace ga::pipeline {
 
 namespace {
 
-common::Bytes encode_profile(const game::Pure_profile& profile)
-{
-    common::Bytes bytes;
-    common::put_u32(bytes, static_cast<std::uint32_t>(profile.size()));
-    for (const int a : profile) common::put_u32(bytes, static_cast<std::uint32_t>(a));
-    return bytes;
-}
-
-std::optional<game::Pure_profile> decode_profile(const common::Bytes& bytes,
-                                                 const authority::Game_spec& spec)
-{
-    const int n = spec.game->n_agents();
-    try {
-        common::Byte_reader reader{bytes};
-        const std::uint32_t size = reader.get_u32();
-        if (size != static_cast<std::uint32_t>(n)) return std::nullopt;
-        game::Pure_profile profile(static_cast<std::size_t>(n));
-        for (auto& a : profile) a = static_cast<int>(reader.get_u32());
-        if (!reader.exhausted()) return std::nullopt;
-        for (common::Agent_id i = 0; i < n; ++i) {
-            if (!spec.game->is_legitimate_action(i, profile[static_cast<std::size_t>(i)]))
-                return std::nullopt;
-        }
-        return profile;
-    } catch (const common::Decode_error&) {
-        return std::nullopt;
-    }
-}
-
-/// The previous-outcome profile proposed by a strict majority of the agreed
-/// vector, nullopt when no decodable value has one (fresh boot or post-fault
-/// divergence — the caller falls back to first_play_profile).
-std::optional<game::Pure_profile> majority_profile(const std::vector<bft::Value>& values,
-                                                   const authority::Game_spec& spec)
+/// Decodes into `profile` the previous-outcome profile proposed by a strict
+/// majority of the agreed vector; false when no decodable value has one
+/// (fresh boot or post-fault divergence — the caller falls back to
+/// first_play_profile), leaving `profile` unspecified.
+bool majority_profile(const std::vector<bft::Value>& values, const authority::Game_spec& spec,
+                      game::Pure_profile& profile)
 {
     // The quadratic scan is over the replica group (small by construction)
     // and only a strict majority — necessarily unique — is ever adopted.
     int best_index = -1;
     int best_count = 0;
     for (std::size_t i = 0; i < values.size(); ++i) {
-        if (!decode_profile(values[i], spec).has_value()) continue;
+        if (!decode_profile(values[i], spec, profile)) continue;
         int count = 0;
         for (std::size_t j = 0; j < values.size(); ++j) {
             if (values[j] == values[i]) ++count;
@@ -56,8 +28,8 @@ std::optional<game::Pure_profile> majority_profile(const std::vector<bft::Value>
             best_index = static_cast<int>(i);
         }
     }
-    if (best_index < 0 || 2 * best_count <= static_cast<int>(values.size())) return std::nullopt;
-    return decode_profile(values[static_cast<std::size_t>(best_index)], spec);
+    if (best_index < 0 || 2 * best_count <= static_cast<int>(values.size())) return false;
+    return decode_profile(values[static_cast<std::size_t>(best_index)], spec, profile);
 }
 
 /// N' from the agreed foul bitmasks: flagged[j] iff a strict majority of the
@@ -79,6 +51,51 @@ std::vector<bool> strict_majority_flags(const std::vector<bft::Value>& masks, in
 }
 
 } // namespace
+
+common::Bytes encode_profile(const game::Pure_profile& profile)
+{
+    common::Bytes bytes;
+    bytes.reserve(4 + 4 * profile.size());
+    common::put_u32(bytes, static_cast<std::uint32_t>(profile.size()));
+    for (const int a : profile) common::put_u32(bytes, static_cast<std::uint32_t>(a));
+    return bytes;
+}
+
+bool decode_profile(common::Byte_view bytes, const authority::Game_spec& spec,
+                    game::Pure_profile& profile)
+{
+    const auto n = static_cast<std::size_t>(spec.game->n_agents());
+    common::Byte_reader reader{bytes};
+    std::uint32_t size = 0;
+    if (!reader.try_get_u32(size) || size != n || reader.remaining() != 4 * n) return false;
+    profile.resize(n);
+    for (auto& a : profile) a = static_cast<int>(reader.get_u32()); // in bounds: sized above
+    for (common::Agent_id i = 0; i < static_cast<common::Agent_id>(n); ++i) {
+        if (!spec.game->is_legitimate_action(i, profile[static_cast<std::size_t>(i)])) return false;
+    }
+    return true;
+}
+
+bool parse_pulse_message(common::Byte_view payload, Pulse_message& out)
+{
+    common::Byte_reader reader{payload};
+    std::uint32_t clock = 0;
+    if (!reader.try_get_u32(clock)) return false;
+    out.clock = static_cast<int>(clock);
+    out.has_section = false;
+    std::uint8_t has_section = 0;
+    std::uint8_t phase = 0;
+    std::uint32_t round = 0;
+    if (!reader.try_get_u8(has_section) || has_section != 1) return true;
+    if (!reader.try_get_u8(phase) || !reader.try_get_u32(round) ||
+        !reader.try_get_view(out.section) || !reader.exhausted()) {
+        return true;
+    }
+    out.has_section = true;
+    out.phase = static_cast<int>(phase);
+    out.round = static_cast<common::Round>(round);
+    return true;
+}
 
 int Pipeline_processor::ic_rounds_of(const bft::Ic_factory& factory, int n, int f)
 {
@@ -145,22 +162,13 @@ void Pipeline_processor::on_pulse(sim::Pulse_context& ctx)
     // into the message, kept alive by its payload handle — for the
     // newest-round-per-sender buffer fold below.
     parked_.clear();
+    Pulse_message message;
     for (const sim::Message& msg : ctx.inbox()) {
         if (msg.from < 0 || msg.from >= ctx.system_size()) continue;
-        try {
-            common::Byte_reader reader{msg.payload};
-            const auto clock_value = static_cast<int>(reader.get_u32());
-            cache_.observe(msg.from, clock_value, msg.sent_at, ctx.pulse());
-            const std::uint8_t has_section = reader.get_u8();
-            if (has_section == 1) {
-                const auto phase = static_cast<int>(reader.get_u8());
-                const auto round = static_cast<common::Round>(reader.get_u32());
-                const common::Byte_view section = reader.get_view();
-                if (reader.exhausted()) {
-                    parked_.push_back({msg.from, phase, round, msg.payload, section});
-                }
-            }
-        } catch (const common::Decode_error&) {
+        if (!parse_pulse_message(msg.payload, message)) continue;
+        cache_.observe(msg.from, message.clock, msg.sent_at, ctx.pulse());
+        if (message.has_section) {
+            parked_.push_back({msg.from, message.phase, message.round, msg.payload, message.section});
         }
     }
 
@@ -218,7 +226,15 @@ void Pipeline_processor::on_pulse(sim::Pulse_context& ctx)
         }
 
         if (slot_entered && r == 0) {
-            session_ = ic_factory_(n_, f_, id(), phase_input(phase, ctx.pulse()));
+            // One session per replica, restarted in place at every
+            // activation; the factory builds it at the first activation and
+            // again after a transient fault.
+            bft::Value input = phase_input(phase, ctx.pulse());
+            if (session_) {
+                session_->restart(std::move(input));
+            } else {
+                session_ = ic_factory_(n_, f_, id(), std::move(input));
+            }
             last_sent_phase_ = -1; // force a fresh round-0 mint below
             last_sent_round_ = -1;
             ic_activation_seq_ += 1;
@@ -402,11 +418,9 @@ void Pipeline_processor::process_outcome_result(const std::vector<bft::Value>& a
 {
     // Majority view wins; with no majority (fresh boot or post-fault
     // divergence) fall back to the deterministic first-play profile.
-    const std::optional<game::Pure_profile> majority = majority_profile(agreed, spec_);
-    if (telemetry_ != nullptr && !majority.has_value()) {
-        telemetry_->counter("outcome.divergence") += 1;
-    }
-    previous_ = majority.value_or(first_play_profile(spec_));
+    if (majority_profile(agreed, spec_, previous_)) return;
+    if (telemetry_ != nullptr) telemetry_->counter("outcome.divergence") += 1;
+    previous_ = first_play_profile(spec_);
 }
 
 void Pipeline_processor::process_commit_result(const std::vector<bft::Value>& agreed,
@@ -453,24 +467,17 @@ void Pipeline_processor::process_reveal_result(const std::vector<bft::Value>& ag
         const bft::Value& value = agreed[static_cast<std::size_t>(a)];
         const auto& root = roots_[static_cast<std::size_t>(a)];
         Reveal_slot::Status status = Reveal_slot::Status::missing;
-        std::optional<Batch_reveal> reveal;
         if (root.has_value() && !value.empty()) {
-            reveal = decode_batch_reveal(value, k_);
-            if (!reveal.has_value()) {
-                status = Reveal_slot::Status::unverifiable;
-            } else if (!opens_vector(*root, *reveal)) {
-                status = Reveal_slot::Status::unverifiable;
-                reveal.reset();
-            } else {
-                status = Reveal_slot::Status::verified;
-            }
+            status = decode_batch_reveal(value, k_, reveal_) && opens_vector(*root, reveal_)
+                         ? Reveal_slot::Status::verified
+                         : Reveal_slot::Status::unverifiable;
         }
         for (int j = 0; j < k_; ++j) {
             Reveal_slot& slot = reveals_[static_cast<std::size_t>(j)][static_cast<std::size_t>(a)];
             slot.status = status;
             if (status == Reveal_slot::Status::verified) {
                 const auto action = authority::Judicial_service::decode_action(
-                    reveal->openings[static_cast<std::size_t>(j)].payload);
+                    reveal_.openings[static_cast<std::size_t>(j)].payload);
                 slot.action = action.value_or(-1);
             }
         }

@@ -75,6 +75,30 @@
 
 namespace ga::pipeline {
 
+/// One received pulse message as a replica reads it (the wire format above).
+/// `section` views bytes of the parsed payload.
+struct Pulse_message {
+    int clock = 0;
+    bool has_section = false;
+    int phase = 0;
+    common::Round round = 0;
+    common::Byte_view section;
+};
+
+/// Parses a pulse message with bounds-checked reads, never throwing on
+/// Byzantine bytes. False when not even the clock beacon decodes;
+/// has_section only when a whole section follows with nothing trailing.
+bool parse_pulse_message(common::Byte_view payload, Pulse_message& out);
+
+/// The outcome phase's value: u32 n, then one u32 action per agent.
+common::Bytes encode_profile(const game::Pure_profile& profile);
+
+/// Decodes an outcome-phase value into `profile` (its capacity reused);
+/// false unless it holds exactly one legitimate action per agent of the
+/// spec's game, and then `profile` is unspecified.
+bool decode_profile(common::Byte_view bytes, const authority::Game_spec& spec,
+                    game::Pure_profile& profile);
+
 class Pipeline_processor final : public sim::Processor {
 public:
     /// Clock period of the 4-phase schedule plus wrap slack. k-invariant:
@@ -141,7 +165,7 @@ private:
     clock::Clock_core clock_;
     clock::Beacon_cache cache_;
 
-    std::unique_ptr<bft::Ic_session> session_;
+    std::unique_ptr<bft::Ic_session> session_; ///< restarted at every activation
     int last_sent_phase_ = -1;           ///< own broadcast echo (the Session
     common::Round last_sent_round_ = -1; ///< contract includes self-delivery)
     common::Bytes last_sent_payload_;
@@ -182,6 +206,7 @@ private:
     game::Pure_profile previous_;               ///< replicated previous outcome
     std::vector<game::Pure_profile> cascade_;   ///< reference trajectory Q_0..Q_k
     std::vector<std::optional<Batch_root>> roots_;    ///< agreed roots per agent
+    Batch_reveal reveal_;                             ///< decode scratch, one agent's vector
     std::vector<std::vector<Reveal_slot>> reveals_;   ///< [play][agent] opened slots
     std::vector<authority::Verdict> my_verdicts_;     ///< local batch-edge audit
     std::vector<authority::Play_record> plays_;

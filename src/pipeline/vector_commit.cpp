@@ -1,5 +1,8 @@
 #include "pipeline/vector_commit.h"
 
+#include <algorithm>
+#include <array>
+
 namespace ga::pipeline {
 
 namespace {
@@ -20,17 +23,13 @@ common::Bytes encode(const Batch_root& value)
 
 std::optional<Batch_root> decode_batch_root(const common::Bytes& bytes, int expected_k)
 {
-    try {
-        common::Byte_reader reader{bytes};
-        Batch_root value;
-        value.k = reader.get_u32();
-        for (auto& byte : value.root) byte = reader.get_u8();
-        if (!reader.exhausted()) return std::nullopt;
-        if (value.k != static_cast<std::uint32_t>(expected_k)) return std::nullopt;
-        return value;
-    } catch (const common::Decode_error&) {
-        return std::nullopt;
-    }
+    Batch_root value;
+    if (bytes.size() != 4 + value.root.size()) return std::nullopt;
+    common::Byte_reader reader{bytes};
+    value.k = reader.get_u32(); // in bounds: sized above
+    if (value.k != static_cast<std::uint32_t>(expected_k)) return std::nullopt;
+    std::copy(bytes.begin() + 4, bytes.end(), value.root.begin());
+    return value;
 }
 
 common::Bytes leaf_payload(int play, const crypto::Commitment& commitment)
@@ -51,39 +50,60 @@ common::Bytes encode(const Batch_reveal& value)
     return out;
 }
 
+bool decode_batch_reveal(common::Byte_view bytes, int expected_k, Batch_reveal& out)
+{
+    common::Byte_reader reader{bytes};
+    std::uint32_t count = 0;
+    if (!reader.try_get_u32(count) || count != static_cast<std::uint32_t>(expected_k)) return false;
+    // Every opening takes at least its own prefix and its two inner ones.
+    if (count > reader.remaining() / 12) return false;
+    out.openings.resize(count);
+    for (crypto::Opening& opening : out.openings) {
+        common::Byte_view opening_bytes;
+        if (!reader.try_get_view(opening_bytes) ||
+            opening_bytes.size() > k_max_opening_bytes + 8) {
+            return false;
+        }
+        common::Byte_reader opening_reader{opening_bytes};
+        if (!crypto::decode_opening(opening_reader, opening) || !opening_reader.exhausted())
+            return false;
+    }
+    return reader.exhausted();
+}
+
 std::optional<Batch_reveal> decode_batch_reveal(const common::Bytes& bytes, int expected_k)
 {
-    try {
-        common::Byte_reader reader{bytes};
-        const std::uint32_t count = reader.get_u32();
-        if (count != static_cast<std::uint32_t>(expected_k)) return std::nullopt;
-        Batch_reveal value;
-        value.openings.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-            const common::Bytes opening_bytes = reader.get_bytes();
-            if (opening_bytes.size() > k_max_opening_bytes + 8) return std::nullopt;
-            common::Byte_reader opening_reader{opening_bytes};
-            crypto::Opening opening = crypto::decode_opening(opening_reader);
-            if (!opening_reader.exhausted()) return std::nullopt;
-            value.openings.push_back(std::move(opening));
-        }
-        if (!reader.exhausted()) return std::nullopt;
-        return value;
-    } catch (const common::Decode_error&) {
-        return std::nullopt;
-    }
+    Batch_reveal value;
+    if (!decode_batch_reveal(bytes, expected_k, value)) return std::nullopt;
+    return value;
 }
 
 bool opens_vector(const Batch_root& root, const Batch_reveal& reveal)
 {
     if (reveal.openings.size() != root.k || reveal.openings.empty()) return false;
-    std::vector<common::Bytes> leaves;
-    leaves.reserve(reveal.openings.size());
+    // Merkle_tree's root without the tree: leaves fold left to right over a
+    // stack of subtree roots, merging while the top two have equal height;
+    // what is left merges right to left, which is exactly where the level
+    // build promotes its odd nodes. The stack holds one root per height.
+    std::array<crypto::Digest, 64> stack;
+    std::array<int, 64> height{};
+    std::size_t depth = 0;
+    std::array<std::uint8_t, 4 + std::tuple_size_v<crypto::Digest>> leaf; // leaf_payload's bytes
     for (std::size_t j = 0; j < reveal.openings.size(); ++j) {
-        leaves.push_back(
-            leaf_payload(static_cast<int>(j), crypto::recommit(reveal.openings[j])));
+        const crypto::Commitment commitment = crypto::recommit(reveal.openings[j]);
+        for (std::size_t b = 0; b < 4; ++b) leaf[b] = static_cast<std::uint8_t>(j >> (8 * b));
+        std::copy(commitment.digest.begin(), commitment.digest.end(), leaf.begin() + 4);
+        stack[depth] = crypto::Merkle_tree::leaf_digest(leaf);
+        height[depth++] = 0;
+        while (depth >= 2 && height[depth - 2] == height[depth - 1]) {
+            stack[depth - 2] = crypto::Merkle_tree::node_digest(stack[depth - 2], stack[depth - 1]);
+            ++height[depth - 2];
+            --depth;
+        }
     }
-    return crypto::Merkle_tree{leaves}.root() == root.root;
+    for (; depth >= 2; --depth)
+        stack[depth - 2] = crypto::Merkle_tree::node_digest(stack[depth - 2], stack[depth - 1]);
+    return stack[0] == root.root;
 }
 
 common::Bytes encode(const Spot_reveal& value)

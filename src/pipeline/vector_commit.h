@@ -67,6 +67,11 @@ common::Bytes encode(const Batch_reveal& value);
 /// bounds an honest batcher produces.
 std::optional<Batch_reveal> decode_batch_reveal(const common::Bytes& bytes, int expected_k);
 
+/// decode_batch_reveal into `out`, reusing its openings' buffers: the
+/// replicas' steady-state decode. False exactly when the form above
+/// returns nullopt, and then `out` is unspecified.
+bool decode_batch_reveal(common::Byte_view bytes, int expected_k, Batch_reveal& out);
+
 /// True iff `reveal` opens the whole vector sealed under `root`: recompute
 /// every position's commitment, rebuild the Merkle tree, compare roots.
 /// O(k) hashes — cheaper than k inclusion proofs when the full batch is

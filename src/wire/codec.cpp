@@ -22,18 +22,18 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size)
     return hash;
 }
 
-void append_u32(common::Bytes& out, std::uint32_t value)
+void store_u32(std::uint8_t* p, std::uint32_t value)
 {
-    out.push_back(static_cast<std::uint8_t>(value));
-    out.push_back(static_cast<std::uint8_t>(value >> 8));
-    out.push_back(static_cast<std::uint8_t>(value >> 16));
-    out.push_back(static_cast<std::uint8_t>(value >> 24));
+    p[0] = static_cast<std::uint8_t>(value);
+    p[1] = static_cast<std::uint8_t>(value >> 8);
+    p[2] = static_cast<std::uint8_t>(value >> 16);
+    p[3] = static_cast<std::uint8_t>(value >> 24);
 }
 
-void append_u64(common::Bytes& out, std::uint64_t value)
+void store_u64(std::uint8_t* p, std::uint64_t value)
 {
-    append_u32(out, static_cast<std::uint32_t>(value));
-    append_u32(out, static_cast<std::uint32_t>(value >> 32));
+    store_u32(p, static_cast<std::uint32_t>(value));
+    store_u32(p + 4, static_cast<std::uint32_t>(value >> 32));
 }
 
 std::uint32_t read_u32(const std::uint8_t* p)
@@ -58,15 +58,19 @@ std::uint64_t read_u64(const std::uint8_t* p)
 
 void encode_frame(const sim::Message& msg, common::Bytes& out)
 {
+    // One resize, then the fields stored in place at their fixed offsets.
     const std::size_t start = out.size();
-    out.reserve(start + encoded_size(msg));
-    out.insert(out.end(), k_frame_magic.begin(), k_frame_magic.end());
-    append_u32(out, static_cast<std::uint32_t>(msg.from));
-    append_u32(out, static_cast<std::uint32_t>(msg.to));
-    append_u64(out, static_cast<std::uint64_t>(msg.sent_at));
-    append_u32(out, static_cast<std::uint32_t>(msg.payload.size()));
-    out.insert(out.end(), msg.payload.data(), msg.payload.data() + msg.payload.size());
-    append_u64(out, fnv1a(out.data() + start, k_frame_header_bytes + msg.payload.size()));
+    const std::size_t length = msg.payload.size();
+    out.resize(start + k_frame_overhead + length);
+    std::uint8_t* frame = out.data() + start;
+    std::memcpy(frame, k_frame_magic.data(), k_frame_magic.size());
+    store_u32(frame + 4, static_cast<std::uint32_t>(msg.from));
+    store_u32(frame + 8, static_cast<std::uint32_t>(msg.to));
+    store_u64(frame + 12, static_cast<std::uint64_t>(msg.sent_at));
+    store_u32(frame + 20, static_cast<std::uint32_t>(length));
+    if (length != 0) std::memcpy(frame + k_frame_header_bytes, msg.payload.data(), length);
+    store_u64(frame + k_frame_header_bytes + length,
+              fnv1a(frame, k_frame_header_bytes + length));
 }
 
 sim::Message decode_frame(const common::Bytes& buf, std::size_t& offset)

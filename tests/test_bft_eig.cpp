@@ -264,6 +264,8 @@ public:
     bool done() const override { return done_; }
     const std::vector<Value>& agreed_vector() const override { return agreed_vector_; }
 
+    void restart(Value input) override { *this = Map_eig_session{n_, f_, self_, std::move(input)}; }
+
     Bytes message_for_round(Round r) override
     {
         Bytes payload;
@@ -400,6 +402,12 @@ public:
 
     Round total_rounds() const override { return flat_.total_rounds(); }
     bool done() const override { return flat_.done(); }
+
+    void restart(Value input) override
+    {
+        flat_.restart(input);
+        reference_.restart(std::move(input));
+    }
 
     Bytes message_for_round(Round r) override
     {

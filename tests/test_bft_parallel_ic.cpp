@@ -270,12 +270,18 @@ private:
 class Lockstep_ic final : public Ic_session {
 public:
     Lockstep_ic(int n, int f, Processor_id self, const Value& input)
-        : fused_{n, f, self, input}, reference_{n, f, self, input}
+        : n_{n}, f_{f}, self_{self}, fused_{n, f, self, input}, reference_{n, f, self, input}
     {
     }
 
     Round total_rounds() const override { return fused_.total_rounds(); }
     bool done() const override { return fused_.done(); }
+
+    void restart(Value input) override
+    {
+        fused_.restart(input);
+        reference_ = Standalone_ic{n_, f_, self_, std::move(input)};
+    }
 
     Bytes message_for_round(Round r) override
     {
@@ -307,6 +313,9 @@ public:
     }
 
 private:
+    int n_;
+    int f_;
+    Processor_id self_;
     Parallel_ic_session fused_;
     Standalone_ic reference_;
 };

@@ -13,6 +13,7 @@
 #include "game/analysis.h"
 #include "game/congestion.h"
 #include "game/matrix_game.h"
+#include "pipeline/pipeline_processor.h"
 #include "pipeline/vector_commit.h"
 
 namespace {
@@ -130,6 +131,60 @@ std::optional<pipeline::Batch_reveal> ref_decode_batch_reveal(const Bytes& bytes
     }
 }
 
+std::optional<game::Pure_profile> ref_decode_profile(const Bytes& bytes,
+                                                     const authority::Game_spec& spec)
+{
+    const int n = spec.game->n_agents();
+    try {
+        common::Byte_reader reader{bytes};
+        const std::uint32_t size = reader.get_u32();
+        if (size != static_cast<std::uint32_t>(n)) return std::nullopt;
+        game::Pure_profile profile(static_cast<std::size_t>(n));
+        for (auto& a : profile) a = static_cast<int>(reader.get_u32());
+        if (!reader.exhausted()) return std::nullopt;
+        for (common::Agent_id i = 0; i < n; ++i) {
+            if (!spec.game->is_legitimate_action(i, profile[static_cast<std::size_t>(i)]))
+                return std::nullopt;
+        }
+        return profile;
+    } catch (const common::Decode_error&) {
+        return std::nullopt;
+    }
+}
+
+/// The replica inbox parse as it read each message with throwing reads.
+struct Ref_pulse {
+    bool beacon = false;
+    int clock = 0;
+    bool has_section = false;
+    int phase = 0;
+    common::Round round = 0;
+    common::Byte_view section;
+};
+
+Ref_pulse ref_parse_pulse(common::Byte_view payload)
+{
+    Ref_pulse out;
+    try {
+        common::Byte_reader reader{payload};
+        out.clock = static_cast<int>(reader.get_u32());
+        out.beacon = true;
+        if (reader.get_u8() == 1) {
+            const auto phase = static_cast<int>(reader.get_u8());
+            const auto round = static_cast<common::Round>(reader.get_u32());
+            const common::Byte_view section = reader.get_view();
+            if (reader.exhausted()) {
+                out.has_section = true;
+                out.phase = phase;
+                out.round = round;
+                out.section = section;
+            }
+        }
+    } catch (const common::Decode_error&) {
+    }
+    return out;
+}
+
 // ------------------------------------------------------------------- digests
 
 crypto::Opening random_opening(Rng& rng)
@@ -220,6 +275,19 @@ TEST(JudicialPathOpens, HonestVectorsOpenForEveryArity)
         const Sealed_vector sealed = seal(rng, k);
         EXPECT_TRUE(ref_opens_vector(sealed.root, sealed.reveal)) << "k = " << k;
         EXPECT_TRUE(pipeline::opens_vector(sealed.root, sealed.reveal)) << "k = " << k;
+    }
+}
+
+TEST(JudicialPathOpens, HonestVectorsOpenUpToTheLargestBatch)
+{
+    // Every arity up to k_max_batch: each odd-promotion shape of the tree.
+    Rng rng{23};
+    for (int k = 1; k <= pipeline::k_max_batch; ++k) {
+        const Sealed_vector sealed = seal(rng, k);
+        EXPECT_TRUE(pipeline::opens_vector(sealed.root, sealed.reveal)) << "k = " << k;
+        pipeline::Batch_root wrong = sealed.root;
+        wrong.root[0] ^= 0x01;
+        EXPECT_FALSE(pipeline::opens_vector(wrong, sealed.reveal)) << "k = " << k;
     }
 }
 
@@ -385,6 +453,74 @@ TEST(JudicialPathDecode, BatchRevealMatchesTheThrowingDecoder)
     const Bytes wire = pipeline::encode(big);
     EXPECT_FALSE(ref_decode_batch_reveal(wire, 1).has_value());
     EXPECT_FALSE(pipeline::decode_batch_reveal(wire, 1).has_value());
+}
+
+TEST(JudicialPathDecode, BatchRevealIntoScratchMatchesTheThrowingDecoder)
+{
+    // The replicas decode every agent's vector into one reused Batch_reveal;
+    // whatever the previous decode left in it must not leak into the next.
+    Rng rng{43};
+    pipeline::Batch_reveal scratch;
+    const Sealed_vector sealed = seal(rng, 3);
+    for_each_probe(pipeline::encode(sealed.reveal), rng, 10000, [&](const Bytes& bytes) {
+        const auto expected = ref_decode_batch_reveal(bytes, 3);
+        const bool decoded = pipeline::decode_batch_reveal(bytes, 3, scratch);
+        ASSERT_EQ(decoded, expected.has_value());
+        if (decoded) {
+            EXPECT_TRUE(same_reveal(scratch, expected));
+        }
+    });
+}
+
+TEST(JudicialPathDecode, ProfileMatchesTheThrowingDecoder)
+{
+    authority::Game_spec spec;
+    spec.game = std::make_shared<game::Singleton_congestion_game>(
+        4, std::vector<game::Affine_latency>{{1, 0}, {2, 1}, {1, 3}});
+    Rng rng{44};
+    game::Pure_profile scratch;
+    for (const game::Pure_profile& valid :
+         {game::Pure_profile{0, 2, 1, 1}, game::Pure_profile{2, 2, 2, 0}}) {
+        for_each_probe(pipeline::encode_profile(valid), rng, 10000, [&](const Bytes& bytes) {
+            const auto expected = ref_decode_profile(bytes, spec);
+            const bool decoded = pipeline::decode_profile(bytes, spec, scratch);
+            ASSERT_EQ(decoded, expected.has_value());
+            if (decoded) {
+                EXPECT_EQ(scratch, *expected);
+            }
+        });
+    }
+    // Out-of-range actions decode nowhere.
+    EXPECT_FALSE(pipeline::decode_profile(pipeline::encode_profile({0, 3, 1, 1}), spec, scratch));
+}
+
+TEST(JudicialPathDecode, InboxParseMatchesTheThrowingParse)
+{
+    Rng rng{45};
+    Bytes with_section;
+    common::put_u32(with_section, 17);
+    with_section.push_back(1);
+    with_section.push_back(2);
+    common::put_u32(with_section, 5);
+    common::put_bytes(with_section, random_bytes(rng, 23));
+    Bytes beacon_only;
+    common::put_u32(beacon_only, 9);
+    beacon_only.push_back(0);
+    for (const Bytes& valid : {with_section, beacon_only}) {
+        for_each_probe(valid, rng, 10000, [&](const Bytes& bytes) {
+            const Ref_pulse expected = ref_parse_pulse(bytes);
+            pipeline::Pulse_message parsed;
+            ASSERT_EQ(pipeline::parse_pulse_message(bytes, parsed), expected.beacon);
+            if (!expected.beacon) return;
+            EXPECT_EQ(parsed.clock, expected.clock);
+            ASSERT_EQ(parsed.has_section, expected.has_section);
+            if (!expected.has_section) return;
+            EXPECT_EQ(parsed.phase, expected.phase);
+            EXPECT_EQ(parsed.round, expected.round);
+            EXPECT_EQ(parsed.section.data(), expected.section.data());
+            EXPECT_EQ(parsed.section.size(), expected.section.size());
+        });
+    }
 }
 
 } // namespace
