@@ -176,7 +176,8 @@ void Parallel_ic_session::deliver_exchange_round(const Round_payloads& payloads)
             if (section.size() == 1 && section[0] <= 1) ++bits_[2 * j + section[0]];
         }
     }
-    for (std::size_t j = 0; j < n; ++j) majority_[j] = phase_majority(bits_[2 * j], bits_[2 * j + 1]);
+    for (std::size_t j = 0; j < n; ++j)
+        majority_[j] = phase_majority(bits_[2 * j], bits_[2 * j + 1]);
 }
 
 void Parallel_ic_session::deliver_king_round(const Round_payloads& payloads,

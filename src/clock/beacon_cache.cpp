@@ -9,11 +9,11 @@ namespace ga::clock {
 Beacon_cache::Beacon_cache(common::Processor_id self, int n, int period, int delta)
     : self_{self}, period_{period}, delta_{delta}, entries_(static_cast<std::size_t>(n))
 {
-    collected_.reserve(entries_.size());
     common::ensure(n >= 1, "Beacon_cache: n must be >= 1");
     common::ensure(self >= 0 && self < n, "Beacon_cache: self outside [0, n)");
     common::ensure(period >= 2, "Beacon_cache: period must be >= 2");
     common::ensure(delta >= 1, "Beacon_cache: delta must be >= 1");
+    collected_.reserve(entries_.size());
 }
 
 void Beacon_cache::observe(common::Processor_id from, int value, common::Pulse sent_at,

@@ -36,19 +36,14 @@ std::uint64_t Rng::next_u64()
 std::uint64_t Rng::below(std::uint64_t bound)
 {
     ensure(bound > 0, "Rng::below requires a positive bound");
-    if ((bound & (bound - 1)) == 0) {
-        // A power of two divides 2^64, so the division path's limit,
-        // max() - max() % bound, is 2^64 - bound and its remainder a mask:
-        // the same rule on the same stream, without the two divisions.
-        const std::uint64_t limit = 0 - bound;
-        std::uint64_t draw = next_u64();
-        while (draw >= limit) draw = next_u64();
-        return draw & (bound - 1);
-    }
-    const std::uint64_t limit = max() - max() % bound;
+    // A power of two divides 2^64, so its limit, max() - max() % bound, is
+    // 2^64 - bound and its remainder a mask: the same rejection rule on the
+    // same stream, without the two divisions.
+    const bool power_of_two = (bound & (bound - 1)) == 0;
+    const std::uint64_t limit = power_of_two ? 0 - bound : max() - max() % bound;
     std::uint64_t draw = next_u64();
     while (draw >= limit) draw = next_u64();
-    return draw % bound;
+    return power_of_two ? draw & (bound - 1) : draw % bound;
 }
 
 std::int64_t Rng::between(std::int64_t lo, std::int64_t hi)

@@ -4,25 +4,6 @@
 
 namespace ga::game {
 
-std::vector<int> best_response_set(const Strategic_game& game, common::Agent_id i,
-                                   const Pure_profile& pi, double eps)
-{
-    common::ensure(i >= 0 && i < game.n_agents(), "best_response_set: agent out of range");
-    Pure_profile probe = pi;
-    double best = std::numeric_limits<double>::infinity();
-    std::vector<double> costs(static_cast<std::size_t>(game.n_actions(i)));
-    for (int a = 0; a < game.n_actions(i); ++a) {
-        probe[static_cast<std::size_t>(i)] = a;
-        costs[static_cast<std::size_t>(a)] = game.cost(i, probe);
-        best = std::min(best, costs[static_cast<std::size_t>(a)]);
-    }
-    std::vector<int> responses;
-    for (int a = 0; a < game.n_actions(i); ++a) {
-        if (costs[static_cast<std::size_t>(a)] <= best + eps) responses.push_back(a);
-    }
-    return responses;
-}
-
 namespace {
 
 /// Agent i's cost for each of its actions against `pi`, one at a time,
@@ -34,7 +15,7 @@ public:
     Deviation_costs(const Strategic_game& game, common::Agent_id i, const Pure_profile& pi)
         : game_{game}, i_{i}, probe_{probe_profile()}
     {
-        common::ensure(i >= 0 && i < game.n_agents(), "best_response: agent out of range");
+        common::ensure(i >= 0 && i < game.n_agents(), "best response: agent out of range");
         probe_.assign(pi.begin(), pi.end());
     }
 
@@ -57,6 +38,23 @@ private:
 };
 
 } // namespace
+
+std::vector<int> best_response_set(const Strategic_game& game, common::Agent_id i,
+                                   const Pure_profile& pi, double eps)
+{
+    Deviation_costs cost{game, i, pi};
+    double best = std::numeric_limits<double>::infinity();
+    std::vector<double> costs(static_cast<std::size_t>(game.n_actions(i)));
+    for (int a = 0; a < game.n_actions(i); ++a) {
+        costs[static_cast<std::size_t>(a)] = cost(a);
+        best = std::min(best, costs[static_cast<std::size_t>(a)]);
+    }
+    std::vector<int> responses;
+    for (int a = 0; a < game.n_actions(i); ++a) {
+        if (costs[static_cast<std::size_t>(a)] <= best + eps) responses.push_back(a);
+    }
+    return responses;
+}
 
 int best_response(const Strategic_game& game, common::Agent_id i, const Pure_profile& pi)
 {

@@ -168,7 +168,8 @@ void Pipeline_processor::on_pulse(sim::Pulse_context& ctx)
         if (!parse_pulse_message(msg.payload, message)) continue;
         cache_.observe(msg.from, message.clock, msg.sent_at, ctx.pulse());
         if (message.has_section) {
-            parked_.push_back({msg.from, message.phase, message.round, msg.payload, message.section});
+            parked_.push_back(
+                {msg.from, message.phase, message.round, msg.payload, message.section});
         }
     }
 

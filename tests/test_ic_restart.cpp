@@ -129,15 +129,17 @@ void run_history(Ic_session& session, int n, History history, Rng& rng)
     };
     if (history == History::chaotic) {
         for (int call = 0; call < 12; ++call) {
-            const auto r = static_cast<Round>(rng.below(static_cast<std::uint64_t>(rounds + 2))) - 1;
+            const auto r =
+                static_cast<Round>(rng.below(static_cast<std::uint64_t>(rounds + 2))) - 1;
             const Bytes own = session.message_for_round(r);
             if (rng.chance(0.7)) deliver(r, own);
         }
         return;
     }
-    const Round stop = history == History::finished
-                           ? rounds
-                           : 1 + static_cast<Round>(rng.below(static_cast<std::uint64_t>(rounds - 1)));
+    const Round stop =
+        history == History::finished
+            ? rounds
+            : 1 + static_cast<Round>(rng.below(static_cast<std::uint64_t>(rounds - 1)));
     for (Round r = 0; r < stop; ++r) deliver(r, session.message_for_round(r));
     if (history == History::finished) {
         EXPECT_TRUE(session.done());
@@ -194,7 +196,8 @@ TEST_P(Ic_restart, RestartedMatchesFreshEveryRound)
                 }
                 // Two inputs, so some slots decide by majority and the
                 // reduction sees competing values.
-                const Value input = tagged("in-", (slot + seed + static_cast<std::uint64_t>(activation)) % 2);
+                const Value input =
+                    tagged("in-", (slot + seed + static_cast<std::uint64_t>(activation)) % 2);
                 reused[slot]->restart(input);
                 ps[slot].session = std::make_unique<Restart_lockstep>(
                     std::move(reused[slot]), make_session(substrate, n, f, i, input));
@@ -238,7 +241,8 @@ TEST(IcRestart, RestartOfAnUnfinishedSessionForgetsItsTable)
         const int f = 1;
         std::vector<Participant> ps(static_cast<std::size_t>(n));
         for (int i = 0; i < n; ++i) {
-            auto session = make_session(substrate, n, f, i, tagged("stale-", static_cast<std::uint64_t>(i)));
+            auto session =
+                make_session(substrate, n, f, i, tagged("stale-", static_cast<std::uint64_t>(i)));
             Round_payloads none(static_cast<std::size_t>(n));
             const Bytes own = session->message_for_round(0);
             none[static_cast<std::size_t>(i)] = own;
@@ -252,7 +256,8 @@ TEST(IcRestart, RestartOfAnUnfinishedSessionForgetsItsTable)
             const auto& vec = dynamic_cast<Ic_session&>(*ps[static_cast<std::size_t>(i)].session)
                                   .agreed_vector();
             for (int j = 0; j < n; ++j)
-                EXPECT_EQ(vec[static_cast<std::size_t>(j)], tagged("new-", static_cast<std::uint64_t>(j)));
+                EXPECT_EQ(vec[static_cast<std::size_t>(j)],
+                          tagged("new-", static_cast<std::uint64_t>(j)));
         }
     }
 }
@@ -265,7 +270,11 @@ TEST(IcRestart, RestartOfAnUnfinishedSessionForgetsItsTable)
 class Fresh_on_restart final : public Ic_session {
 public:
     Fresh_on_restart(Ic_factory make, int n, int f, Processor_id self, Value input)
-        : make_{std::move(make)}, n_{n}, f_{f}, self_{self}, inner_{make_(n, f, self, std::move(input))}
+        : make_{std::move(make)},
+          n_{n},
+          f_{f},
+          self_{self},
+          inner_{make_(n, f, self, std::move(input))}
     {
     }
 

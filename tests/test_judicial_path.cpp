@@ -303,7 +303,7 @@ TEST(JudicialPathOpens, TamperedVectorsAgreeWithTheTreeRebuild)
             case 0: reveal.openings[j].payload.push_back(0); break;
             case 1: reveal.openings[j].nonce[0] ^= 0x01; break;
             case 2: // swap two positions (the reorder attack)
-                if (k > 1) std::swap(reveal.openings[j], reveal.openings[(j + 1) % reveal.openings.size()]);
+                std::swap(reveal.openings[j], reveal.openings[(j + 1) % reveal.openings.size()]);
                 break;
             case 3: reveal.openings.pop_back(); break;
             case 4: reveal.openings.push_back(reveal.openings.front()); break;
