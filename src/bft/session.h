@@ -20,8 +20,8 @@
 // session copies whatever it keeps past it (EIG tree values, Turpin-Coan's
 // x and candidate, parallel IC's per-instance seeds, x values and
 // candidates). Views a session parks in reused buffers (parallel IC's
-// section table, the Turpin-Coan vote tally) are read only within the call
-// that filled them. The caller keeps the viewed bytes alive and unmodified
+// section row and vote table, the Turpin-Coan vote tally) are read only
+// within the call that filled them. The caller keeps the viewed bytes alive and unmodified
 // across the call: in the authority tier the owner is the received
 // message's Shared_payload handle, held by the schedule processor's
 // cross-pulse section buffer; in bft::drive and SSBA it is the caller's own

@@ -28,34 +28,38 @@ std::atomic<std::int64_t> g_allocations{0};
 
 } // namespace
 
-void* operator new(std::size_t size)
+// Not inlined: GCC 12 flags a free() it sees inlined into a caller whose
+// pointer came from operator new (-Wmismatched-new-delete), although the
+// pair is matched here.
+
+[[gnu::noinline]] void* operator new(std::size_t size)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
     throw std::bad_alloc{};
 }
 
-void* operator new[](std::size_t size)
+[[gnu::noinline]] void* operator new[](std::size_t size)
 {
     return ::operator new(size);
 }
 
-void operator delete(void* p) noexcept
+[[gnu::noinline]] void operator delete(void* p) noexcept
 {
     std::free(p);
 }
 
-void operator delete[](void* p) noexcept
+[[gnu::noinline]] void operator delete[](void* p) noexcept
 {
     std::free(p);
 }
 
-void operator delete(void* p, std::size_t) noexcept
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void operator delete[](void* p, std::size_t) noexcept
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept
 {
     std::free(p);
 }
