@@ -465,6 +465,128 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+/// One sender's round-r payload drawn at random but well formed: a value
+/// for round 0, then one length-prefixed section per instance — a tagged
+/// value or bottom in the reduction rounds, a bit (or nothing, or two
+/// bytes) in the phase-king rounds. Instance j's votes lean towards one
+/// value with a per-instance bias, so quorums, pluralities, weak and
+/// overwhelming majorities and decisive kings all occur.
+Bytes random_traffic(Rng& rng, int n, Round r, const std::vector<double>& lean)
+{
+    static const char* values[] = {"p", "q", ""};
+    Bytes payload;
+    if (r == 0) {
+        ga::common::put_bytes(payload, bytes_of(values[rng.below(3)]));
+        return payload;
+    }
+    for (int j = 0; j < n; ++j) {
+        const bool lean_j = rng.chance(lean[static_cast<std::size_t>(j)]);
+        Bytes section;
+        if (r <= 2) {
+            if (!rng.chance(0.15))
+                put_tagged(section, bytes_of(lean_j ? "p" : values[1 + rng.below(2)]));
+            else
+                put_tagged(section, std::nullopt);
+            if (rng.chance(0.05)) section.push_back(7); // trailing byte: no vote
+        } else {
+            const auto shape = rng.below(10);
+            if (shape < 8) put_bit(section, lean_j ? 1 : 0);
+            if (shape == 9) section = {1, 0};
+        }
+        ga::common::put_bytes(payload, section);
+    }
+    return payload;
+}
+
+TEST(ParallelIcDifferential, RandomWellFormedTrafficMatchesStandaloneInstances)
+{
+    // No execution of honest processors produces this traffic; it drives
+    // every per-instance rule, the king's adoption included, through
+    // inputs where the instances disagree with each other. Each session is
+    // restarted for three activations, so an instance that decides bottom
+    // after deciding a value shows any value a restart failed to clear.
+    for (const auto& [n, f] : std::vector<std::pair<int, int>>{{5, 1}, {9, 2}, {13, 3}}) {
+        for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+            Rng rng{seed * 7919 + static_cast<std::uint64_t>(n)};
+            const auto self = static_cast<Processor_id>(rng.below(static_cast<std::uint64_t>(n)));
+            Lockstep_ic session{n, f, self, bytes_of("p")};
+            std::vector<std::optional<Bytes>> owned(static_cast<std::size_t>(n));
+            Round_payloads views(static_cast<std::size_t>(n));
+            for (int activation = 0; activation < 3; ++activation) {
+                if (activation > 0) session.restart(bytes_of(activation == 1 ? "q" : "p"));
+                std::vector<double> lean;
+                for (int j = 0; j < n; ++j)
+                    lean.push_back(0.2 + 0.2 * static_cast<double>(rng.below(4)));
+                for (Round r = 0; r < session.total_rounds(); ++r) {
+                    const Bytes own = session.message_for_round(r);
+                    for (int s = 0; s < n; ++s) {
+                        const auto slot = static_cast<std::size_t>(s);
+                        owned[slot].reset();
+                        if (s == self) {
+                            owned[slot] = own;
+                        } else if (!rng.chance(0.1)) {
+                            owned[slot] = random_traffic(rng, n, r, lean);
+                        }
+                        views[slot].reset();
+                        if (owned[slot].has_value()) views[slot] = *owned[slot];
+                    }
+                    session.deliver_round(r, views);
+                }
+                ASSERT_TRUE(session.done());
+                static_cast<void>(session.agreed_vector()); // compares both
+                static_cast<void>(session.decision());
+                if (HasFailure()) {
+                    ADD_FAILURE() << "n " << n << " seed " << seed << " activation "
+                                  << activation;
+                    return;
+                }
+            }
+        }
+    }
+}
+
+TEST(ParallelIcDifferential, RandomCallSequencesMatchStandaloneInstances)
+{
+    // Out-of-schedule calls (repeated, skipped, early, late and
+    // out-of-range rounds) after a transient fault: the fused session must
+    // still behave as the standalone composition does.
+    for (const auto& [n, f] : std::vector<std::pair<int, int>>{{5, 1}, {9, 2}}) {
+        for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+            Rng rng{seed * 104729 + static_cast<std::uint64_t>(n)};
+            const auto self = static_cast<Processor_id>(rng.below(static_cast<std::uint64_t>(n)));
+            Lockstep_ic session{n, f, self, bytes_of("p")};
+            std::vector<double> lean(static_cast<std::size_t>(n), 0.8);
+            std::vector<std::optional<Bytes>> owned(static_cast<std::size_t>(n));
+            Round_payloads views(static_cast<std::size_t>(n));
+            const Round rounds = session.total_rounds();
+            for (int call = 0; call < 40; ++call) {
+                const auto r =
+                    static_cast<Round>(rng.below(static_cast<std::uint64_t>(rounds + 2))) - 1;
+                const Bytes own = session.message_for_round(r);
+                if (rng.chance(0.3)) continue;
+                for (int s = 0; s < n; ++s) {
+                    const auto slot = static_cast<std::size_t>(s);
+                    owned[slot].reset();
+                    if (s == self) {
+                        owned[slot] = own;
+                    } else if (!rng.chance(0.1)) {
+                        owned[slot] = random_traffic(rng, n, std::max<Round>(r, 0), lean);
+                    }
+                    views[slot].reset();
+                    if (owned[slot].has_value()) views[slot] = *owned[slot];
+                }
+                session.deliver_round(r, views);
+                if (rng.chance(0.05)) session.restart(bytes_of(rng.chance(0.5) ? "p" : "q"));
+            }
+            if (session.done()) static_cast<void>(session.agreed_vector());
+            if (HasFailure()) {
+                ADD_FAILURE() << "n " << n << " seed " << seed;
+                return;
+            }
+        }
+    }
+}
+
 } // namespace differential
 
 } // namespace

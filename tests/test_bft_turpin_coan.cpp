@@ -223,4 +223,35 @@ TEST(TurpinCoan, RoundOneTieGoesToTheLexicographicallySmallestCandidate)
               bytes_of("p"));
 }
 
+TEST(TurpinCoan, TaggedVoteCountsOnlyWellFormedValues)
+{
+    using ga::common::Byte_view;
+    using ga::common::Bytes;
+    Byte_view value;
+    Bytes section;
+    put_tagged(section, bytes_of("v"));
+    ASSERT_TRUE(tagged_vote(section, value));
+    EXPECT_EQ(Bytes(value.begin(), value.end()), bytes_of("v"));
+    Bytes empty_value;
+    put_tagged(empty_value, Bytes{});
+    EXPECT_TRUE(tagged_vote(empty_value, value)); // the empty value is a value
+    EXPECT_TRUE(value.empty());
+
+    Bytes bottom;
+    put_tagged(bottom, std::nullopt);
+    EXPECT_FALSE(tagged_vote(bottom, value)); // bottom casts no vote
+    Bytes trailing = section;
+    trailing.push_back(0);
+    EXPECT_FALSE(tagged_vote(trailing, value));
+    Bytes bottom_trailing = bottom;
+    bottom_trailing.push_back(0);
+    EXPECT_FALSE(tagged_vote(bottom_trailing, value));
+    Bytes wrong_tag = section;
+    wrong_tag[0] = 2;
+    EXPECT_FALSE(tagged_vote(wrong_tag, value));
+    EXPECT_FALSE(tagged_vote(Bytes{}, value));
+    for (std::size_t cut = 0; cut < section.size(); ++cut)
+        EXPECT_FALSE(tagged_vote(Byte_view{section}.first(cut), value)) << cut;
+}
+
 } // namespace

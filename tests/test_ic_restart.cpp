@@ -217,6 +217,28 @@ TEST_P(Ic_restart, RestartedMatchesFreshEveryRound)
     }
 }
 
+TEST_P(Ic_restart, RestartedMatchesFreshUnderArbitraryCalls)
+{
+    // Out-of-schedule calls after a restart (a transient fault can leave
+    // any call pattern behind) must meet the restarted session in exactly
+    // the state a fresh one would be in.
+    const auto [substrate, n, f, history] = GetParam();
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        Rng rng{seed * 131 + static_cast<std::uint64_t>(n)};
+        auto restarted = make_session(substrate, n, f, 0, tagged("old-", seed));
+        run_history(*restarted, n, history, rng);
+        restarted->restart(tagged("new-", seed));
+        Restart_lockstep lockstep{std::move(restarted),
+                                  make_session(substrate, n, f, 0, tagged("new-", seed))};
+        run_history(lockstep, n, History::chaotic, rng);
+        if (lockstep.done()) static_cast<void>(lockstep.agreed_vector());
+        if (HasFailure()) {
+            ADD_FAILURE() << "seed " << seed;
+            return;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, Ic_restart,
     ::testing::ValuesIn([] {

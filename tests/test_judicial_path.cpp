@@ -447,6 +447,16 @@ TEST(JudicialPathDecode, BatchRevealMatchesTheThrowingDecoder)
                                     ref_decode_batch_reveal(bytes, k)));
         });
     }
+    // The smallest openings (empty nonce and payload, 12 bytes each on the
+    // wire) decode in both.
+    for (const int k : {1, 3, 7}) {
+        pipeline::Batch_reveal minimal;
+        minimal.openings.resize(static_cast<std::size_t>(k));
+        const Bytes wire = pipeline::encode(minimal);
+        EXPECT_TRUE(ref_decode_batch_reveal(wire, k).has_value());
+        EXPECT_TRUE(same_reveal(pipeline::decode_batch_reveal(wire, k),
+                                ref_decode_batch_reveal(wire, k)));
+    }
     // Oversized openings are rejected by both.
     pipeline::Batch_reveal big;
     big.openings.push_back({Bytes(40, 1), Bytes(40, 2)});
