@@ -1,17 +1,19 @@
-// Refcounted immutable byte payload for zero-copy message fan-out.
+// Refcounted immutable byte payload for zero-copy messaging.
 //
-// A broadcast on a complete graph used to deep-copy its payload once per
-// recipient — O(n) copies of the same bytes per send, O(n^2) per pulse for
-// the full-information protocols. Shared_payload wraps the buffer behind an
-// intrusive refcount so every recipient's Message aliases one allocation;
-// the bytes are immutable through the shared handle, which is what makes
-// concurrent readers (the multi-threaded pulse executor) safe without locks.
-// `fan_out` mints all n-1 aliases of a broadcast with a single atomic add,
-// and the handle is one pointer wide, so a Message stays two words.
+// Shared_payload wraps a buffer behind an intrusive refcount, so a message
+// handed on — a broadcast entry every recipient reads, a relay, a section a
+// replica parks across pulses — aliases one allocation instead of copying
+// its bytes. The bytes are immutable through a shared handle, which is what
+// makes concurrent readers (the multi-threaded pulse executor) safe without
+// locks, and the handle is one pointer wide.
 //
-// The one writer is fault injection: `unique()` is copy-on-write, cloning
-// the buffer iff other Messages still alias it, so garbling one recipient's
-// delivery can never leak into another recipient's copy.
+// Two writers exist. Fault injection garbles through `unique()`, which is
+// copy-on-write: it clones the buffer iff another handle still aliases it,
+// so garbling one recipient's delivery can never leak into another
+// recipient's copy. A minting owner refills a buffer it keeps for reuse
+// through the same call once `use_count()` reads 1 — every other holder
+// has released it, and the acquire load orders their reads before the
+// refill.
 #ifndef GA_COMMON_SHARED_PAYLOAD_H
 #define GA_COMMON_SHARED_PAYLOAD_H
 
@@ -58,17 +60,6 @@ public:
     [[nodiscard]] auto end() const { return bytes().end(); }
     [[nodiscard]] const std::uint8_t& operator[](std::size_t i) const { return bytes()[i]; }
 
-    /// Mint `copies` aliases with one atomic add, passing each to `sink`.
-    /// This is the broadcast fan-out: per recipient it costs a pointer copy,
-    /// not a refcount round-trip (let alone a buffer copy).
-    template <typename Sink>
-    void fan_out(std::size_t copies, Sink&& sink) const
-    {
-        if (copies == 0) return;
-        if (ctrl_) ctrl_->refs.fetch_add(static_cast<long>(copies), std::memory_order_relaxed);
-        for (std::size_t i = 0; i < copies; ++i) sink(Shared_payload{ctrl_, Adopt_ref{}});
-    }
-
     /// Copy-on-write mutable access: clones the buffer iff it is aliased, so
     /// the caller's edits stay invisible to every other holder. (Safe against
     /// concurrent *readers* of other handles; racing another mutator of the
@@ -91,10 +82,12 @@ public:
         return ctrl_ != nullptr && ctrl_ == other.ctrl_;
     }
 
-    /// Holders of this exact buffer (0 for the empty payload).
+    /// Holders of this exact buffer (0 for the empty payload). The acquire
+    /// load pairs with release(): a caller that reads 1 sees every former
+    /// holder's reads of the bytes completed, and may refill the buffer.
     [[nodiscard]] long use_count() const
     {
-        return ctrl_ ? ctrl_->refs.load(std::memory_order_relaxed) : 0;
+        return ctrl_ ? ctrl_->refs.load(std::memory_order_acquire) : 0;
     }
 
     friend bool operator==(const Shared_payload& a, const Shared_payload& b)
@@ -107,11 +100,6 @@ private:
         std::atomic<long> refs;
         Bytes bytes;
     };
-    struct Adopt_ref {};
-
-    /// Takes ownership of one already-counted reference (fan_out).
-    Shared_payload(Control* ctrl, Adopt_ref) noexcept : ctrl_{ctrl} {}
-
     void release() noexcept
     {
         if (ctrl_ && ctrl_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete ctrl_;

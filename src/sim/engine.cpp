@@ -16,8 +16,7 @@ Engine::Engine(Graph graph, common::Rng rng, Engine_config config, Net_model net
       net_{std::move(net)},
       byzantine_(static_cast<std::size_t>(graph_.size()), false),
       disconnected_(static_cast<std::size_t>(graph_.size()), false),
-      inboxes_(static_cast<std::size_t>(graph_.size())),
-      outboxes_(static_cast<std::size_t>(graph_.size()))
+      inboxes_(static_cast<std::size_t>(graph_.size()))
 {
     common::ensure(config_.threads >= 1, "Engine: threads must be >= 1");
     net_.validate(graph_.size());
@@ -25,6 +24,7 @@ Engine::Engine(Graph graph, common::Rng rng, Engine_config config, Net_model net
     wheel_.assign(static_cast<std::size_t>(net_.delta),
                   std::vector<std::vector<Message>>(static_cast<std::size_t>(graph_.size())));
     due_after_.assign(wheel_.size(), nullptr);
+    for (std::vector<Outbox>& set : outboxes_) set.resize(static_cast<std::size_t>(graph_.size()));
 }
 
 void Engine::install(std::unique_ptr<Processor> processor, bool byzantine)
@@ -79,27 +79,48 @@ template <typename Route>
 void Engine::step_processor(common::Processor_id id, Traffic_stats& stats, Route route)
 {
     const auto slot = static_cast<std::size_t>(id);
-    std::vector<Message>& outbox = outboxes_[slot];
+    const std::vector<common::Processor_id>& neighbors = graph_.neighbors(id);
+    Outbox& outbox = entries_of(pulse_)[slot];
     outbox.clear(); // keeps its high-water capacity
-    Pulse_context ctx{pulse_, id, size(), &graph_.neighbors(id), &inboxes_[slot], &outbox};
+    Pulse_context ctx{pulse_, id, size(), &neighbors,
+                      Inbox{&inboxes_[slot], due_entries(), id}, &outbox};
     processors_[slot]->on_pulse(ctx);
 
     // Fast path: a fully connected sender on an undamaged network can only
     // produce deliverable or silently-droppable messages (an out-of-range or
     // self target is dropped for honest and Byzantine senders alike, exactly
     // as the general path does), so per-message validation reduces to three
-    // integer compares.
+    // integer compares, and under the clean model its broadcasts stay in
+    // place as entries that reach all n - 1 other processors.
     const bool fully_connected =
-        !any_disconnected_ && static_cast<int>(graph_.neighbors(id).size()) == size() - 1;
+        !any_disconnected_ && static_cast<int>(neighbors.size()) == size() - 1;
     const bool sender_byzantine = byzantine_[slot];
     const bool clean = clean_;
+    if (fully_connected && clean) {
+        const auto copies = static_cast<std::int64_t>(size() - 1);
+        for (Message& entry : outbox.broadcasts) {
+            entry.sent_at = pulse_; // transport-stamped: senders cannot forge it
+            stats.messages += copies;
+            stats.payload_bytes += copies * static_cast<std::int64_t>(entry.payload.size());
+        }
+        for (Message& msg : outbox.messages) {
+            if (msg.to < 0 || msg.to >= size() || msg.to == id) continue;
+            msg.sent_at = pulse_;
+            stats.messages += 1;
+            stats.payload_bytes += static_cast<std::int64_t>(msg.payload.size());
+            route(1, msg);
+        }
+        return;
+    }
+
+    // General path: every recipient copy in send order. The verdict stream
+    // is keyed by that position, which is identical across thread counts
+    // (the outbox is the processor's own output).
     int index = 0;
-    for (Message& msg : outbox) {
-        // The verdict stream is keyed by outbox position, which is identical
-        // across thread counts (the outbox is the processor's own output).
+    outbox.for_each_copy(neighbors, [&](Message& msg) {
         const int msg_index = index++;
         if (fully_connected) {
-            if (msg.to < 0 || msg.to >= size() || msg.to == id) continue;
+            if (msg.to < 0 || msg.to >= size() || msg.to == id) return;
         } else {
             const bool target_valid = msg.to >= 0 && msg.to < size() && msg.to != id;
             const bool edge_exists = target_valid && graph_.has_edge(id, msg.to);
@@ -109,7 +130,7 @@ void Engine::step_processor(common::Processor_id id, Traffic_stats& stats, Route
                 common::ensure(sender_byzantine || !target_valid ||
                                    disconnected_[static_cast<std::size_t>(msg.to)] || edge_exists,
                                "honest processor sent to a non-neighbor");
-                continue;
+                return;
             }
         }
         msg.sent_at = pulse_; // transport-stamped: senders cannot forge it
@@ -117,16 +138,46 @@ void Engine::step_processor(common::Processor_id id, Traffic_stats& stats, Route
         stats.payload_bytes += static_cast<std::int64_t>(msg.payload.size());
         if (clean) {
             route(1, msg);
-            continue;
+            return;
         }
         const Net_verdict verdict = net_.verdict(pulse_, id, msg.to, msg_index);
         if (verdict.dropped) {
             stats.dropped += 1;
-            continue;
+            return;
         }
         if (verdict.delay > 1) stats.delayed += 1;
         route(verdict.delay, msg);
+    });
+    outbox.broadcasts.clear(); // spelled out: no entry is left to deliver
+}
+
+std::vector<Outbox>* Engine::due_entries()
+{
+    // Entries exist only under the clean model and before any disconnection
+    // (disconnect spells the in-flight ones out), so otherwise the inbox
+    // view skips the sender scan.
+    if (!clean_ || any_disconnected_) return nullptr;
+    return &entries_of(pulse_ - 1);
+}
+
+void Engine::expand_entries()
+{
+    std::vector<Outbox>* entries = due_entries();
+    if (entries == nullptr) return;
+    // Between pulses: the sends of pulse_ - 1 are due at pulse_, in the
+    // wheel slot rotate_wheel swaps in next.
+    std::vector<std::vector<Message>>& due = wheel_[static_cast<std::size_t>(pulse_) % wheel_.size()];
+    const Pulse_batch batch{due, entries};
+    std::vector<Message> row;
+    for (common::Processor_id to = 0; to < size(); ++to) {
+        row.clear();
+        for (const Message& msg : batch.inbox(to)) {
+            row.push_back(msg);
+            row.back().to = to;
+        }
+        due[static_cast<std::size_t>(to)].swap(row);
     }
+    for (Outbox& outbox : *entries) outbox.broadcasts.clear();
 }
 
 void Engine::rotate_wheel()
@@ -168,9 +219,11 @@ void Engine::step_all_parallel()
     ensure_pool();
     const std::size_t workers = slices_.size();
 
-    // Phase 1: every worker steps its contiguous slice of senders into its
-    // private (delay, recipient) staging rows. No shared mutable state;
-    // reads (inboxes, graph, flags) are frozen for the whole phase.
+    // Phase 1: every worker steps its contiguous slice of senders, writing
+    // their broadcast entries in place (each sender owns its outbox slot)
+    // and their per-recipient copies into the worker's private (delay,
+    // recipient) staging rows. Reads (inboxes, the previous pulse's entries,
+    // graph, flags) are frozen for the whole phase.
     pool_->parallel_for(workers, [this](std::size_t s) {
         std::vector<std::vector<std::vector<Message>>>& rows = stage_[s];
         for (auto& delay_rows : rows)
@@ -271,7 +324,10 @@ void Engine::run_pulse()
     // The wire boundary sits at delivery time: the pulse's finalized inboxes
     // cross the link right before the processors consume them. Runs on the
     // coordinating thread, so it is sequenced against the worker pool.
-    if (link_ != nullptr) link_->cross_pulse(inboxes_, pulse_);
+    if (link_ != nullptr) {
+        Pulse_batch batch{inboxes_, due_entries()};
+        link_->cross_pulse(batch, pulse_);
+    }
     if (config_.threads > 1 && size() > 1) {
         step_all_parallel();
     } else {
@@ -291,9 +347,10 @@ void Engine::inject_transient_fault()
 {
     if (tracer_ != nullptr) tracer_->add_span("transient_fault", pulse_, pulse_);
     for (auto& processor : processors_) processor->corrupt(rng_);
-    // In-flight messages become arbitrary: some dropped, some garbled. The
-    // garble writes through Shared_payload::unique(), which clones the buffer
-    // iff other recipients still alias it (copy-on-write isolation). Delivery
+    // In-flight messages become arbitrary: some dropped, some garbled, per
+    // recipient copy, so broadcast entries are spelled out first. The garble
+    // writes through Shared_payload::unique(), which clones the buffer iff
+    // other recipients still alias it (copy-on-write isolation). Delivery
     // *timing* is a network property, not processor state, so sent_at and the
     // wheel-slot placement stay intact — age invariants survive the fault.
     // The wheel holds all in-flight traffic (inboxes_ are the already
@@ -310,6 +367,7 @@ void Engine::inject_transient_fault()
             box = std::move(corrupted);
         }
     };
+    expand_entries();
     for (auto& slot : wheel_) garble(slot);
 }
 
@@ -323,6 +381,7 @@ void Engine::inject_fault_at(common::Processor_id id)
 void Engine::disconnect(common::Processor_id id)
 {
     common::ensure(id >= 0 && id < size(), "disconnect: id out of range");
+    expand_entries();
     disconnected_[static_cast<std::size_t>(id)] = true;
     any_disconnected_ = true;
     for (auto& slot : wheel_) slot[static_cast<std::size_t>(id)].clear();

@@ -19,18 +19,28 @@
 // message age is always < delta.
 //
 // The pulse loop is allocation-free in steady state (wheel rows and
-// persistent per-processor outboxes keep their high-water capacity) and
-// payloads are zero-copy (one refcounted buffer per broadcast, aliased by
-// every recipient — see common::Shared_payload). With Engine_config{threads}
-// > 1 the pulse runs on a worker pool: each worker steps a contiguous slice
-// of senders into private (delay, recipient) staging rows, then a gather per
-// recipient in (delay, slice) order rebuilds every wheel row exactly as the
-// single-thread loop would have, so an N-thread run is bit-identical to the
-// 1-thread run (same delivery order, same stats, same verdicts downstream)
-// under loss, reorder and partitions alike.
+// persistent per-processor outboxes keep their high-water capacity), and a
+// broadcast is delivered once: under the clean model a fully connected
+// sender's broadcast stays in its outbox as one entry (payload handle,
+// sent_at, seq), and every recipient's inbox view (Inbox) reads it there in
+// sender order, next to the per-recipient row. The wheel carries only
+// unicasts and per-recipient copies: every copy a non-clean Net_model gives
+// its own verdict, every copy from a sender that is not fully connected,
+// and every copy once a processor has been disconnected. Traffic_stats, the
+// wire link and the verdict index still count recipient copies, so the
+// delivered inboxes, counts and verdicts are those of one message per
+// recipient. With Engine_config{threads} > 1 the pulse runs on a worker
+// pool: each worker steps a contiguous slice of senders, writing their
+// entries in place and staging their per-recipient copies in private
+// (delay, recipient) rows; a gather per recipient in (delay, slice) order
+// then rebuilds every wheel row exactly as the single-thread loop would
+// have, so an N-thread run is bit-identical to the 1-thread run (same
+// delivery order, same stats, same verdicts downstream) under loss, reorder
+// and partitions alike.
 #ifndef GA_SIM_ENGINE_H
 #define GA_SIM_ENGINE_H
 
+#include <array>
 #include <memory>
 #include <string>
 #include <typeinfo>
@@ -67,18 +77,35 @@ struct Engine_config {
     int threads = 1;
 };
 
+/// One pulse's deliveries as the engine holds them. `rows[r]` carries
+/// recipient r's unicasts and per-recipient copies; `entries`, when not
+/// null, holds each sender's broadcast entries, each reaching every other
+/// processor (rows.size() - 1 recipient copies).
+struct Pulse_batch {
+    std::vector<std::vector<Message>>& rows;
+    std::vector<Outbox>* entries = nullptr;
+
+    [[nodiscard]] int size() const { return static_cast<int>(rows.size()); }
+
+    /// Recipient r's inbox, in delivery order.
+    [[nodiscard]] Inbox inbox(common::Processor_id r) const
+    {
+        return Inbox{&rows[static_cast<std::size_t>(r)], entries, r};
+    }
+};
+
 /// Cross-boundary hook for the wire layer (src/wire/): when a link is
-/// attached, every pulse's delivered inboxes cross it right before the
-/// processors consume them — `inboxes[r]` holds recipient r's messages and
-/// the link must leave each message's identity (from, to, sent_at, payload
-/// bytes) intact, in order. The call runs on the coordinating thread after
-/// delivery is finalized, so a link is sequenced against both the worker
-/// pool and the harness: result-invariant by contract, observable only in
-/// wall clock and in the link's own accounting.
+/// attached, every pulse's deliveries cross it right before the processors
+/// consume them. The link must leave every recipient copy's identity (from,
+/// to, sent_at, payload bytes) and the batch's shape intact; it may replace
+/// a payload handle with one holding equal bytes. The call runs on the
+/// coordinating thread after delivery is finalized, so a link is sequenced
+/// against both the worker pool and the harness: result-invariant by
+/// contract, observable only in wall clock and in the link's own accounting.
 class Pulse_link {
 public:
     virtual ~Pulse_link() = default;
-    virtual void cross_pulse(std::vector<std::vector<Message>>& inboxes, common::Pulse at) = 0;
+    virtual void cross_pulse(Pulse_batch& batch, common::Pulse at) = 0;
 };
 
 class Engine {
@@ -155,8 +182,9 @@ public:
     void run(common::Pulse count);
 
     /// Transient fault (§4): corrupt the state of every processor and replace
-    /// the in-flight messages with arbitrary garbage. Garbling is
-    /// copy-on-write per delivery, so corrupting one recipient's copy of a
+    /// the in-flight messages with arbitrary garbage. In-flight broadcast
+    /// entries are first spelled out into per-recipient copies, and garbling
+    /// is copy-on-write per copy, so corrupting one recipient's copy of a
     /// broadcast never touches the other recipients' copies.
     void inject_transient_fault();
 
@@ -174,17 +202,32 @@ private:
     [[noreturn]] static void throw_processor_type_mismatch(common::Processor_id id,
                                                            const char* requested_type);
 
-    /// Step `id` into its persistent outbox, then validate and stamp sent_at
-    /// on each message, ask the net for a verdict (skipped under the clean
-    /// model, where every delay is 1), and hand surviving messages to
-    /// `route(delay, msg)`, accounting into `stats`. Defined in the .cpp (all
-    /// instantiations live there).
+    /// Step `id` into its persistent outbox, then stamp sent_at on every send.
+    /// A fully connected sender under the clean model keeps its broadcasts
+    /// as entries; otherwise each broadcast is spelled out per neighbor. Each
+    /// per-recipient message is validated, given a net verdict (skipped
+    /// under the clean model, where every delay is 1) and handed to
+    /// `route(delay, msg)`; everything is accounted into `stats` per
+    /// recipient copy. Defined in the .cpp (all instantiations live there).
     template <typename Route>
     void step_processor(common::Processor_id id, Traffic_stats& stats, Route route);
 
     /// Open/close net-window spans as `pulse_` crosses window bounds (no-op
     /// without a tracer or without windows).
     void trace_net_windows();
+
+    /// The broadcast entries the sends of `pulse` left (written at pulse,
+    /// delivered at pulse + 1).
+    [[nodiscard]] std::vector<Outbox>& entries_of(common::Pulse pulse)
+    {
+        return outboxes_[static_cast<std::size_t>(pulse & 1)];
+    }
+    /// The entries due at the current pulse, or null when none can exist.
+    [[nodiscard]] std::vector<Outbox>* due_entries();
+    /// Spell the in-flight entries out into the wheel row due next, in
+    /// inbox order, and drop them (before disconnection and faults, which
+    /// act per recipient copy).
+    void expand_entries();
 
     /// Rotate the wheel: the slot due at the current pulse becomes the
     /// inboxes, freeing the slot for pulse_ + delta; applies the optional
@@ -205,8 +248,11 @@ private:
     std::vector<bool> byzantine_;
     std::vector<bool> disconnected_;
     bool any_disconnected_ = false; ///< skips per-message disconnect checks while false
-    std::vector<std::vector<Message>> inboxes_;  ///< indexed by recipient
-    std::vector<std::vector<Message>> outboxes_; ///< persistent, indexed by sender
+    std::vector<std::vector<Message>> inboxes_; ///< indexed by recipient
+    /// Persistent outboxes by sender, one set per pulse parity: the sends of
+    /// pulse p go to outboxes_[p & 1], whose broadcast entries the recipients
+    /// read at p + 1 while the senders fill the other set.
+    std::array<std::vector<Outbox>, 2> outboxes_;
     /// Delivery wheel: wheel_[p % delta][recipient] holds the messages due at
     /// pulse p (one slot under a delta = 1 model). Slot rotation happens in
     /// rotate_wheel.

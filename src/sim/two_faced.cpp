@@ -20,23 +20,25 @@ Two_faced_processor::Two_faced_processor(std::unique_ptr<Processor> face_a,
 
 void Two_faced_processor::on_pulse(Pulse_context& ctx)
 {
-    // Run both faces against the real inbox, capturing their outboxes.
-    std::vector<Message> outbox_a;
+    // Run both faces against the real inbox, capturing their outboxes, then
+    // forward each face's recipient copies (broadcasts spelled out over the
+    // neighbors, in send order) to its half as unicasts.
+    Outbox outbox_a;
     Pulse_context ctx_a{ctx.pulse(), ctx.self(), ctx.system_size(), &ctx.neighbors(),
-                        &ctx.inbox(), &outbox_a};
+                        ctx.inbox(), &outbox_a};
     face_a_->on_pulse(ctx_a);
 
-    std::vector<Message> outbox_b;
+    Outbox outbox_b;
     Pulse_context ctx_b{ctx.pulse(), ctx.self(), ctx.system_size(), &ctx.neighbors(),
-                        &ctx.inbox(), &outbox_b};
+                        ctx.inbox(), &outbox_b};
     face_b_->on_pulse(ctx_b);
 
-    for (Message& msg : outbox_a) {
+    outbox_a.for_each_copy(ctx.neighbors(), [&](Message& msg) {
         if (msg.to < split_at_) ctx.send(msg.to, std::move(msg.payload));
-    }
-    for (Message& msg : outbox_b) {
+    });
+    outbox_b.for_each_copy(ctx.neighbors(), [&](Message& msg) {
         if (msg.to >= split_at_) ctx.send(msg.to, std::move(msg.payload));
-    }
+    });
 }
 
 void Two_faced_processor::corrupt(common::Rng& rng)

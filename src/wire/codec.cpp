@@ -58,6 +58,11 @@ std::uint64_t read_u64(const std::uint8_t* p)
 
 void encode_frame(const sim::Message& msg, common::Bytes& out)
 {
+    encode_frame(msg, msg.to, out);
+}
+
+void encode_frame(const sim::Message& msg, common::Processor_id to, common::Bytes& out)
+{
     // One resize, then the fields stored in place at their fixed offsets.
     const std::size_t start = out.size();
     const std::size_t length = msg.payload.size();
@@ -65,7 +70,7 @@ void encode_frame(const sim::Message& msg, common::Bytes& out)
     std::uint8_t* frame = out.data() + start;
     std::memcpy(frame, k_frame_magic.data(), k_frame_magic.size());
     store_u32(frame + 4, static_cast<std::uint32_t>(msg.from));
-    store_u32(frame + 8, static_cast<std::uint32_t>(msg.to));
+    store_u32(frame + 8, static_cast<std::uint32_t>(to));
     store_u64(frame + 12, static_cast<std::uint64_t>(msg.sent_at));
     store_u32(frame + 20, static_cast<std::uint32_t>(length));
     if (length != 0) std::memcpy(frame + k_frame_header_bytes, msg.payload.data(), length);
@@ -73,7 +78,7 @@ void encode_frame(const sim::Message& msg, common::Bytes& out)
               fnv1a(frame, k_frame_header_bytes + length));
 }
 
-sim::Message decode_frame(const common::Bytes& buf, std::size_t& offset)
+Frame_view decode_frame_view(const common::Bytes& buf, std::size_t& offset)
 {
     const std::size_t start = offset;
     if (start > buf.size() || buf.size() - start < k_frame_header_bytes) {
@@ -90,15 +95,25 @@ sim::Message decode_frame(const common::Bytes& buf, std::size_t& offset)
     const std::size_t body = k_frame_header_bytes + length;
     if (read_u64(frame + body) != fnv1a(frame, body)) throw_at("frame checksum mismatch", start);
 
+    Frame_view view;
+    view.from = static_cast<common::Processor_id>(read_u32(frame + 4));
+    view.to = static_cast<common::Processor_id>(read_u32(frame + 8));
+    view.sent_at = static_cast<common::Pulse>(read_u64(frame + 12));
+    view.payload = common::Byte_view{frame + k_frame_header_bytes, length};
+    offset = start + body + k_frame_checksum_bytes;
+    return view;
+}
+
+sim::Message decode_frame(const common::Bytes& buf, std::size_t& offset)
+{
+    const Frame_view view = decode_frame_view(buf, offset);
     sim::Message msg;
-    msg.from = static_cast<common::Processor_id>(read_u32(frame + 4));
-    msg.to = static_cast<common::Processor_id>(read_u32(frame + 8));
-    msg.sent_at = static_cast<common::Pulse>(read_u64(frame + 12));
+    msg.from = view.from;
+    msg.to = view.to;
+    msg.sent_at = view.sent_at;
     // The one copy off the wire: mint the payload's refcounted buffer
     // directly from the frame's payload bytes.
-    msg.payload = common::Shared_payload{
-        common::Bytes{frame + k_frame_header_bytes, frame + body}};
-    offset = start + body + k_frame_checksum_bytes;
+    msg.payload = common::Shared_payload{common::Bytes{view.payload.begin(), view.payload.end()}};
     return msg;
 }
 

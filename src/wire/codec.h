@@ -17,8 +17,10 @@
 //     24+L     8  checksum (u64 LE, FNV-1a over bytes [0, 24+L))
 //
 // Encoding appends straight from the refcounted payload buffer — no
-// intermediate serialization copy — and decoding mints exactly one fresh
-// Shared_payload per frame (the single unavoidable copy off the wire).
+// intermediate serialization copy — and decode_frame mints exactly one
+// fresh Shared_payload per frame (the single unavoidable copy off the wire);
+// decode_frame_view verifies a frame and leaves the minting to the caller,
+// which lets a receiver mint one payload for all copies of a broadcast.
 // Truncation and corruption throw common::Contract_error naming the byte
 // offset where the damage was detected, so a fuzzer's replay seed pinpoints
 // the bad frame.
@@ -63,6 +65,23 @@ inline constexpr std::size_t k_frame_overhead = k_frame_header_bytes + k_frame_c
 /// Append one frame to `out`. The payload bytes are copied once, directly
 /// from the refcounted buffer into the frame.
 void encode_frame(const sim::Message& msg, common::Bytes& out);
+
+/// Append the frame of `msg`'s copy to recipient `to` (a broadcast entry's
+/// copies differ from the entry only in `to`).
+void encode_frame(const sim::Message& msg, common::Processor_id to, common::Bytes& out);
+
+/// One decoded frame whose payload still views the frame's bytes.
+struct Frame_view {
+    common::Processor_id from = -1;
+    common::Processor_id to = -1;
+    common::Pulse sent_at = 0;
+    common::Byte_view payload;
+};
+
+/// Decode and verify the frame starting at `offset`, advancing `offset`
+/// past it, without minting a payload: the caller copies or compares the
+/// viewed bytes while `buf` is unchanged. Throws like decode_frame.
+[[nodiscard]] Frame_view decode_frame_view(const common::Bytes& buf, std::size_t& offset);
 
 /// Decode the frame starting at `offset`, advancing `offset` past it. Mints
 /// a fresh Shared_payload for the decoded message. Throws

@@ -54,18 +54,26 @@ void Transport::account(std::int64_t frames, std::int64_t bytes)
     *tel_high_water_ = static_cast<double>(stats_.high_water);
 }
 
-void Loopback_transport::cross_pulse(std::vector<std::vector<sim::Message>>& inboxes,
-                                     common::Pulse)
+void Loopback_transport::cross_pulse(sim::Pulse_batch& batch, common::Pulse)
 {
     // Zero-copy: the handles stay where they are. Accounting only — with
     // encoded_size computed arithmetically so it matches the ring byte for
     // byte without touching the codec.
     std::int64_t frames = 0;
     std::int64_t bytes = 0;
-    for (const std::vector<sim::Message>& row : inboxes) {
+    for (const std::vector<sim::Message>& row : batch.rows) {
         for (const sim::Message& msg : row) {
             frames += 1;
             bytes += static_cast<std::int64_t>(encoded_size(msg));
+        }
+    }
+    if (batch.entries != nullptr) {
+        const std::int64_t copies = batch.size() - 1;
+        for (const sim::Outbox& outbox : *batch.entries) {
+            for (const sim::Message& entry : outbox.broadcasts) {
+                frames += copies;
+                bytes += copies * static_cast<std::int64_t>(encoded_size(entry));
+            }
         }
     }
     account(frames, bytes);
@@ -80,7 +88,7 @@ Spsc_frame_ring::Spsc_frame_ring(int capacity)
     mask_ = static_cast<std::uint64_t>(capacity) - 1;
 }
 
-bool Spsc_frame_ring::try_stage(const sim::Message& msg)
+bool Spsc_frame_ring::try_stage(const sim::Message& msg, common::Processor_id to)
 {
     const std::uint64_t cursor = head_.load(std::memory_order_relaxed) + staged_;
     if (cursor - cached_tail_ > mask_) {
@@ -89,7 +97,7 @@ bool Spsc_frame_ring::try_stage(const sim::Message& msg)
     }
     common::Bytes& slot = slots_[cursor & mask_];
     slot.clear(); // keeps its high-water capacity
-    encode_frame(msg, slot);
+    encode_frame(msg, to, slot);
     staged_ += 1;
     return true;
 }
@@ -107,15 +115,12 @@ void Spsc_frame_ring::publish()
 
 bool Spsc_frame_ring::try_pop(sim::Message& out)
 {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == cached_head_) {
-        cached_head_ = head_.load(std::memory_order_acquire);
-        if (tail == cached_head_) return false; // genuinely empty
-    }
-    std::size_t offset = 0;
-    out = decode_frame(slots_[tail & mask_], offset);
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
+    return try_consume([&out](const Frame_view& frame) {
+        out.from = frame.from;
+        out.to = frame.to;
+        out.sent_at = frame.sent_at;
+        out.payload = common::Shared_payload{common::Bytes{frame.payload.begin(), frame.payload.end()}};
+    });
 }
 
 std::int64_t Spsc_frame_ring::depth() const
@@ -126,47 +131,84 @@ std::int64_t Spsc_frame_ring::depth() const
 
 Ring_transport::Ring_transport(int ring_frames) : ring_{ring_frames} {}
 
-void Ring_transport::drain(std::size_t n_recipients)
+void Ring_transport::stage(sim::Message& msg, common::Processor_id to, std::size_t n)
 {
-    sim::Message msg;
-    while (ring_.try_pop(msg)) {
-        const auto to = static_cast<std::size_t>(msg.to);
-        common::ensure(msg.to >= 0 && to < n_recipients,
-                       "Ring_transport: decoded recipient out of range");
-        decoded_[to].push_back(std::move(msg));
+    targets_.push_back(&msg.payload);
+    while (!ring_.try_stage(msg, to)) {
+        ring_.publish();
+        drain(n);
     }
 }
 
-void Ring_transport::cross_pulse(std::vector<std::vector<sim::Message>>& inboxes, common::Pulse)
+void Ring_transport::drain(std::size_t n)
 {
-    const std::size_t n = inboxes.size();
-    if (decoded_.size() < n) decoded_.resize(n);
+    const auto decode = [this, n](const Frame_view& frame) {
+        common::ensure(frame.to >= 0 && static_cast<std::size_t>(frame.to) < n,
+                       "Ring_transport: decoded recipient out of range");
+        common::Shared_payload& target = *targets_[consumed_++];
+        const auto mint = [&frame] {
+            return common::Shared_payload{common::Bytes{frame.payload.begin(), frame.payload.end()}};
+        };
+        if (frame.from < 0 || static_cast<std::size_t>(frame.from) >= n) {
+            target = mint();
+            return;
+        }
+        // One payload per broadcast: a copy from the same sender and pulse
+        // with equal bytes aliases the payload that sender's previous frame
+        // minted; anything else is the one copy off the wire.
+        Minted& minted = minted_[static_cast<std::size_t>(frame.from)];
+        const common::Bytes& previous = minted.payload.bytes();
+        if (minted.sent_at != frame.sent_at || previous.size() != frame.payload.size() ||
+            !std::equal(previous.begin(), previous.end(), frame.payload.begin())) {
+            minted.sent_at = frame.sent_at;
+            minted.payload = mint();
+        }
+        target = minted.payload;
+    };
+    while (ring_.try_consume(decode)) {
+    }
+}
 
-    // Producer side: frame every delivered message, recipient-major. A batch
-    // larger than the ring publishes early and lets the consumer drain —
-    // in-process the two ends interleave right here, exactly where a remote
-    // consumer would relieve a full ring.
+void Ring_transport::cross_pulse(sim::Pulse_batch& batch, common::Pulse)
+{
+    const auto n = static_cast<std::size_t>(batch.size());
+    if (minted_.size() < n) minted_.resize(n);
+    targets_.clear();
+    consumed_ = 0;
+
+    // Producer side: frame every recipient copy — the per-recipient rows,
+    // then each broadcast entry once per recipient. A batch larger than the
+    // ring publishes early and lets the consumer drain — in-process the two
+    // ends interleave right here, exactly where a remote consumer would
+    // relieve a full ring.
     std::int64_t frames = 0;
     std::int64_t bytes = 0;
-    for (std::vector<sim::Message>& row : inboxes) {
+    for (std::vector<sim::Message>& row : batch.rows) {
         for (sim::Message& msg : row) {
             frames += 1;
             bytes += static_cast<std::int64_t>(encoded_size(msg));
-            while (!ring_.try_stage(msg)) {
-                ring_.publish();
-                drain(n);
+            stage(msg, msg.to, n);
+        }
+    }
+    if (batch.entries != nullptr) {
+        for (std::size_t from = 0; from < batch.entries->size(); ++from) {
+            for (sim::Message& entry : (*batch.entries)[from].broadcasts) {
+                for (std::size_t to = 0; to < n; ++to) {
+                    if (to == from) continue;
+                    frames += 1;
+                    bytes += static_cast<std::int64_t>(encoded_size(entry));
+                    stage(entry, static_cast<common::Processor_id>(to), n);
+                }
             }
         }
-        row.clear();
     }
 
     // One batched publish per pulse, then the consumer side decodes every
-    // frame into a freshly minted payload and rebuilds the inboxes. Frames
-    // carry `to`, and recipient-major staging keeps per-recipient order, so
-    // the rebuilt inboxes are identical to what loopback leaves in place.
+    // frame and hands its payload back to the handle it was framed from, so
+    // the batch leaves with the shape and bytes loopback leaves in place.
     ring_.publish();
     drain(n);
-    for (std::size_t r = 0; r < n; ++r) inboxes[r].swap(decoded_[r]);
+    for (Minted& minted : minted_) minted = {};
     account(frames, bytes);
 }
 

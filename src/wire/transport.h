@@ -1,31 +1,41 @@
 // Pluggable cross-boundary transports for one shard's pulse traffic.
 //
 // Every pulse, a shard's engine delivers its replica group's intra-group
-// pulse inboxes — the replicas' agreement rounds, commitments, reveals and
-// clock beacons — as in-address-space Shared_payload handles. A Transport
-// makes that boundary explicit: the engine hands it the whole pulse's
-// delivered inboxes (sim::Pulse_link) and the transport moves them "across".
-// Two implementations:
+// pulse traffic — the replicas' agreement rounds, commitments, reveals and
+// clock beacons — as in-address-space Shared_payload handles: per-recipient
+// rows plus one entry per broadcast. A Transport makes that boundary
+// explicit: the engine hands it the whole pulse's deliveries
+// (sim::Pulse_batch through sim::Pulse_link) and the transport moves them
+// "across". A real boundary carries one frame per recipient copy, so both
+// transports count a broadcast entry as rows.size() - 1 frames. Two
+// implementations:
 //
-//   Loopback_transport  the historical behavior, now explicit: moves the
-//                       refcounted payload handles, encodes nothing. Wire
-//                       accounting is computed arithmetically
-//                       (codec.h encoded_size), so its telemetry matches the
-//                       ring's bit for bit.
+//   Loopback_transport  the historical behavior, now explicit: leaves the
+//                       refcounted payload handles in place, encodes
+//                       nothing. Wire accounting is computed arithmetically
+//                       (codec.h encoded_size, times the recipient copies of
+//                       an entry), so its telemetry matches the ring's bit
+//                       for bit.
 //
 //   Ring_transport      a real boundary's cost model in-process: every
-//                       message is encoded through the flat frame codec into
-//                       a lock-free SPSC ring of frames (fixed power-of-two
-//                       capacity, acquire/release atomics only, one batched
-//                       publish per pulse) and decoded back out. Swapping the
-//                       ring's two ends into separate processes is the one
-//                       remaining step to the distributed north star.
+//                       recipient copy is encoded through the flat frame
+//                       codec into a lock-free SPSC ring of frames (fixed
+//                       power-of-two capacity, acquire/release atomics only,
+//                       one batched publish per pulse), and every frame is
+//                       decoded back out and checksum-verified. The consumer
+//                       mints one payload per broadcast, as a remote peer
+//                       would: a frame whose sender and sent_at match that
+//                       sender's previous frame and whose bytes compare
+//                       equal reuses its payload. Swapping the ring's two
+//                       ends into separate processes is the one remaining
+//                       step to the distributed north star.
 //
 // Determinism contract (extends the fabric's): verdicts, stats, and
 // telemetry are bit-identical between loopback and ring and across executor
 // widths. Everything a transport observes into telemetry is therefore
-// transport-invariant by construction: frames = messages crossed, bytes =
-// encoded frame size, high water = the largest one-pulse batch in flight.
+// transport-invariant by construction: frames = recipient copies crossed,
+// bytes = encoded frame size, high water = the largest one-pulse batch in
+// flight.
 // Wall-clock encode/decode cost is measured by bench_wire (E19), never by
 // the deterministic sink.
 #ifndef GA_WIRE_TRANSPORT_H
@@ -67,7 +77,7 @@ struct Wire_config {
 /// Deterministic link accounting, identical for every transport kind.
 struct Link_stats {
     std::int64_t pulses = 0;     ///< pulses that crossed >= 1 frame
-    std::int64_t frames = 0;     ///< messages crossed
+    std::int64_t frames = 0;     ///< recipient copies crossed
     std::int64_t bytes = 0;      ///< encoded frame bytes (header + payload + checksum)
     std::int64_t high_water = 0; ///< largest one-pulse batch, in frames
 
@@ -103,11 +113,11 @@ private:
     double* tel_high_water_ = nullptr;
 };
 
-/// In-process zero-copy link: payload handles move, nothing is encoded.
+/// In-process zero-copy link: payload handles stay put, nothing is encoded.
 class Loopback_transport final : public Transport {
 public:
     [[nodiscard]] Transport_kind kind() const override { return Transport_kind::loopback; }
-    void cross_pulse(std::vector<std::vector<sim::Message>>& inboxes, common::Pulse at) override;
+    void cross_pulse(sim::Pulse_batch& batch, common::Pulse at) override;
 };
 
 /// Lock-free single-producer/single-consumer ring of encoded frames. Fixed
@@ -128,7 +138,10 @@ public:
 
     /// Encode `msg` into the next free slot (unpublished). False when the
     /// ring is full — publish() and let the consumer drain first.
-    [[nodiscard]] bool try_stage(const sim::Message& msg);
+    [[nodiscard]] bool try_stage(const sim::Message& msg) { return try_stage(msg, msg.to); }
+
+    /// Encode `msg`'s copy to recipient `to` (see encode_frame).
+    [[nodiscard]] bool try_stage(const sim::Message& msg, common::Processor_id to);
 
     /// Release every staged frame to the consumer in one atomic publish.
     void publish();
@@ -137,6 +150,22 @@ public:
 
     /// Decode the oldest published frame into `out`. False when empty.
     [[nodiscard]] bool try_pop(sim::Message& out);
+
+    /// Verify the oldest published frame and pass its view to `sink` before
+    /// the slot is released. False when empty.
+    template <typename Sink>
+    [[nodiscard]] bool try_consume(Sink&& sink)
+    {
+        const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+        if (tail == cached_head_) {
+            cached_head_ = head_.load(std::memory_order_acquire);
+            if (tail == cached_head_) return false; // genuinely empty
+        }
+        std::size_t offset = 0;
+        sink(decode_frame_view(slots_[tail & mask_], offset));
+        tail_.store(tail + 1, std::memory_order_release);
+        return true;
+    }
 
     // ---- Gauges (read from the producer side).
 
@@ -161,24 +190,35 @@ private:
     std::int64_t depth_high_water_ = 0;
 };
 
-/// Codec round-trip link: every message is framed, pushed through the SPSC
-/// ring (batched publish per pulse), popped, and decoded into a freshly
-/// minted payload — the full cost model of a process boundary, in-process.
+/// Codec round-trip link: every recipient copy is framed, pushed through
+/// the SPSC ring (batched publish per pulse), popped, verified and decoded
+/// into a minted payload that replaces the handle it was framed from — the
+/// full cost model of a process boundary, in-process.
 class Ring_transport final : public Transport {
 public:
     explicit Ring_transport(int ring_frames);
 
     [[nodiscard]] Transport_kind kind() const override { return Transport_kind::ring; }
-    void cross_pulse(std::vector<std::vector<sim::Message>>& inboxes, common::Pulse at) override;
+    void cross_pulse(sim::Pulse_batch& batch, common::Pulse at) override;
 
     [[nodiscard]] const Spsc_frame_ring& ring() const { return ring_; }
 
 private:
-    /// Pop everything published so far into the per-recipient rows.
-    void drain(std::size_t n_recipients);
+    /// Frame `msg`'s copy to `to`, draining mid-batch when the ring is full.
+    void stage(sim::Message& msg, common::Processor_id to, std::size_t n);
+    /// Pop everything published so far into the handles it was framed from.
+    void drain(std::size_t n);
+
+    /// A sender's most recently decoded payload.
+    struct Minted {
+        common::Pulse sent_at = -1;
+        common::Shared_payload payload;
+    };
 
     Spsc_frame_ring ring_;
-    std::vector<std::vector<sim::Message>> decoded_; ///< scratch rows, reused
+    std::vector<common::Shared_payload*> targets_; ///< staged frames' handles, FIFO
+    std::size_t consumed_ = 0;                     ///< targets_ already decoded
+    std::vector<Minted> minted_;                   ///< by sender, reset every pulse
 };
 
 /// Mint the configured transport (validates `config`).

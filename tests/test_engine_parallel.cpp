@@ -145,17 +145,31 @@ TEST(EngineParallel, SetThreadsMidRunKeepsResultsIdentical)
 TEST(SharedPayload, BroadcastAliasesOneBufferAcrossRecipients)
 {
     const std::vector<Processor_id> neighbors{1, 2, 3, 4};
-    std::vector<Message> inbox;
-    std::vector<Message> outbox;
-    Pulse_context ctx{0, 0, 5, &neighbors, &inbox, &outbox};
+    const std::vector<Message> no_unicasts;
+    std::vector<Outbox> sent(5);
+    Pulse_context ctx{0, 0, 5, &neighbors, Inbox{&no_unicasts, nullptr, 0}, &sent[0]};
 
     ctx.broadcast(Bytes{0xaa, 0xbb, 0xcc});
-    ASSERT_EQ(outbox.size(), 4u);
-    for (std::size_t i = 1; i < outbox.size(); ++i) {
-        EXPECT_TRUE(outbox[0].payload.aliases(outbox[i].payload));
+    ASSERT_EQ(sent[0].broadcasts.size(), 1u);
+    EXPECT_TRUE(sent[0].messages.empty());
+    EXPECT_EQ(sent[0].broadcasts[0].to, k_every_neighbor);
+    const Shared_payload& entry = sent[0].broadcasts[0].payload;
+    EXPECT_EQ(entry.use_count(), 1) << "one entry, not one handle per recipient";
+
+    // Every recipient's inbox reads that one buffer; the sender's does not.
+    for (Processor_id to = 1; to < 5; ++to) {
+        int delivered = 0;
+        for (const Message& m : Inbox{&no_unicasts, &sent, to}) {
+            ++delivered;
+            EXPECT_EQ(m.from, 0);
+            EXPECT_TRUE(m.payload.aliases(entry));
+            EXPECT_EQ(m.payload.bytes(), (Bytes{0xaa, 0xbb, 0xcc}));
+        }
+        EXPECT_EQ(delivered, 1) << "recipient " << to;
     }
-    EXPECT_EQ(outbox[0].payload.use_count(), 4);
-    EXPECT_EQ(outbox[2].payload.bytes(), (Bytes{0xaa, 0xbb, 0xcc}));
+    const Inbox own{&no_unicasts, &sent, 0};
+    EXPECT_TRUE(own.begin() == own.end());
+    EXPECT_EQ(entry.use_count(), 1);
 }
 
 TEST(SharedPayload, ForwardedSendAliasesInsteadOfCopying)
@@ -163,12 +177,12 @@ TEST(SharedPayload, ForwardedSendAliasesInsteadOfCopying)
     const std::vector<Processor_id> neighbors{1};
     std::vector<Message> inbox;
     inbox.push_back(Message{2, 0, Shared_payload{Bytes{0x01, 0x02}}});
-    std::vector<Message> outbox;
-    Pulse_context ctx{0, 0, 3, &neighbors, &inbox, &outbox};
+    Outbox outbox;
+    Pulse_context ctx{0, 0, 3, &neighbors, Inbox{&inbox, nullptr, 0}, &outbox};
 
     ctx.send(1, inbox[0].payload); // the relay idiom (sim::Replayer)
-    ASSERT_EQ(outbox.size(), 1u);
-    EXPECT_TRUE(outbox[0].payload.aliases(inbox[0].payload));
+    ASSERT_EQ(outbox.messages.size(), 1u);
+    EXPECT_TRUE(outbox.messages[0].payload.aliases(inbox[0].payload));
 }
 
 TEST(SharedPayload, GarbleIsCopyOnWritePerHolder)

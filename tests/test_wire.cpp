@@ -152,7 +152,8 @@ TEST(Wire, LoopbackMovesHandlesWithoutCopyingAndAccountsArithmetically)
     inboxes[1].push_back(make_message(0, 1, Bytes{1, 2, 3, 4}, 9));
     const std::uint8_t* before = inboxes[1][0].payload.data();
 
-    link->cross_pulse(inboxes, 9);
+    sim::Pulse_batch batch{inboxes};
+    link->cross_pulse(batch, 9);
     ASSERT_EQ(inboxes[1].size(), 1u);
     EXPECT_EQ(inboxes[1][0].payload.data(), before)
         << "loopback must move the refcounted handle, not re-mint the buffer";
@@ -165,7 +166,8 @@ TEST(Wire, LoopbackMovesHandlesWithoutCopyingAndAccountsArithmetically)
     // Empty pulses cross nothing and are not accounted (histogram parity
     // between kinds depends on this).
     std::vector<std::vector<sim::Message>> empty(2);
-    link->cross_pulse(empty, 10);
+    sim::Pulse_batch empty_batch{empty};
+    link->cross_pulse(empty_batch, 10);
     EXPECT_EQ(link->stats().pulses, 1);
 }
 
@@ -224,8 +226,10 @@ TEST(WireRing, CrossPulseDeliversLoopbackIdenticalMessagesAndStats)
     };
     auto via_ring = build();
     auto via_loopback = build();
-    ring->cross_pulse(via_ring, 50);
-    loopback->cross_pulse(via_loopback, 50);
+    sim::Pulse_batch ring_batch{via_ring};
+    sim::Pulse_batch loopback_batch{via_loopback};
+    ring->cross_pulse(ring_batch, 50);
+    loopback->cross_pulse(loopback_batch, 50);
 
     ASSERT_EQ(via_ring.size(), via_loopback.size());
     for (std::size_t row = 0; row < via_ring.size(); ++row) {
