@@ -74,10 +74,9 @@ void Eig_session::store(std::size_t node, common::Byte_view value)
     arena_.insert(arena_.end(), value.begin(), value.end());
 }
 
-common::Bytes Eig_session::message_for_round(common::Round r)
+void Eig_session::append_message_for_round(common::Round r, common::Bytes& out)
 {
-    common::Bytes payload;
-    if (r < 0 || r > f_) return payload; // defensive after transient faults
+    if (r < 0 || r > f_) return; // defensive after transient faults
     lay_out();
 
     // Round 0: broadcast own input as the empty-path pair. Round r>0: relay
@@ -88,22 +87,23 @@ common::Bytes Eig_session::message_for_round(common::Round r)
     // so the session works whether or not the transport echoes broadcasts
     // back to their sender.
     if (r == 0) {
-        payload.reserve(12 + input_.size());
-        common::put_u32(payload, 1);
-        common::put_u32(payload, 0);
-        common::put_bytes(payload, input_);
+        out.reserve(out.size() + 12 + input_.size());
+        common::put_u32(out, 1);
+        common::put_u32(out, 0);
+        common::put_bytes(out, input_);
         store(level_base_[1] + static_cast<std::size_t>(self_), input_);
-        return payload;
+        return;
     }
     const std::size_t width = level_base_[static_cast<std::size_t>(r) + 1] -
                               level_base_[static_cast<std::size_t>(r)];
-    payload.reserve(4 + width * (8 + 4 * static_cast<std::size_t>(r)) + arena_.size());
-    common::put_u32(payload, 0); // pair count, patched once the walk is done
+    out.reserve(out.size() + 4 + width * (8 + 4 * static_cast<std::size_t>(r)) + arena_.size());
+    const std::size_t count_at = out.size();
+    common::put_u32(out, 0); // pair count, patched once the walk is done
     std::uint32_t pairs = 0;
     path_.clear();
-    relay(r, 0, payload, pairs);
-    for (std::size_t b = 0; b < 4; ++b) payload[b] = static_cast<std::uint8_t>(pairs >> (8 * b));
-    return payload;
+    relay(r, 0, out, pairs);
+    for (std::size_t b = 0; b < 4; ++b)
+        out[count_at + b] = static_cast<std::uint8_t>(pairs >> (8 * b));
 }
 
 void Eig_session::relay(common::Round r, std::size_t rank, common::Bytes& payload,

@@ -22,7 +22,7 @@ public:
     Eig_session(int n, int f, common::Processor_id self, Value input);
 
     [[nodiscard]] common::Round total_rounds() const override { return f_ + 1; }
-    common::Bytes message_for_round(common::Round r) override;
+    void append_message_for_round(common::Round r, common::Bytes& out) override;
     void deliver_round(common::Round r, const Round_payloads& payloads) override;
     [[nodiscard]] bool done() const override { return done_; }
 

@@ -35,14 +35,13 @@ void Parallel_ic_session::restart(Value input)
     bits_.resize(2 * instances);
 }
 
-common::Bytes Parallel_ic_session::message_for_round(common::Round r)
+void Parallel_ic_session::append_message_for_round(common::Round r, common::Bytes& out)
 {
-    common::Bytes payload;
     if (r == 0) {
-        common::put_bytes(payload, input_);
-        return payload;
+        common::put_bytes(out, input_);
+        return;
     }
-    if (!seeded_) return payload;
+    if (!seeded_) return;
 
     // Section j is what instance j, as a standalone Turpin_coan_session,
     // would send in round r - 1; it is written in place behind a length
@@ -56,27 +55,26 @@ common::Bytes Parallel_ic_session::message_for_round(common::Round r)
         if (tc_round == 0) size += seed_[j].size();
         if (tc_round == 1 && x_valid_[j]) size += x_[j].size();
     }
-    payload.reserve(size);
+    out.reserve(out.size() + size);
     for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t prefix = payload.size();
-        common::put_u32(payload, 0);
+        const std::size_t prefix = out.size();
+        common::put_u32(out, 0);
         if (tc_round == 0) {
-            put_tagged(payload, seed_[j]);
+            put_tagged(out, seed_[j]);
         } else if (tc_round == 1) {
-            put_tagged(payload, x_valid_[j] ? std::optional<common::Byte_view>{x_[j]}
+            put_tagged(out, x_valid_[j] ? std::optional<common::Byte_view>{x_[j]}
                                             : std::nullopt);
         } else if (pk_speaks) {
             if (pk_round % 2 == 0) {
-                put_bit(payload, pref_[j]); // universal exchange
+                put_bit(out, pref_[j]); // universal exchange
             } else if (self_ == pk_round / 2) {
-                put_bit(payload, majority_[j].maj); // king round: only the king speaks
+                put_bit(out, majority_[j].maj); // king round: only the king speaks
             }
         }
-        const std::size_t length = payload.size() - prefix - 4;
+        const std::size_t length = out.size() - prefix - 4;
         for (std::size_t i = 0; i < 4; ++i)
-            payload[prefix + i] = static_cast<std::uint8_t>(length >> (8 * i)); // as put_u32
+            out[prefix + i] = static_cast<std::uint8_t>(length >> (8 * i)); // as put_u32
     }
-    return payload;
 }
 
 void Parallel_ic_session::deliver_round(common::Round r, const Round_payloads& payloads)

@@ -47,7 +47,7 @@ public:
     {
         return 3 + phase_king_rounds(f_);
     }
-    common::Bytes message_for_round(common::Round r) override;
+    void append_message_for_round(common::Round r, common::Bytes& out) override;
     void deliver_round(common::Round r, const Round_payloads& payloads) override;
     [[nodiscard]] bool done() const override { return done_; }
 

@@ -19,17 +19,15 @@ Phase_king_session::Phase_king_session(int n, int f, common::Processor_id self, 
     common::ensure(input == 0 || input == 1, "Phase_king_session: binary input required");
 }
 
-common::Bytes Phase_king_session::message_for_round(common::Round r)
+void Phase_king_session::append_message_for_round(common::Round r, common::Bytes& out)
 {
-    common::Bytes payload;
-    if (r < 0 || r >= total_rounds()) return payload;
+    if (r < 0 || r >= total_rounds()) return;
     const int phase = r / 2;
     if (r % 2 == 0) {
-        put_bit(payload, pref_); // universal exchange
+        put_bit(out, pref_); // universal exchange
     } else if (self_ == phase) {
-        put_bit(payload, majority_.maj); // king round: only processor `phase` speaks
+        put_bit(out, majority_.maj); // king round: only processor `phase` speaks
     }
-    return payload;
 }
 
 void Phase_king_session::deliver_round(common::Round r, const Round_payloads& payloads)

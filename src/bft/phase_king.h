@@ -56,7 +56,7 @@ public:
     Phase_king_session(int n, int f, common::Processor_id self, int input);
 
     [[nodiscard]] common::Round total_rounds() const override { return phase_king_rounds(f_); }
-    common::Bytes message_for_round(common::Round r) override;
+    void append_message_for_round(common::Round r, common::Bytes& out) override;
     void deliver_round(common::Round r, const Round_payloads& payloads) override;
     [[nodiscard]] bool done() const override { return done_; }
 

@@ -6,7 +6,8 @@
 // SSBA composition of §4), or in the game-authority play protocol (§3.3).
 //
 // Schedule contract, for r = 0 .. total_rounds()-1:
-//   1. the owner obtains message_for_round(r) and broadcasts it;
+//   1. the owner obtains message_for_round(r) (or appends it to a buffer of
+//      its own with append_message_for_round) and broadcasts it;
 //   2. the owner collects the payloads all processors sent in round r
 //      (including this session's own, at index self) and calls
 //      deliver_round(r, payloads), with std::nullopt for missing senders.
@@ -72,10 +73,19 @@ public:
     /// Number of synchronous send rounds this activation uses.
     [[nodiscard]] virtual common::Round total_rounds() const = 0;
 
-    /// Payload to broadcast in round r. Must be callable exactly once per
-    /// round in increasing order; defensive implementations may return an
-    /// empty payload for out-of-schedule rounds.
-    virtual common::Bytes message_for_round(common::Round r) = 0;
+    /// Append the payload to broadcast in round r to `out`, after whatever
+    /// `out` already holds (an owner mints it straight into its pulse
+    /// message). Must be called exactly once per round in increasing order;
+    /// defensive implementations append nothing for out-of-schedule rounds.
+    virtual void append_message_for_round(common::Round r, common::Bytes& out) = 0;
+
+    /// The same payload in a fresh buffer.
+    [[nodiscard]] common::Bytes message_for_round(common::Round r)
+    {
+        common::Bytes payload;
+        append_message_for_round(r, payload);
+        return payload;
+    }
 
     /// Deliver everything received in round r.
     virtual void deliver_round(common::Round r, const Round_payloads& payloads) = 0;

@@ -67,13 +67,14 @@ common::Round Turpin_coan_session::total_rounds() const
     return 2 + make_binary_(n_, f_, self_, 0)->total_rounds();
 }
 
-common::Bytes Turpin_coan_session::message_for_round(common::Round r)
+void Turpin_coan_session::append_message_for_round(common::Round r, common::Bytes& out)
 {
-    if (r >= 2) return binary_ ? binary_->message_for_round(r - 2) : common::Bytes{};
-    common::Bytes payload;
-    if (r == 0) put_tagged(payload, input_);
-    if (r == 1) put_tagged(payload, x_);
-    return payload;
+    if (r >= 2) {
+        if (binary_) binary_->append_message_for_round(r - 2, out);
+        return;
+    }
+    if (r == 0) put_tagged(out, input_);
+    if (r == 1) put_tagged(out, x_);
 }
 
 void Turpin_coan_session::tally_round(const Round_payloads& payloads)

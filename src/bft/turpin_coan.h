@@ -82,7 +82,7 @@ public:
                         Binary_session_factory make_binary);
 
     [[nodiscard]] common::Round total_rounds() const override;
-    common::Bytes message_for_round(common::Round r) override;
+    void append_message_for_round(common::Round r, common::Bytes& out) override;
     void deliver_round(common::Round r, const Round_payloads& payloads) override;
     [[nodiscard]] bool done() const override { return done_; }
     [[nodiscard]] Value decision() const override;

@@ -153,6 +153,27 @@ void Pipeline_processor::reset_section_buffer(int phase)
     for (common::Byte_view& section : buf_section_) section = {};
 }
 
+common::Bytes& Pipeline_processor::mint_buffer()
+{
+    // The current section message is never refilled: its frame may re-send
+    // it and self-delivery views it.
+    const auto current = static_cast<std::size_t>(last_sent_buffer_);
+    std::size_t pick = k_pulse_buffers;
+    for (std::size_t i = 1; i <= k_pulse_buffers && pick == k_pulse_buffers; ++i) {
+        const std::size_t slot = (minted_ + i) % k_pulse_buffers;
+        if (slot != current && pulse_buffers_[slot].use_count() <= 1) pick = slot;
+    }
+    if (pick == k_pulse_buffers) {
+        pick = (minted_ + 1) % k_pulse_buffers;
+        if (pick == current) pick = (pick + 1) % k_pulse_buffers;
+        pulse_buffers_[pick] = {}; // holders keep the old buffer alive
+    }
+    minted_ = pick;
+    common::Bytes& out = pulse_buffers_[pick].unique(); // sole holder: no clone
+    out.clear();
+    return out;
+}
+
 void Pipeline_processor::on_pulse(sim::Pulse_context& ctx)
 {
     // ---- Parse inbox. Under delta > 1 a pulse legitimately carries several
@@ -201,7 +222,6 @@ void Pipeline_processor::on_pulse(sim::Pulse_context& ctx)
     const bool slot_entered = boundary && slot != last_slot_;
     last_slot_ = slot;
 
-    common::Bytes out;
     if (in_schedule) {
         const int phase_index = slot / len;
         const auto phase = static_cast<Phase>(phase_index);
@@ -262,8 +282,8 @@ void Pipeline_processor::on_pulse(sim::Pulse_context& ctx)
             // sessions' deliver_round is first-writer-wins and re-delivery
             // safe.
             // The views stay valid for the call: buf_owner_ holds each
-            // section's message, and last_sent_payload_ is not re-minted
-            // until after delivery.
+            // section's message, and the pool never refills the current
+            // section message.
             for (int j = 0; j < n_; ++j) {
                 const auto sender = static_cast<std::size_t>(j);
                 if (buf_round_[sender] == r - 1) {
@@ -275,7 +295,7 @@ void Pipeline_processor::on_pulse(sim::Pulse_context& ctx)
             // Self-delivery: the engine does not echo broadcasts, but the
             // Session contract includes the sender's own payload.
             if (last_sent_phase_ == phase_index && last_sent_round_ == r - 1) {
-                delivery_[static_cast<std::size_t>(id())] = last_sent_payload_;
+                delivery_[static_cast<std::size_t>(id())] = last_sent_section_;
             }
             session_->deliver_round(r - 1, delivery_);
             if (session_->done()) {
@@ -301,27 +321,36 @@ void Pipeline_processor::on_pulse(sim::Pulse_context& ctx)
 
         if (r < ic_rounds_ && session_ && !session_->done()) {
             if (last_sent_phase_ != phase_index || last_sent_round_ != r) {
-                // Mint exactly once per (phase, round); the frame's remaining
-                // pulses retransmit the cached section against loss.
-                last_sent_payload_ = session_->message_for_round(r);
+                // Mint exactly once per (phase, round): the header, then the
+                // session's section appended in place behind its length
+                // prefix. The frame's remaining pulses re-send the same
+                // handle against loss (the clock, and so every byte, is
+                // unchanged within a frame).
+                common::Bytes& out = mint_buffer();
+                common::put_u32(out, static_cast<std::uint32_t>(c));
+                out.push_back(1);
+                out.push_back(static_cast<std::uint8_t>(phase_index));
+                common::put_u32(out, static_cast<std::uint32_t>(r));
+                const std::size_t prefix = out.size();
+                common::put_u32(out, 0);
+                session_->append_message_for_round(r, out);
+                const std::size_t length = out.size() - prefix - 4;
+                for (std::size_t i = 0; i < 4; ++i)
+                    out[prefix + i] = static_cast<std::uint8_t>(length >> (8 * i)); // as put_u32
+                last_sent_section_ = common::Byte_view{out.data() + prefix + 4, length};
+                last_sent_buffer_ = static_cast<int>(minted_);
                 last_sent_phase_ = phase_index;
                 last_sent_round_ = r;
             }
-            out.reserve(4 + 1 + 1 + 4 + 4 + last_sent_payload_.size());
-            common::put_u32(out, static_cast<std::uint32_t>(c));
-            out.push_back(1);
-            out.push_back(static_cast<std::uint8_t>(phase_index));
-            common::put_u32(out, static_cast<std::uint32_t>(r));
-            common::put_bytes(out, last_sent_payload_);
-            ctx.broadcast(std::move(out));
+            ctx.broadcast(pulse_buffers_[static_cast<std::size_t>(last_sent_buffer_)]);
             return;
         }
     }
 
-    out.reserve(4 + 1);
+    common::Bytes& out = mint_buffer();
     common::put_u32(out, static_cast<std::uint32_t>(c));
     out.push_back(0);
-    ctx.broadcast(std::move(out));
+    ctx.broadcast(pulse_buffers_[minted_]);
 }
 
 void Pipeline_processor::corrupt(common::Rng& rng)
@@ -331,7 +360,8 @@ void Pipeline_processor::corrupt(common::Rng& rng)
     session_.reset();
     last_sent_phase_ = -1;
     last_sent_round_ = -1;
-    last_sent_payload_.clear();
+    last_sent_buffer_ = -1;
+    last_sent_section_ = {};
     last_slot_ = -1;
     parked_.clear();
     reset_section_buffer(-1);

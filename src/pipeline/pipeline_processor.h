@@ -62,6 +62,7 @@
 #ifndef GA_PIPELINE_PIPELINE_PROCESSOR_H
 #define GA_PIPELINE_PIPELINE_PROCESSOR_H
 
+#include <array>
 #include <memory>
 
 #include "authority/authority_group.h"
@@ -154,6 +155,9 @@ private:
     void process_foul_result(const std::vector<bft::Value>& agreed, common::Pulse now);
 
     void reset_section_buffer(int phase);
+    /// An empty pool buffer to mint this pulse's message into; its slot is
+    /// left in minted_. See pulse_buffers_.
+    common::Bytes& mint_buffer();
     /// Drop the in-flight batch (batch edge and transient faults).
     void clear_batch();
 
@@ -166,9 +170,22 @@ private:
     clock::Beacon_cache cache_;
 
     std::unique_ptr<bft::Ic_session> session_; ///< restarted at every activation
-    int last_sent_phase_ = -1;           ///< own broadcast echo (the Session
-    common::Round last_sent_round_ = -1; ///< contract includes self-delivery)
-    common::Bytes last_sent_payload_;
+
+    // Pulse messages are minted into a few recycled buffers. A buffer is
+    // refilled only once use_count() reads 1, i.e. once every in-flight copy
+    // and every peer's section buffer has released it; when none is free a
+    // slot gets a fresh buffer and the old one lives on with its holders.
+    static constexpr std::size_t k_pulse_buffers = 4;
+    std::array<common::Shared_payload, k_pulse_buffers> pulse_buffers_;
+    std::size_t minted_ = 0; ///< slot of the most recent mint
+    // The (phase, round) section message last minted, re-sent on the
+    // frame's retransmit pulses and never refilled while it is current.
+    // last_sent_section_ views its section for self-delivery (the Session
+    // contract includes the sender's own payload).
+    int last_sent_phase_ = -1;
+    common::Round last_sent_round_ = -1;
+    int last_sent_buffer_ = -1; ///< slot in pulse_buffers_, -1 = none
+    common::Byte_view last_sent_section_;
     int last_slot_ = -1; ///< gates session creation to actual slot entry
 
     // A section decoded from this pulse's inbox, awaiting the buffer fold.

@@ -266,10 +266,10 @@ public:
 
     void restart(Value input) override { *this = Map_eig_session{n_, f_, self_, std::move(input)}; }
 
-    Bytes message_for_round(Round r) override
+    void append_message_for_round(Round r, Bytes& out) override
     {
+        if (r < 0 || r > f_) return;
         Bytes payload;
-        if (r < 0 || r > f_) return payload;
         std::vector<std::pair<Path, Value>> pairs;
         if (r == 0) {
             pairs.emplace_back(Path{}, input_);
@@ -291,7 +291,7 @@ public:
             path.push_back(self_);
             tree_.emplace(std::move(path), std::move(value));
         }
-        return payload;
+        out.insert(out.end(), payload.begin(), payload.end());
     }
 
     void deliver_round(Round r, const Round_payloads& payloads) override
@@ -409,13 +409,14 @@ public:
         reference_.restart(std::move(input));
     }
 
-    Bytes message_for_round(Round r) override
+    void append_message_for_round(Round r, Bytes& out) override
     {
-        Bytes payload = flat_.message_for_round(r);
+        const std::size_t start = out.size();
+        flat_.append_message_for_round(r, out);
+        const Bytes payload(out.begin() + static_cast<std::ptrdiff_t>(start), out.end());
         const Bytes expected = reference_.message_for_round(r);
         EXPECT_TRUE(payload == expected)
             << "round " << r << ": " << payload.size() << " vs " << expected.size() << " bytes";
-        return payload;
     }
 
     void deliver_round(Round r, const Round_payloads& payloads) override

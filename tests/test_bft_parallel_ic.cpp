@@ -283,13 +283,14 @@ public:
         reference_ = Standalone_ic{n_, f_, self_, std::move(input)};
     }
 
-    Bytes message_for_round(Round r) override
+    void append_message_for_round(Round r, Bytes& out) override
     {
-        Bytes payload = fused_.message_for_round(r);
+        const std::size_t start = out.size();
+        fused_.append_message_for_round(r, out);
+        const Bytes payload(out.begin() + static_cast<std::ptrdiff_t>(start), out.end());
         const Bytes expected = reference_.message_for_round(r);
         EXPECT_TRUE(payload == expected)
             << "round " << r << ": " << payload.size() << " vs " << expected.size() << " bytes";
-        return payload;
     }
 
     void deliver_round(Round r, const Round_payloads& payloads) override

@@ -59,13 +59,14 @@ public:
     Round total_rounds() const override { return fresh_->total_rounds(); }
     bool done() const override { return restarted_->done(); }
 
-    Bytes message_for_round(Round r) override
+    void append_message_for_round(Round r, Bytes& out) override
     {
-        Bytes payload = restarted_->message_for_round(r);
+        const std::size_t start = out.size();
+        restarted_->append_message_for_round(r, out);
+        const Bytes payload(out.begin() + static_cast<std::ptrdiff_t>(start), out.end());
         const Bytes expected = fresh_->message_for_round(r);
         EXPECT_TRUE(payload == expected)
             << "round " << r << ": " << payload.size() << " vs " << expected.size() << " bytes";
-        return payload;
     }
 
     void deliver_round(Round r, const Round_payloads& payloads) override
@@ -301,7 +302,10 @@ public:
     }
 
     Round total_rounds() const override { return inner_->total_rounds(); }
-    Bytes message_for_round(Round r) override { return inner_->message_for_round(r); }
+    void append_message_for_round(Round r, Bytes& out) override
+    {
+        inner_->append_message_for_round(r, out);
+    }
     void deliver_round(Round r, const Round_payloads& payloads) override
     {
         inner_->deliver_round(r, payloads);
