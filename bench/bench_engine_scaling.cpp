@@ -1,10 +1,11 @@
 // Experiment E14 — zero-copy parallel pulse engine scaling.
 //
-// The engine rebuild this bench guards eliminated the per-recipient payload
-// copies (one refcounted buffer per broadcast) and the per-pulse allocations
-// (double-buffered inboxes, persistent outboxes), then parallelized the pulse
-// across Engine_config{threads} workers with a sender-id-ordered gather that
-// keeps N-thread runs bit-identical to 1-thread runs.
+// The engine this bench guards delivers each broadcast once (one entry per
+// sender, read by every recipient through its inbox view, with no
+// per-recipient message or refcount update), allocates nothing per pulse
+// (double-buffered inboxes, persistent outboxes), and parallelizes the
+// pulse across Engine_config{threads} workers with a sender-id-ordered
+// gather that keeps N-thread runs bit-identical to 1-thread runs.
 //
 // Two workloads, sized n ∈ {64, 256, 1024} and threads ∈ {1, 2, 4, 8}:
 //   - broadcast storm: every processor broadcasts 64 B per pulse on K_n and
@@ -49,7 +50,9 @@ using sim::Engine;
 using sim::Engine_config;
 
 /// Broadcasts one pre-wrapped 64-byte buffer per pulse (the zero-copy idiom)
-/// and folds every delivery into a checksum so reads cannot be optimized out.
+/// and folds every delivery the inbox view yields — every other sender's
+/// entry, in sender order — into a checksum so reads cannot be optimized
+/// out.
 class Storm_processor final : public sim::Processor {
 public:
     explicit Storm_processor(common::Processor_id id)
@@ -59,7 +62,7 @@ public:
 
     void on_pulse(sim::Pulse_context& ctx) override
     {
-        for (const sim::Message& m : ctx.inbox()) {
+        for (const auto& m : ctx.inbox()) {
             checksum += m.payload.size();
             checksum += m.payload[0];
             checksum ^= static_cast<std::uint64_t>(m.from) << (ctx.pulse() % 13);

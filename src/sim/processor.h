@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -96,16 +95,9 @@ class Inbox {
 public:
     class Iterator {
     public:
-        using iterator_category = std::forward_iterator_tag;
-        using value_type = Message;
-        using difference_type = std::ptrdiff_t;
-        using pointer = const Message*;
-        using reference = const Message&;
-
         Iterator() = default;
 
-        reference operator*() const { return *current_; }
-        pointer operator->() const { return current_; }
+        const Message& operator*() const { return *current_; }
         Iterator& operator++()
         {
             if (from_row_) {
@@ -115,12 +107,6 @@ public:
             }
             settle();
             return *this;
-        }
-        Iterator operator++(int)
-        {
-            Iterator before = *this;
-            ++*this;
-            return before;
         }
         friend bool operator==(const Iterator& a, const Iterator& b)
         {
