@@ -166,12 +166,12 @@ void Engine::expand_entries()
     if (entries == nullptr) return;
     // Between pulses: the sends of pulse_ - 1 are due at pulse_, in the
     // wheel slot rotate_wheel swaps in next.
-    std::vector<std::vector<Message>>& due = wheel_[static_cast<std::size_t>(pulse_) % wheel_.size()];
-    const Pulse_batch batch{due, entries};
+    std::vector<std::vector<Message>>& due =
+        wheel_[static_cast<std::size_t>(pulse_) % wheel_.size()];
     std::vector<Message> row;
     for (common::Processor_id to = 0; to < size(); ++to) {
         row.clear();
-        for (const Message& msg : batch.inbox(to)) {
+        for (const Message& msg : Inbox{&due[static_cast<std::size_t>(to)], entries, to}) {
             row.push_back(msg);
             row.back().to = to;
         }

@@ -86,12 +86,6 @@ struct Pulse_batch {
     std::vector<Outbox>* entries = nullptr;
 
     [[nodiscard]] int size() const { return static_cast<int>(rows.size()); }
-
-    /// Recipient r's inbox, in delivery order.
-    [[nodiscard]] Inbox inbox(common::Processor_id r) const
-    {
-        return Inbox{&rows[static_cast<std::size_t>(r)], entries, r};
-    }
 };
 
 /// Cross-boundary hook for the wire layer (src/wire/): when a link is

@@ -201,7 +201,8 @@ public:
     /// without copying); the Bytes overload wraps fresh bytes once.
     void send(common::Processor_id to, common::Shared_payload payload)
     {
-        outbox_->messages.push_back(Message{self_, to, std::move(payload), pulse_, outbox_->sends()});
+        outbox_->messages.push_back(
+            Message{self_, to, std::move(payload), pulse_, outbox_->sends()});
     }
     void send(common::Processor_id to, common::Bytes payload)
     {

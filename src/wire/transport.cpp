@@ -119,7 +119,8 @@ bool Spsc_frame_ring::try_pop(sim::Message& out)
         out.from = frame.from;
         out.to = frame.to;
         out.sent_at = frame.sent_at;
-        out.payload = common::Shared_payload{common::Bytes{frame.payload.begin(), frame.payload.end()}};
+        out.payload =
+            common::Shared_payload{common::Bytes{frame.payload.begin(), frame.payload.end()}};
     });
 }
 
@@ -147,7 +148,8 @@ void Ring_transport::drain(std::size_t n)
                        "Ring_transport: decoded recipient out of range");
         common::Shared_payload& target = *targets_[consumed_++];
         const auto mint = [&frame] {
-            return common::Shared_payload{common::Bytes{frame.payload.begin(), frame.payload.end()}};
+            return common::Shared_payload{
+                common::Bytes{frame.payload.begin(), frame.payload.end()}};
         };
         if (frame.from < 0 || static_cast<std::size_t>(frame.from) >= n) {
             target = mint();
