@@ -58,9 +58,11 @@ class Tracer;
 namespace ga::sim {
 
 /// Message/byte accounting for the benchmark harness. `messages` and
-/// `payload_bytes` count offered traffic (validated sends); `dropped` counts
-/// the subset the Net_model lost and `delayed` the subset it deferred past
-/// the one-pulse rule (delay > 1) — both always 0 under the clean model.
+/// `payload_bytes` count offered traffic (validated sends) per recipient
+/// copy, so a broadcast entry counts once per neighbor it reaches, exactly
+/// as the spelled-out unicasts would; `dropped` counts the subset the
+/// Net_model lost and `delayed` the subset it deferred past the one-pulse
+/// rule (delay > 1) — both always 0 under the clean model.
 struct Traffic_stats {
     std::int64_t pulses = 0;
     std::int64_t messages = 0;
