@@ -397,6 +397,11 @@ struct Observed {
     std::int64_t sections = 0;
     std::int64_t mismatches = 0;
     std::int64_t rewritten = 0;
+    /// Section copies equal to the same sender's copy sent one pulse
+    /// earlier or later (a retransmit within a delta = 2 frame), and how
+    /// many of them alias that copy's buffer.
+    std::int64_t retransmits = 0;
+    std::int64_t retransmits_aliased = 0;
 };
 
 /// A silent group member that checks every pulse message it receives and
@@ -424,8 +429,18 @@ public:
                 ++observed_->mismatches;
                 continue;
             }
-            if (message.has_section) ++observed_->sections;
             held_.emplace_back(m.payload, m.payload.bytes());
+            if (!message.has_section) continue;
+            ++observed_->sections;
+            last_.resize(static_cast<std::size_t>(ctx.system_size()));
+            auto& [previous, previous_at] = last_[static_cast<std::size_t>(m.from)];
+            if ((m.sent_at == previous_at + 1 || m.sent_at + 1 == previous_at) &&
+                previous.bytes() == m.payload.bytes()) {
+                ++observed_->retransmits;
+                if (previous.aliases(m.payload)) ++observed_->retransmits_aliased;
+            }
+            previous = m.payload;
+            previous_at = m.sent_at;
         }
     }
 
@@ -434,50 +449,69 @@ public:
 private:
     std::shared_ptr<Observed> observed_;
     std::deque<std::pair<Shared_payload, Bytes>> held_;
+    std::vector<std::pair<Shared_payload, Pulse>> last_; ///< by sender: last section copy
 };
+
+/// Runs an n = 6, f = 1 replica group on a delta = 2 net with a
+/// Pulse_observer in its Byzantine slot: `plays` plays, then, when
+/// `fault_then` is positive, a transient fault and that many more.
+std::size_t run_observed_group(const bft::Ic_factory& ic, const std::shared_ptr<Observed>& observed,
+                               int plays, int fault_then)
+{
+    const int n = 6;
+    authority::Game_spec spec;
+    spec.name = "dominant";
+    spec.game = std::make_shared<Dominant_game>(n);
+    spec.equilibrium.assign(static_cast<std::size_t>(n), {0.0, 1.0});
+    std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors;
+    for (int i = 0; i < n; ++i) {
+        behaviors.push_back(i == n - 1 ? nullptr : std::make_unique<authority::Honest_behavior>());
+    }
+    sim::Net_model net;
+    net.delta = 2;
+    net.jitter = 0.5;
+    net.seed = 9;
+    pipeline::Pipeline_authority group{
+        spec,
+        /*f=*/1,
+        /*k=*/1,
+        std::move(behaviors),
+        /*byzantine=*/{n - 1},
+        [] { return std::make_unique<authority::Fine_scheme>(1.0, 1e9); },
+        Rng{21},
+        [observed](Processor_id id, Rng) { return std::make_unique<Pulse_observer>(id, observed); },
+        ic,
+        /*tampers=*/{},
+        net};
+    group.run_plays(plays);
+    if (fault_then > 0) {
+        observed->garbled_before = group.now();
+        group.inject_transient_fault();
+        group.run_plays(fault_then);
+    }
+    return group.agreed_plays().size();
+}
 
 TEST(Delivery, MintedPulseBytesEqualAFreshEncodeUnderRetransmitsAndFaults)
 {
     for (const auto& [ic, name] :
          {std::pair{bft::ic_parallel_phase_king(), "parallel"}, std::pair{bft::ic_eig(), "eig"}}) {
-        const int n = 6;
-        authority::Game_spec spec;
-        spec.name = "dominant";
-        spec.game = std::make_shared<Dominant_game>(n);
-        spec.equilibrium.assign(static_cast<std::size_t>(n), {0.0, 1.0});
-        std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors;
-        for (int i = 0; i < n; ++i) {
-            behaviors.push_back(i == n - 1 ? nullptr
-                                           : std::make_unique<authority::Honest_behavior>());
-        }
         auto observed = std::make_shared<Observed>();
-        sim::Net_model net;
-        net.delta = 2;
-        net.jitter = 0.5;
-        net.seed = 9;
-        pipeline::Pipeline_authority group{
-            spec,
-            /*f=*/1,
-            /*k=*/1,
-            std::move(behaviors),
-            /*byzantine=*/{n - 1},
-            [] { return std::make_unique<authority::Fine_scheme>(1.0, 1e9); },
-            Rng{21},
-            [observed](Processor_id id, Rng) {
-                return std::make_unique<Pulse_observer>(id, observed);
-            },
-            ic,
-            /*tampers=*/{},
-            net};
-        group.run_plays(3);
-        observed->garbled_before = group.now();
-        group.inject_transient_fault();
-        group.run_plays(6);
-        EXPECT_GE(group.agreed_plays().size(), 3u) << name;
+        EXPECT_GE(run_observed_group(ic, observed, 3, 6), 3u) << name;
         EXPECT_GT(observed->sections, 0) << name;
         EXPECT_EQ(observed->mismatches, 0) << name;
         EXPECT_EQ(observed->rewritten, 0) << name << ": a held buffer was reused";
     }
+}
+
+TEST(Delivery, RetransmitPulsesResendTheMintedHandle)
+{
+    // A frame's section is minted once: its retransmit copies alias the
+    // buffer of the first copy instead of re-encoding the same bytes.
+    auto observed = std::make_shared<Observed>();
+    EXPECT_GE(run_observed_group(bft::ic_parallel_phase_king(), observed, 4, 0), 4u);
+    EXPECT_GT(observed->retransmits, 0);
+    EXPECT_EQ(observed->retransmits_aliased, observed->retransmits);
 }
 
 } // namespace
