@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -354,6 +355,60 @@ TEST(Delivery, RingAndLoopbackAgreeAtOneAndFourThreads)
     EXPECT_EQ(ring.stats, loopback.stats);
     EXPECT_EQ(ring.link, loopback.link);
     EXPECT_GT(ring.link.high_water, 8) << "pulses must outgrow the ring";
+}
+
+TEST(Delivery, RandomScenariosMatchTheirSpelledOutUnicasts)
+{
+    // Seeded random mixes of everything above: graph shape, net model,
+    // sends per pulse, a fault, a disconnection, a two-faced sender, a link.
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        Rng pick{seed};
+        Scenario scenario;
+        const int n = 2 + static_cast<int>(pick.below(7));
+        const bool complete = n < 3 || pick.chance(0.7);
+        sim::Graph graph = complete ? sim::complete_graph(n) : sim::ring_graph(n);
+        for (int k = 0; !complete && k < n; ++k) {
+            const auto a = static_cast<Processor_id>(pick.below(static_cast<std::uint64_t>(n)));
+            const auto b = static_cast<Processor_id>(pick.below(static_cast<std::uint64_t>(n)));
+            if (a != b && !graph.has_edge(a, b)) graph.add_edge(a, b);
+        }
+        scenario.graph = [graph] { return graph; };
+        if (pick.chance(0.4)) {
+            scenario.net.delta = 1 + static_cast<int>(pick.below(3));
+            scenario.net.jitter = 0.5;
+            scenario.net.drop = pick.chance(0.5) ? 0.1 : 0.0;
+            scenario.net.shuffle = pick.chance(0.3);
+            scenario.net.seed = seed;
+        }
+        scenario.script = [seed, graph](Processor_id id, Pulse pulse) {
+            Rng draw{seed * 1'000'003 + static_cast<std::uint64_t>(id) * 101 +
+                     static_cast<std::uint64_t>(pulse)};
+            const std::vector<Processor_id>& neighbors = graph.neighbors(id);
+            std::vector<Send> sends(draw.below(4));
+            for (Send& send : sends) {
+                if (!neighbors.empty() && draw.chance(0.5))
+                    send = {false, neighbors[draw.below(neighbors.size())]};
+            }
+            return sends;
+        };
+        scenario.pulses = 6 + static_cast<Pulse>(pick.below(6));
+        const Pulse fault_at = pick.chance(0.3) ? 1 + static_cast<Pulse>(pick.below(5)) : -1;
+        const Processor_id cut =
+            pick.chance(0.3) ? static_cast<Processor_id>(pick.below(static_cast<std::uint64_t>(n)))
+                             : -1;
+        const Pulse cut_at = 1 + static_cast<Pulse>(pick.below(5));
+        scenario.after_pulse = [fault_at, cut, cut_at](sim::Engine& engine, Pulse p) {
+            if (p == fault_at) engine.inject_transient_fault();
+            if (p == cut_at && cut >= 0) engine.disconnect(cut);
+        };
+        if (complete && n >= 4 && pick.chance(0.3)) scenario.two_faced = {n - 1};
+        const std::uint64_t link = pick.below(3);
+        if (link == 1) scenario.link = wire::Transport_kind::loopback;
+        if (link == 2) scenario.link = wire::Transport_kind::ring;
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        expect_broadcast_equals_unicasts(scenario);
+        if (HasFailure()) return;
+    }
 }
 
 // ---- Replica side: minted pulse messages.
