@@ -15,7 +15,14 @@
 //             cheater expelled in epoch 0, then a split and a merge relabel
 //             while inlets hold queued work — pinned at 1 and 3 threads,
 //             with every Ingest_totals field and a digest of every agent's
-//             cross-epoch history, standing and expulsion flag.
+//             cross-epoch history, standing and expulsion flag;
+//   net     : k = 1 under a partition window already active at every
+//             group's first pulse, a later outage and a later partition,
+//             watchdog and tracing on, a transient fault mid-run and one
+//             migration — pinned at 1 and 3 threads, with a digest of every
+//             agent's provenance, so the net-window spans, the fault marker
+//             and the retired group's track, snapshot and evidence are all
+//             covered.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -298,6 +305,82 @@ TEST(GoldenFabric, IngestElasticRunMatchesPin)
         EXPECT_EQ(got.totals.completed, want.totals.completed);
         EXPECT_EQ(got.totals.queue_depth_max, want.totals.queue_depth_max);
         EXPECT_EQ(got.agents_hash, want.agents_hash) << std::hex << got.agents_hash;
+    }
+}
+
+/// Every agent's provenance, every Evidence field, serialized and hashed.
+std::uint64_t provenance_hash(const Fabric& fabric)
+{
+    std::ostringstream out;
+    for (Agent_id g = 0; g < fabric.n_agents(); ++g) {
+        out << g << ':';
+        for (const telemetry::Evidence& ev : fabric.provenance(g)) {
+            out << ev.shard << ',' << ev.epoch << ',' << ev.window << ',' << ev.at << ','
+                << ev.agent << ',' << ev.offence << ',' << ev.committed << ',' << ev.revealed
+                << ',' << ev.expected << ',' << ev.ic_activation << ',' << ev.expelled << ','
+                << ev.expelled_at << '[';
+            for (const int slot : ev.flagged_by) out << slot << ' ';
+            out << "];";
+        }
+        out << '\n';
+    }
+    return fnv1a(out.str());
+}
+
+struct Golden_net {
+    Golden run;
+    std::uint64_t provenance_hash = 0;
+};
+
+Golden_net run_traced_net(int threads)
+{
+    Fabric_config config = base_config(/*seed=*/53);
+    config.threads = threads;
+    config.watchdog = telemetry::Watchdog_config{};
+    config.trace = true;
+    // Per-group engine pulses: the first window is active at pulse 0, so it
+    // opens before every group's boot pulse — the rebuilt groups' too.
+    config.net.windows = {sim::Net_window{0, 3, {1}}, sim::Net_window{30, 34, {}},
+                          sim::Net_window{70, 76, {0, 2}}};
+    config.behavior_factory = [](Agent_id g) -> std::unique_ptr<authority::Agent_behavior> {
+        if (g == 6) return std::make_unique<authority::Fixed_action_behavior>(0);
+        return std::make_unique<authority::Honest_behavior>();
+    };
+    Fabric fabric{Shard_map{9, 2}, std::move(config)};
+    fabric.run_pulses(1);
+    fabric.run_plays(3);
+    fabric.inject_transient_fault();
+    fabric.run_plays(6);
+
+    Rebalance_plan plan;
+    plan.migrations.push_back(Migration{0, 0, 1});
+    fabric.apply_rebalance(plan);
+    fabric.run_plays(6);
+
+    Golden_net out;
+    out.run = observe(fabric);
+    out.provenance_hash = provenance_hash(fabric);
+    return out;
+}
+
+TEST(GoldenFabric, TracedNetWindowsAndFaultRunMatchesPin)
+{
+    Golden_net want;
+    want.run.traffic.messages = 6936;
+    want.run.traffic.payload_bytes = 388966;
+    want.run.traffic.pulses = 432;
+    want.run.traffic.delayed = 0;
+    want.run.plays = 24;
+    want.run.fouls = 15;
+    want.run.disconnected = 0;
+    want.run.telemetry_hash = 0x58bc14f0a39426e7ULL;
+    want.run.trace_hash = 0x7058d81c7252586bULL;
+    want.provenance_hash = 0x2dbde1b4bdf602cdULL;
+    for (const int threads : {1, 3}) {
+        SCOPED_TRACE(threads);
+        const Golden_net got = run_traced_net(threads);
+        expect_pin(got.run, want.run);
+        EXPECT_EQ(got.provenance_hash, want.provenance_hash) << std::hex << got.provenance_hash;
     }
 }
 
