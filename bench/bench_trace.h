@@ -4,10 +4,13 @@
 //
 // Benches that run a traced fabric of their own dump it with
 // dump_chrome_trace; every other main calls dump_fabric_trace, which runs
-// the canonical traced workload below — small, seeded, with one cheater and
-// a lossy net so the trace exercises every span kind (windows, plays, IC
-// rounds, fouls, net windows) — and dumps that. Either way the artifact is
-// deterministic: same bytes on every run and executor width.
+// the canonical traced workload below — small, seeded, with a cheater per
+// shard and a lossy delta-2 net, so the trace carries batch windows, plays,
+// IC rounds and fouls — and dumps that. It sets no burst/partition window
+// and injects no fault, so it has no net_window or transient_fault spans
+// (GoldenFabric.TracedNetWindowsAndFaultRunMatchesPin pins those). Either
+// way the artifact is deterministic: same bytes on every run and executor
+// width.
 #ifndef GA_BENCH_BENCH_TRACE_H
 #define GA_BENCH_BENCH_TRACE_H
 

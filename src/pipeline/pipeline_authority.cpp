@@ -78,6 +78,9 @@ void Pipeline_authority::run_batches(int count)
 
 void Pipeline_authority::inject_transient_fault()
 {
+    if (telemetry_ != nullptr && telemetry_->tracer() != nullptr) {
+        telemetry_->tracer()->add_span("transient_fault", engine_.now(), engine_.now());
+    }
     engine_.inject_transient_fault();
 }
 
@@ -163,10 +166,7 @@ void Pipeline_authority::set_telemetry(telemetry::Telemetry_sink* sink)
     if (wire_ != nullptr) wire_->set_telemetry(sink);
     tel_pulses_ = tel_messages_ = tel_bytes_ = tel_dropped_ = tel_delayed_ = nullptr;
     engine_.processor_as<Pipeline_processor>(reference_slot()).set_telemetry(sink);
-    // The engine shares the sink's tracer (net-window spans, transient-fault
-    // markers land on the same track as the schedule's spans). Both writers
-    // run on the coordinating thread, ordered by the worker-pool barrier.
-    engine_.set_tracer(sink != nullptr ? sink->tracer() : nullptr);
+    net_window_spans_.assign(engine_.net().windows.size(), 0);
     if (sink == nullptr) return;
     // Deltas start from the attach point, so a sink attached mid-run never
     // re-counts traffic the previous sink (or nobody) already saw.
@@ -176,6 +176,9 @@ void Pipeline_authority::set_telemetry(telemetry::Telemetry_sink* sink)
     tel_bytes_ = &sink->counter("net.payload_bytes");
     tel_dropped_ = &sink->counter("net.dropped");
     tel_delayed_ = &sink->counter("net.delayed");
+    // Windows already active at the attach pulse open now; later edges are
+    // sample_telemetry's, after each pulse.
+    for (std::size_t w = 0; w < net_window_spans_.size(); ++w) trace_net_window(w);
 }
 
 void Pipeline_authority::set_wire(std::unique_ptr<wire::Transport> link)
@@ -249,7 +252,9 @@ void Pipeline_authority::sample_telemetry(common::Pulse executed)
     tel_last_ = stats;
 
     // Burst/partition window edges: active over [begin, end), so the window
-    // opens with pulse `begin` and is last active at pulse `end - 1`.
+    // opens with pulse `begin` and is last active at pulse `end - 1`. Its
+    // span follows the clock instead: it opens once the clock reaches
+    // `begin`, i.e. before pulse `begin` runs.
     for (std::size_t w = 0; w < engine_.net().windows.size(); ++w) {
         const sim::Net_window& window = engine_.net().windows[w];
         if (executed == window.begin && window.end > window.begin) {
@@ -267,6 +272,27 @@ void Pipeline_authority::sample_telemetry(common::Pulse executed)
             e.a = static_cast<std::int64_t>(w);
             telemetry_->event(std::move(e));
         }
+        trace_net_window(w);
+    }
+}
+
+void Pipeline_authority::trace_net_window(std::size_t w)
+{
+    telemetry::Tracer* tracer = telemetry_->tracer();
+    if (tracer == nullptr) return;
+    const sim::Net_window& window = engine_.net().windows[w];
+    const common::Pulse now = engine_.now();
+    std::int64_t& span = net_window_spans_[w];
+    if (span == 0 && now >= window.begin && now < window.end) {
+        span = tracer->begin_span("net_window", window.begin, /*parent=*/0,
+                                  static_cast<std::int64_t>(w),
+                                  static_cast<std::int64_t>(window.isolated.size()),
+                                  window.isolated.empty() ? "outage" : "partition");
+    } else if (span > 0 && now >= window.end) {
+        // Close on the last pulse the window cut traffic ([begin, end) is
+        // send-time-exclusive of end).
+        tracer->end_span(span, window.end - 1);
+        span = -1;
     }
 }
 

@@ -59,7 +59,8 @@ public:
     /// Step the system for `count` complete batches (k plays each).
     void run_batches(int count);
 
-    /// Inject a transient fault into every processor (§4).
+    /// Inject a transient fault into every processor (§4), marked on the
+    /// sink's tracer as a zero-length span.
     void inject_transient_fault();
 
     [[nodiscard]] int batch_k() const { return k_; }
@@ -121,9 +122,11 @@ public:
 
     /// Attach a telemetry sink observing this group (nullptr detaches): the
     /// group's per-pulse accounting (net counters, net-fault window edges,
-    /// expulsion events) and the reference replica's schedule hooks (IC
-    /// spans, plays, clock holds). The sink is an observer only — attaching
-    /// one never changes the group's verdicts, standings, or traffic.
+    /// expulsion events; with the sink's tracer, net-window spans and
+    /// transient-fault markers) and the reference replica's schedule hooks
+    /// (IC spans, plays, clock holds). The sink is an observer only —
+    /// attaching one never changes the group's verdicts, standings, or
+    /// traffic.
     void set_telemetry(telemetry::Telemetry_sink* sink);
 
     /// Own the transport this group's per-pulse cross-boundary traffic flows
@@ -148,8 +151,13 @@ private:
 
     void enact_disconnections();
     /// Fold the pulse that just executed into the sink: engine stat deltas
-    /// into the cached counters, plus net-fault window edge events.
+    /// into the cached counters, net-fault window edge events and, with a
+    /// tracer, the window spans.
     void sample_telemetry(common::Pulse executed);
+    /// Open window `w`'s span once the clock is inside it, close it once the
+    /// clock is past it (no-op without a tracer). Spans go to the sink's own
+    /// tracer, ordered against the reference replica's by the pulse loop.
+    void trace_net_window(std::size_t w);
 
     int n_;
     authority::Game_spec spec_;
@@ -171,6 +179,8 @@ private:
     std::int64_t* tel_bytes_ = nullptr;
     std::int64_t* tel_dropped_ = nullptr;
     std::int64_t* tel_delayed_ = nullptr;
+    /// Span id per net window: 0 = not opened yet, -1 = closed.
+    std::vector<std::int64_t> net_window_spans_;
 };
 
 } // namespace ga::pipeline

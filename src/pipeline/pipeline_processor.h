@@ -132,8 +132,9 @@ public:
     /// Attach a telemetry sink (nullptr detaches). Only one replica per group
     /// — the group's reference slot — carries a sink, so the replicated
     /// schedule is journaled exactly once and never perturbed: all hook sites
-    /// reduce to a pointer test when detached. The sink's tracer (when
-    /// enabled) is cached alongside so span hooks are the same pointer test.
+    /// reduce to a pointer test when detached. The sink's tracer (present
+    /// when the sink was built traced) is cached alongside so span hooks are
+    /// the same pointer test.
     void set_telemetry(telemetry::Telemetry_sink* sink)
     {
         telemetry_ = sink;

@@ -120,11 +120,9 @@ Fabric::Fabric(Shard_map initial, Fabric_config config)
     for (int s = 0; s < n_shards(); ++s) shards_.push_back(build_shard(plan_, s));
     if (config_.telemetry) {
         fabric_sink_ = std::make_unique<telemetry::Telemetry_sink>(
-            telemetry::Telemetry_sink::Scope{-1, plan_.epoch()});
-        if (config_.trace) {
-            fabric_sink_->enable_tracer();
-            fabric_run_span_ = fabric_sink_->tracer()->begin_span("fabric_run", 0);
-        }
+            telemetry::Telemetry_sink::Scope{-1, plan_.epoch()},
+            telemetry::Telemetry_sink::k_default_journal_capacity, config_.trace);
+        if (config_.trace) fabric_run_span_ = fabric_sink_->tracer()->begin_span("fabric_run", 0);
     }
     if (config_.rebalance != nullptr) rebalancer_.emplace(config_.rebalance);
 }
@@ -162,17 +160,15 @@ Fabric::Shard Fabric::build_shard(const Shard_plan& plan, int s) const
     }
     shard.group = std::make_unique<pipeline::Pipeline_authority>(
         std::move(spec), config_.f, config_.batch_k, std::move(behaviors), local_byzantine,
-        config_.punishment, std::move(shard_rng), config_.byzantine_factory, config_.ic_factory,
+        config_.punishment, std::move(shard_rng), authority::Byzantine_factory{}, config_.ic_factory,
         std::move(local_tampers), std::move(net));
     // Every group gets its own cross-boundary link, minted fresh like the
     // group itself — ring state never leaks across epochs.
     shard.group->set_wire(wire::make_transport(config_.transport));
     if (config_.telemetry) {
         shard.sink = std::make_unique<telemetry::Telemetry_sink>(
-            telemetry::Telemetry_sink::Scope{s, plan.epoch()});
-        // The tracer must exist before set_telemetry: groups cache the
-        // sink's tracer pointer at attach time.
-        if (config_.trace) shard.sink->enable_tracer();
+            telemetry::Telemetry_sink::Scope{s, plan.epoch()},
+            telemetry::Telemetry_sink::k_default_journal_capacity, config_.trace);
         shard.group->set_telemetry(shard.sink.get());
     }
     if (config_.ingest.has_value()) {
@@ -480,10 +476,14 @@ Rebalance_report Fabric::apply_next_plan(Shard_plan next)
 
 void Fabric::retire_group(int s)
 {
-    retired_samples_.push_back(harvest(s));
-    const Shard& shard = shards_[static_cast<std::size_t>(s)];
-    const pipeline::Pipeline_authority& group = *shard.group;
+    Shard& shard = shards_[static_cast<std::size_t>(s)];
     const std::vector<common::Agent_id>& members = plan_.map().members(s);
+    // The sink leaves the shard before the harvest, so the stored sample
+    // holds no copy of its snapshot: report() reads the retained sink.
+    Retired_group retired{{}, std::move(shard.sink), members};
+    retired.sample = harvest(s);
+    retired_.push_back(std::move(retired));
+    const pipeline::Pipeline_authority& group = *shard.group;
     const std::vector<authority::Play_record>& plays = group.agreed_plays();
     const std::vector<authority::Standing>& standings = group.agreed_standings();
     for (common::Agent_id local = 0; local < static_cast<int>(members.size()); ++local) {
@@ -495,20 +495,6 @@ void Fabric::retire_group(int s)
         ledger.carried = authority::merge_standings(
             ledger.carried, standings[static_cast<std::size_t>(local)]);
         if (group.is_agent_disconnected(local)) ledger.expelled = true;
-    }
-    if (shard.sink != nullptr) {
-        const telemetry::Telemetry_sink& sink = *shard.sink;
-        if (sink.tracer() != nullptr && !sink.tracer()->empty()) {
-            retired_spans_.push_back(
-                {sink.scope().shard, sink.scope().epoch, sink.tracer()->spans()});
-        }
-        for (telemetry::Evidence ev : sink.evidence()) {
-            // Local slot ids are stable across carries and merge relabels, so
-            // the retiring membership list maps each slot to its global id.
-            const common::Agent_id global = members[static_cast<std::size_t>(ev.agent)];
-            ev.agent = global;
-            ledgers_[static_cast<std::size_t>(global)].evidence.push_back(std::move(ev));
-        }
     }
 }
 
@@ -587,8 +573,12 @@ metrics::Shard_sample Fabric::harvest(int s) const
 
 metrics::Fabric_metrics Fabric::report() const
 {
-    std::vector<metrics::Shard_sample> samples = retired_samples_;
-    samples.reserve(samples.size() + static_cast<std::size_t>(n_shards()));
+    std::vector<metrics::Shard_sample> samples;
+    samples.reserve(retired_.size() + static_cast<std::size_t>(n_shards()));
+    for (const Retired_group& retired : retired_) {
+        samples.push_back(retired.sample);
+        if (retired.sink != nullptr) samples.back().telemetry = retired.sink->snapshot();
+    }
     for (int s = 0; s < n_shards(); ++s) samples.push_back(harvest(s));
     metrics::Fabric_metrics out = metrics::aggregate_shards(std::move(samples));
     if (fabric_sink_ != nullptr) {
@@ -597,20 +587,26 @@ metrics::Fabric_metrics Fabric::report() const
     return out;
 }
 
+void Fabric::for_each_sink(const std::function<void(const telemetry::Telemetry_sink&,
+                                                    const std::vector<common::Agent_id>&)>& visit)
+    const
+{
+    for (const Retired_group& retired : retired_) {
+        if (retired.sink != nullptr) visit(*retired.sink, retired.members);
+    }
+    for (int s = 0; s < n_shards(); ++s) {
+        const auto& sink = shards_[static_cast<std::size_t>(s)].sink;
+        if (sink != nullptr) visit(*sink, plan_.map().members(s));
+    }
+}
+
 telemetry::Report Fabric::telemetry_report() const
 {
     telemetry::Report report;
     if (fabric_sink_ != nullptr) report.fabric = fabric_sink_->snapshot();
-    for (const metrics::Shard_sample& sample : retired_samples_) {
-        if (!sample.telemetry.empty()) {
-            report.shards.push_back({sample.shard, sample.epoch, sample.telemetry});
-        }
-    }
-    for (int s = 0; s < n_shards(); ++s) {
-        if (const auto& sink = shards_[static_cast<std::size_t>(s)].sink; sink != nullptr) {
-            report.shards.push_back({s, plan_.epoch(), sink->snapshot()});
-        }
-    }
+    for_each_sink([&report](const telemetry::Telemetry_sink& sink, const auto&) {
+        report.shards.push_back({sink.scope().shard, sink.scope().epoch, sink.snapshot()});
+    });
     std::stable_sort(report.shards.begin(), report.shards.end(),
                      [](const telemetry::Scoped_snapshot& a, const telemetry::Scoped_snapshot& b) {
                          return std::pair{a.epoch, a.shard} < std::pair{b.epoch, b.shard};
@@ -628,16 +624,17 @@ telemetry::Report Fabric::telemetry_report() const
 std::vector<telemetry::Evidence> Fabric::provenance(common::Agent_id global) const
 {
     common::ensure(global >= 0 && global < n_agents(), "Fabric::provenance: id out of range");
-    std::vector<telemetry::Evidence> chains = ledgers_[static_cast<std::size_t>(global)].evidence;
-    const auto& sink = shards_[static_cast<std::size_t>(plan_.map().shard_of(global))].sink;
-    if (sink != nullptr) {
-        const common::Agent_id local = plan_.map().local_of(global);
-        for (telemetry::Evidence ev : sink->evidence()) {
-            if (ev.agent != local) continue;
-            ev.agent = global;
-            chains.push_back(std::move(ev));
+    std::vector<telemetry::Evidence> chains;
+    for_each_sink([&chains, global](const telemetry::Telemetry_sink& sink,
+                                    const std::vector<common::Agent_id>& members) {
+        for (const telemetry::Evidence& ev : sink.evidence()) {
+            // Local slot ids are stable across carries and merge relabels, so
+            // the group's member list maps each slot to its global id.
+            if (members[static_cast<std::size_t>(ev.agent)] != global) continue;
+            chains.push_back(ev);
+            chains.back().agent = global;
         }
-    }
+    });
     return chains;
 }
 
@@ -647,13 +644,10 @@ telemetry::Trace_report Fabric::trace_report() const
     if (fabric_sink_ != nullptr && fabric_sink_->tracer() != nullptr) {
         report.fabric = fabric_sink_->tracer()->spans();
     }
-    report.shards = retired_spans_;
-    for (int s = 0; s < n_shards(); ++s) {
-        const auto& sink = shards_[static_cast<std::size_t>(s)].sink;
-        const telemetry::Tracer* tracer = sink != nullptr ? sink->tracer() : nullptr;
-        if (tracer == nullptr || tracer->empty()) continue;
-        report.shards.push_back({s, plan_.epoch(), tracer->spans()});
-    }
+    for_each_sink([&report](const telemetry::Telemetry_sink& sink, const auto&) {
+        if (sink.tracer() == nullptr || sink.tracer()->empty()) return;
+        report.shards.push_back({sink.scope().shard, sink.scope().epoch, sink.tracer()->spans()});
+    });
     std::stable_sort(report.shards.begin(), report.shards.end(),
                      [](const telemetry::Scoped_spans& a, const telemetry::Scoped_spans& b) {
                          return std::pair{a.epoch, a.shard} < std::pair{b.epoch, b.shard};

@@ -18,8 +18,9 @@
 //
 //   - affected shards finish their in-flight k-play batch —
 //     pulses_to_window_edge() per group, at most one window — then retire:
-//     their harvest joins the retired-sample ledger and every member's
-//     standings/history fold into a per-global-id carried ledger;
+//     their harvest and their telemetry sink, kept whole, join the
+//     retired-group records, and every member's standings/history fold
+//     into a per-global-id carried ledger;
 //   - unaffected shards are adopted untouched (same group object, same
 //     in-flight state — a merge relabel changes a routing id, never the
 //     group), so a rebalance pauses only the shards it changes;
@@ -83,8 +84,7 @@ struct Fabric_config {
     int f = 1;                         ///< Byzantine resilience per shard
     Shard_spec_factory spec_factory;   ///< required
     authority::Punishment_factory punishment; ///< required
-    std::set<common::Agent_id> byzantine;     ///< *global* ids run attackers
-    authority::Byzantine_factory byzantine_factory = {};  ///< default babbler
+    std::set<common::Agent_id> byzantine;     ///< *global* ids run babblers
     bft::Ic_factory ic_factory = {};          ///< default: bft::choose_ic per shard
     std::uint64_t seed = 0;  ///< fabric seed; shard s at epoch e uses derive_seed(seed, s, e)
     int threads = 1;                   ///< executor width (result-invariant)
@@ -281,7 +281,7 @@ public:
     // ---- Observability (config.telemetry).
 
     /// The whole run's telemetry: the fabric-scope sink plus one scoped
-    /// snapshot per group lifetime — retired groups' final snapshots and live
+    /// snapshot per group lifetime — retired groups' retained sinks and live
     /// groups' current ones — in (epoch, shard) order. Deterministic: the
     /// same (seed, map, policy, config, net) produces byte-identical
     /// to_json(telemetry_report()) on any thread count. Empty when telemetry
@@ -293,11 +293,11 @@ public:
     // ---- Forensics (config.trace / config.watchdog).
 
     /// Why was this agent punished: every evidence chain recorded against
-    /// `global`, across its whole migration history — retired epochs from
-    /// the carried ledger first (in retirement order), then the agent's
-    /// current shard — with agent ids globalized. Non-empty for every agent
-    /// a group ever flagged while telemetry was on; entries whose expulsion
-    /// the executive enacted carry expelled/expelled_at.
+    /// `global`, across its whole migration history — read from the retained
+    /// sinks of retired groups first (in retirement order), then from the
+    /// agent's current shard — with agent ids globalized. Non-empty for
+    /// every agent a group ever flagged while telemetry was on; entries
+    /// whose expulsion the executive enacted carry expelled/expelled_at.
     [[nodiscard]] std::vector<telemetry::Evidence> provenance(common::Agent_id global) const;
 
     /// The whole run's span tracks: the fabric-scope track plus one per
@@ -314,8 +314,16 @@ private:
         std::vector<Agent_play> history;
         authority::Standing carried{};
         bool expelled = false;
-        /// Evidence chains from retired groups, agent ids globalized.
-        std::vector<telemetry::Evidence> evidence;
+    };
+
+    /// One retired group lifetime: its final harvest and its sink, kept
+    /// whole — snapshot, spans and evidence live only there — with the
+    /// members its local slots map to. `sample.telemetry` stays empty
+    /// (report() fills it from the sink); `sink` is null with telemetry off.
+    struct Retired_group {
+        metrics::Shard_sample sample;
+        std::unique_ptr<telemetry::Telemetry_sink> sink;
+        std::vector<common::Agent_id> members;
     };
 
     /// One live shard: its replica group and everything the fabric keeps
@@ -338,21 +346,29 @@ private:
     static_config(int n_agents, std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors,
                   Fabric_config config);
     /// Assemble shard `s` of `plan` (any epoch): mint its members'
-    /// behaviors, build its group and wire link, and give it a sink (tracer
-    /// enabled before attach) and an inlet as the config asks. Pure with
+    /// behaviors, build its group and wire link, and give it a sink (traced
+    /// when config.trace) and an inlet as the config asks. Pure with
     /// respect to fabric state, so apply_rebalance can build every
     /// replacement shard *before* mutating anything — a throwing spec or
     /// behavior factory, or a game in which some agent has no action, leaves
     /// the fabric intact. Enumerates no profiles: the optimum is harvest's.
     [[nodiscard]] Shard build_shard(const Shard_plan& plan, int s) const;
     /// Harvest one live shard's current totals (plays, traffic, fouls,
-    /// costs), tagged with the current epoch. The only place the shard
-    /// game's social optimum is enumerated (when small enough), for
-    /// optimal_cost — called by report() and retire_group.
+    /// costs, and its sink's snapshot while it holds one), tagged with the
+    /// current epoch. The only place the shard game's social optimum is
+    /// enumerated (when small enough), for optimal_cost — called by
+    /// report() and retire_group.
     [[nodiscard]] metrics::Shard_sample harvest(int s) const;
-    /// Fold a quiesced shard's harvest, histories, standings, evidence and
-    /// expulsions into the carried state (the swap then drops its record).
+    /// Move a quiesced shard's harvest and sink into a retired record and
+    /// fold its histories, standings and expulsions into the carried ledger
+    /// (the swap then drops the rest of its record).
     void retire_group(int s);
+    /// Visit every group lifetime's sink with the members its local slots
+    /// map to: retired groups in retirement order, then live shards in shard
+    /// order. Groups without a sink are skipped.
+    void for_each_sink(const std::function<void(const telemetry::Telemetry_sink&,
+                                                const std::vector<common::Agent_id>&)>& visit)
+        const;
     /// The epoch transition proper, over an already-validated successor
     /// snapshot (shared by apply_rebalance and maybe_rebalance so the plan
     /// transform runs exactly once per transition).
@@ -372,8 +388,7 @@ private:
     ingest::Ingest_totals retired_ingest_; ///< totals folded from retired inlets
 
     std::vector<Agent_ledger> ledgers_;                ///< one per global agent
-    std::vector<metrics::Shard_sample> retired_samples_;
-    std::vector<telemetry::Scoped_spans> retired_spans_; ///< retired groups' span tracks
+    std::vector<Retired_group> retired_; ///< in retirement order
     std::optional<Rebalance_report> last_rebalance_;
     std::optional<telemetry::Watchdog> watchdog_;
     std::int64_t fabric_run_span_ = 0; ///< root span of the fabric track (trace on)

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/ensure.h"
-#include "telemetry/tracer.h"
 
 namespace ga::sim {
 
@@ -289,37 +288,11 @@ void Engine::set_link(Pulse_link* link)
     link_ = link;
 }
 
-void Engine::set_tracer(telemetry::Tracer* tracer)
-{
-    tracer_ = tracer;
-    net_window_spans_.assign(net_.windows.size(), 0);
-}
-
-void Engine::trace_net_windows()
-{
-    if (tracer_ == nullptr || net_window_spans_.empty()) return;
-    for (std::size_t i = 0; i < net_.windows.size(); ++i) {
-        const Net_window& window = net_.windows[i];
-        std::int64_t& span = net_window_spans_[i];
-        if (span == 0 && pulse_ >= window.begin && pulse_ < window.end) {
-            const auto isolated = static_cast<std::int64_t>(window.isolated.size());
-            span = tracer_->begin_span("net_window", window.begin,
-                                       /*parent=*/0, static_cast<std::int64_t>(i), isolated,
-                                       window.isolated.empty() ? "outage" : "partition");
-        } else if (span != 0 && pulse_ >= window.end) {
-            // Close on the last pulse the window cut traffic ([begin, end)
-            // is send-time-exclusive of end).
-            tracer_->end_span(span, window.end - 1);
-        }
-    }
-}
-
 void Engine::run_pulse()
 {
     common::ensure(static_cast<int>(processors_.size()) == graph_.size(),
                    "Engine::run_pulse: not all processors installed");
 
-    trace_net_windows();
     rotate_wheel();
     // The wire boundary sits at delivery time: the pulse's finalized inboxes
     // cross the link right before the processors consume them. Runs on the
@@ -335,7 +308,6 @@ void Engine::run_pulse()
     }
     ++pulse_;
     ++stats_.pulses;
-    trace_net_windows();
 }
 
 void Engine::run(common::Pulse count)
@@ -345,7 +317,6 @@ void Engine::run(common::Pulse count)
 
 void Engine::inject_transient_fault()
 {
-    if (tracer_ != nullptr) tracer_->add_span("transient_fault", pulse_, pulse_);
     for (auto& processor : processors_) processor->corrupt(rng_);
     // In-flight messages become arbitrary: some dropped, some garbled, per
     // recipient copy, so broadcast entries are spelled out first. The garble

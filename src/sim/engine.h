@@ -37,6 +37,12 @@
 // have, so an N-thread run is bit-identical to the 1-thread run (same
 // delivery order, same stats, same verdicts downstream) under loss, reorder
 // and partitions alike.
+//
+// The engine observes nothing and links only common/: its observable
+// surface is stats(), in_flight() and the installed processors. Per-pulse
+// traffic is the delta of stats() between pulses; the replica group above
+// (pipeline/) folds those deltas into its telemetry sink and traces the net
+// model's windows and the faults it injects on the sink's tracer.
 #ifndef GA_SIM_ENGINE_H
 #define GA_SIM_ENGINE_H
 
@@ -51,13 +57,10 @@
 #include "sim/net_model.h"
 #include "sim/processor.h"
 
-namespace ga::telemetry {
-class Tracer;
-}
-
 namespace ga::sim {
 
-/// Message/byte accounting for the benchmark harness. `messages` and
+/// Cumulative message/byte accounting (read a per-pulse delta by
+/// differencing two reads). `messages` and
 /// `payload_bytes` count offered traffic (validated sends) per recipient
 /// copy, so a broadcast entry counts once per neighbor it reaches, exactly
 /// as the spelled-out unicasts would; `dropped` counts the subset the
@@ -144,12 +147,6 @@ public:
     /// run's shape even though a conforming link never changes results.
     void set_link(Pulse_link* link);
 
-    /// Attach a span recorder (nullptr detaches). The engine then traces its
-    /// own fault-model activity — net burst/partition windows as spans,
-    /// transient faults as zero-length markers — onto the caller's track.
-    /// Observation only: a traced run is bit-identical to an untraced one.
-    void set_tracer(telemetry::Tracer* tracer);
-
     /// Typed access to an installed processor (tests and result harvesting).
     [[nodiscard]] Processor& processor(common::Processor_id id);
     [[nodiscard]] const Processor& processor(common::Processor_id id) const;
@@ -208,10 +205,6 @@ private:
     template <typename Route>
     void step_processor(common::Processor_id id, Traffic_stats& stats, Route route);
 
-    /// Open/close net-window spans as `pulse_` crosses window bounds (no-op
-    /// without a tracer or without windows).
-    void trace_net_windows();
-
     /// The broadcast entries the sends of `pulse` left (written at pulse,
     /// delivered at pulse + 1).
     [[nodiscard]] std::vector<Outbox>& entries_of(common::Pulse pulse)
@@ -259,8 +252,6 @@ private:
     common::Pulse pulse_ = 0;
     Traffic_stats stats_;
     Pulse_link* link_ = nullptr; ///< wire boundary (null = in-place delivery)
-    telemetry::Tracer* tracer_ = nullptr;
-    std::vector<std::int64_t> net_window_spans_; ///< open span id per net window (0 = none)
 
     // ---- Worker-pool state (built lazily on the first parallel pulse).
     std::unique_ptr<common::Executor> pool_;

@@ -120,8 +120,10 @@ void merge_into(Snapshot& into, const Snapshot& from)
 
 Telemetry_sink::Telemetry_sink() : Telemetry_sink(Scope{}) {}
 
-Telemetry_sink::Telemetry_sink(Scope scope, std::size_t journal_capacity)
-    : scope_{scope}, journal_capacity_{std::max<std::size_t>(journal_capacity, 1)}
+Telemetry_sink::Telemetry_sink(Scope scope, std::size_t journal_capacity, bool traced)
+    : scope_{scope},
+      journal_capacity_{std::max<std::size_t>(journal_capacity, 1)},
+      tracer_{traced ? std::make_unique<Tracer>(scope.shard, scope.epoch) : nullptr}
 {
 }
 
@@ -149,11 +151,6 @@ void Telemetry_sink::event(Event e)
         snap_.journal_dropped_oldest += 1;
     }
     snap_.journal.push_back(std::move(e));
-}
-
-void Telemetry_sink::enable_tracer()
-{
-    if (tracer_ == nullptr) tracer_ = std::make_unique<Tracer>(scope_.shard, scope_.epoch);
 }
 
 void Telemetry_sink::add_evidence(Evidence e)

@@ -149,11 +149,12 @@ struct Event {
 /// One verdict's evidence chain: everything an operator needs to answer
 /// "why was this agent punished" without replaying the run. Recorded by the
 /// authority tiers at the foul phase (pure replicated state, so the chain is
-/// identical at every honest replica) and folded into the fabric's carried
-/// ledger at epoch edges so it survives migration/split/merge.
+/// identical at every honest replica) and kept in the group's sink, which
+/// the fabric retains when the group retires, so it survives
+/// migration/split/merge.
 ///
-/// `agent` is the local replica slot while the record sits in a group's
-/// sink; the fabric globalizes it when folding or serving provenance
+/// `agent` is the local replica slot in the group's sink; the fabric
+/// globalizes it through the group's member list when serving provenance
 /// queries. Actions are -1 where nothing decodable existed (e.g. a missing
 /// commitment has no committed action).
 struct Evidence {
@@ -218,9 +219,12 @@ public:
 
     static constexpr std::size_t k_default_journal_capacity = 1 << 16;
 
+    /// `traced` gives the sink its span recorder for life; without it the
+    /// sink carries no tracing state and tracer() stays null.
     Telemetry_sink();
     explicit Telemetry_sink(Scope scope,
-                            std::size_t journal_capacity = k_default_journal_capacity);
+                            std::size_t journal_capacity = k_default_journal_capacity,
+                            bool traced = false);
 
     [[nodiscard]] const Scope& scope() const { return scope_; }
 
@@ -250,15 +254,13 @@ public:
     // are per-track trace data, not mergeable registry state — and follow
     // the sink's scope.
 
-    /// Allocate the span recorder (idempotent). Hook sites test tracer() for
-    /// null exactly like the sink pointer itself, so an un-enabled sink
-    /// carries zero tracing cost.
-    void enable_tracer();
+    /// The span recorder, null unless the sink was built `traced`. Hook
+    /// sites test it for null exactly like the sink pointer itself, so an
+    /// untraced sink carries zero tracing cost.
     [[nodiscard]] Tracer* tracer() const { return tracer_.get(); }
 
     // ---- Verdict provenance. Evidence rides beside the snapshot for the
-    // same reason as spans: the fabric folds it into the per-agent carried
-    // ledger at epoch edges rather than merging it per scope.
+    // same reason as spans: it is read per agent, never merged per scope.
 
     /// Record one verdict's evidence chain (scope stamped like events).
     void add_evidence(Evidence e);

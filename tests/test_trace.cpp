@@ -1,12 +1,14 @@
-// Trace observer: per-pulse traffic deltas, bounded capacity, schedule shape
-// of the SSBA composition (quiet wrap slots vs busy BA rounds).
+// Per-pulse traffic as the engine accounts it: deltas of Engine::stats()
+// between pulses and Engine::in_flight() after each — the schedule shape of
+// the SSBA composition (quiet wrap slots vs busy BA rounds) and the net-fault
+// columns under clean, lossy and delayed delivery.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
 #include <utility>
 #include <vector>
 
-#include "sim/trace.h"
+#include "sim/engine.h"
 #include "ssba/ssba.h"
 
 namespace {
@@ -16,43 +18,38 @@ using ga::common::Bytes;
 using ga::common::Processor_id;
 using ga::common::Rng;
 
+/// Traffic of one executed pulse: the delta of the engine's cumulative
+/// accounting, plus the backlog due past the next pulse.
+struct Pulse_delta {
+    std::int64_t messages = 0;
+    std::int64_t payload_bytes = 0;
+    std::int64_t dropped = 0;
+    std::int64_t delayed = 0;
+    std::int64_t deferred = 0;
+};
+
+/// Run `pulses` pulses and return each one's delta, in pulse order.
+std::vector<Pulse_delta> run_deltas(Engine& engine, int pulses)
+{
+    std::vector<Pulse_delta> deltas;
+    Traffic_stats last = engine.stats();
+    for (int t = 0; t < pulses; ++t) {
+        engine.run_pulse();
+        const Traffic_stats& now = engine.stats();
+        deltas.push_back({now.messages - last.messages, now.payload_bytes - last.payload_bytes,
+                          now.dropped - last.dropped, now.delayed - last.delayed,
+                          engine.in_flight()});
+        last = now;
+    }
+    return deltas;
+}
+
 class Chatty final : public Processor {
 public:
     explicit Chatty(Processor_id id) : Processor{id} {}
     void on_pulse(Pulse_context& ctx) override { ctx.broadcast(Bytes{0x01, 0x02}); }
     void corrupt(Rng&) override {}
 };
-
-TEST(Trace, RecordsPerPulseDeltas)
-{
-    Engine engine{complete_graph(3)};
-    for (Processor_id id = 0; id < 3; ++id) engine.install(std::make_unique<Chatty>(id));
-    Trace trace;
-    for (int t = 0; t < 4; ++t) {
-        engine.run_pulse();
-        trace.sample(engine);
-    }
-    ASSERT_EQ(trace.size(), 4u);
-    for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(trace.at(i).messages, 6);       // 3 processors x 2 neighbors
-        EXPECT_EQ(trace.at(i).payload_bytes, 12); // 2 bytes each
-    }
-    EXPECT_DOUBLE_EQ(trace.mean_messages(), 6.0);
-}
-
-TEST(Trace, CapacityBoundsMemory)
-{
-    Engine engine{complete_graph(2)};
-    engine.install(std::make_unique<Chatty>(0));
-    engine.install(std::make_unique<Chatty>(1));
-    Trace trace{3};
-    for (int t = 0; t < 10; ++t) {
-        engine.run_pulse();
-        trace.sample(engine);
-    }
-    EXPECT_EQ(trace.size(), 3u);
-    EXPECT_EQ(trace.at(0).pulse, 7); // oldest retained = pulse 7
-}
 
 TEST(Trace, SsbaScheduleShowsBusyAndQuietSlots)
 {
@@ -69,50 +66,29 @@ TEST(Trace, SsbaScheduleShowsBusyAndQuietSlots)
                 return ga::common::bytes_of("v");
             }));
     }
-    Trace trace;
-    for (int t = 0; t < 3 * period + 1; ++t) {
-        engine.run_pulse();
-        trace.sample(engine);
-    }
+    const std::vector<Pulse_delta> deltas = run_deltas(engine, 3 * period + 1);
     // Message *count* is constant (everyone broadcasts every pulse); the
     // schedule shows in the bytes: BA-round pulses carry strictly more.
-    std::int64_t min_bytes = trace.at(2).payload_bytes;
-    std::int64_t max_bytes = trace.at(2).payload_bytes;
-    for (std::size_t i = 2; i < trace.size(); ++i) {
-        min_bytes = std::min(min_bytes, trace.at(i).payload_bytes);
-        max_bytes = std::max(max_bytes, trace.at(i).payload_bytes);
+    std::int64_t min_bytes = deltas[2].payload_bytes;
+    std::int64_t max_bytes = deltas[2].payload_bytes;
+    std::int64_t max_messages = 0;
+    for (std::size_t i = 2; i < deltas.size(); ++i) {
+        min_bytes = std::min(min_bytes, deltas[i].payload_bytes);
+        max_bytes = std::max(max_bytes, deltas[i].payload_bytes);
     }
+    for (const Pulse_delta& d : deltas) max_messages = std::max(max_messages, d.messages);
     EXPECT_GT(max_bytes, min_bytes);
-    EXPECT_EQ(trace.busiest().messages, n * (n - 1)); // full-mesh every pulse
-}
-
-TEST(Trace, PrintsTable)
-{
-    Engine engine{complete_graph(2)};
-    engine.install(std::make_unique<Chatty>(0));
-    engine.install(std::make_unique<Chatty>(1));
-    Trace trace;
-    engine.run_pulse();
-    trace.sample(engine);
-    std::ostringstream out;
-    trace.print(out);
-    EXPECT_NE(out.str().find("pulse"), std::string::npos);
-    EXPECT_NE(out.str().find("2"), std::string::npos);
+    EXPECT_EQ(max_messages, n * (n - 1)); // full-mesh every pulse
 }
 
 TEST(Trace, NetFaultColumnsStayZeroUnderCleanModel)
 {
     Engine engine{complete_graph(3)};
     for (Processor_id id = 0; id < 3; ++id) engine.install(std::make_unique<Chatty>(id));
-    Trace trace;
-    for (int t = 0; t < 4; ++t) {
-        engine.run_pulse();
-        trace.sample(engine);
-    }
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_EQ(trace.at(i).dropped, 0);
-        EXPECT_EQ(trace.at(i).delayed, 0);
-        EXPECT_EQ(trace.at(i).deferred, 0);
+    for (const Pulse_delta& d : run_deltas(engine, 4)) {
+        EXPECT_EQ(d.dropped, 0);
+        EXPECT_EQ(d.delayed, 0);
+        EXPECT_EQ(d.deferred, 0);
     }
 }
 
@@ -125,15 +101,12 @@ TEST(Trace, RecordsNetFaultDeltasUnderLossyModel)
     net.seed = 11;
     Engine engine{complete_graph(4), Rng{7}, {}, net};
     for (Processor_id id = 0; id < 4; ++id) engine.install(std::make_unique<Chatty>(id));
-    Trace trace;
     std::int64_t dropped = 0;
     std::int64_t delayed = 0;
-    for (int t = 0; t < 32; ++t) {
-        engine.run_pulse();
-        trace.sample(engine);
-        dropped += trace.at(trace.size() - 1).dropped;
-        delayed += trace.at(trace.size() - 1).delayed;
-        EXPECT_GE(trace.at(trace.size() - 1).deferred, 0);
+    for (const Pulse_delta& d : run_deltas(engine, 32)) {
+        dropped += d.dropped;
+        delayed += d.delayed;
+        EXPECT_GE(d.deferred, 0);
     }
     // Per-pulse deltas sum back to the engine's cumulative accounting.
     EXPECT_EQ(dropped, engine.stats().dropped);
@@ -167,11 +140,7 @@ TEST(Trace, DeferredCountsOnlyMessagesPastTheNextPulse)
     net.seed = 19;
     Engine engine{complete_graph(n), Rng{3}, {}, net};
     for (Processor_id id = 0; id < n; ++id) engine.install(std::make_unique<Arrivals>(id));
-    Trace trace;
-    for (int t = 0; t < pulses; ++t) {
-        engine.run_pulse();
-        trace.sample(engine);
-    }
+    const std::vector<Pulse_delta> deltas = run_deltas(engine, pulses);
     // Every message sent at or before p has been consumed by pulse p + delta,
     // so the logs are complete for each p checked here.
     std::int64_t total_deferred = 0;
@@ -181,7 +150,7 @@ TEST(Trace, DeferredCountsOnlyMessagesPastTheNextPulse)
             for (const auto& [delivered, sent] : engine.processor_as<Arrivals>(id).log)
                 if (sent <= p && delivered > p + 1) ++past_next;
         }
-        EXPECT_EQ(trace.at(static_cast<std::size_t>(p)).deferred, past_next) << "pulse " << p;
+        EXPECT_EQ(deltas[static_cast<std::size_t>(p)].deferred, past_next) << "pulse " << p;
         total_deferred += past_next;
     }
     EXPECT_GT(total_deferred, 0);
@@ -192,42 +161,8 @@ TEST(Trace, DeferredCountsOnlyMessagesPastTheNextPulse)
     lossy.seed = 19;
     Engine prompt{complete_graph(n), Rng{3}, {}, lossy};
     for (Processor_id id = 0; id < n; ++id) prompt.install(std::make_unique<Arrivals>(id));
-    Trace prompt_trace;
-    for (int t = 0; t < pulses; ++t) {
-        prompt.run_pulse();
-        prompt_trace.sample(prompt);
-        EXPECT_EQ(prompt_trace.at(prompt_trace.size() - 1).deferred, 0);
-    }
+    for (const Pulse_delta& d : run_deltas(prompt, pulses)) EXPECT_EQ(d.deferred, 0);
     EXPECT_GT(prompt.stats().dropped, 0);
-}
-
-TEST(Trace, CountsEvictedRowsInsteadOfSilentWraparound)
-{
-    Engine engine{complete_graph(2)};
-    engine.install(std::make_unique<Chatty>(0));
-    engine.install(std::make_unique<Chatty>(1));
-    Trace trace{3};
-    EXPECT_EQ(trace.dropped_oldest(), 0);
-    for (int t = 0; t < 10; ++t) {
-        engine.run_pulse();
-        trace.sample(engine);
-    }
-    EXPECT_EQ(trace.size(), 3u);
-    EXPECT_EQ(trace.dropped_oldest(), 7);
-    std::ostringstream out;
-    trace.print(out);
-    EXPECT_NE(out.str().find("7 older pulse"), std::string::npos);
-    EXPECT_NE(out.str().find("dropped"), std::string::npos);
-    EXPECT_NE(out.str().find("deferred"), std::string::npos);
-}
-
-TEST(Trace, EmptyTraceGuards)
-{
-    Trace trace;
-    EXPECT_THROW(static_cast<void>(trace.busiest()), ga::common::Contract_error);
-    EXPECT_THROW(static_cast<void>(trace.mean_messages()), ga::common::Contract_error);
-    EXPECT_THROW(static_cast<void>(trace.at(0)), ga::common::Contract_error);
-    EXPECT_THROW(Trace{0}, ga::common::Contract_error);
 }
 
 } // namespace
