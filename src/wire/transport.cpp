@@ -95,9 +95,13 @@ bool Spsc_frame_ring::try_stage(const sim::Message& msg, common::Processor_id to
         cached_tail_ = tail_.load(std::memory_order_acquire);
         if (cursor - cached_tail_ > mask_) return false; // genuinely full
     }
-    common::Bytes& slot = slots_[cursor & mask_];
-    slot.clear(); // keeps its high-water capacity
-    encode_frame(msg, to, slot);
+    Slot& slot = slots_[cursor & mask_];
+    slot.size = encoded_size(msg);
+    if (slot.capacity < slot.size) {
+        slot.bytes = std::make_unique_for_overwrite<std::uint8_t[]>(slot.size);
+        slot.capacity = slot.size;
+    }
+    encode_unsealed(msg, to, slot.frame());
     staged_ += 1;
     return true;
 }
@@ -105,7 +109,12 @@ bool Spsc_frame_ring::try_stage(const sim::Message& msg, common::Processor_id to
 void Spsc_frame_ring::publish()
 {
     if (staged_ == 0) return;
-    const std::uint64_t head = head_.load(std::memory_order_relaxed) + staged_;
+    const std::uint64_t first = head_.load(std::memory_order_relaxed);
+    for (std::uint64_t at = first; at != first + staged_; ++at) {
+        staged_frames_.add_unsealed(slots_[at & mask_].frame());
+    }
+    staged_frames_.seal();
+    const std::uint64_t head = first + staged_;
     staged_ = 0;
     head_.store(head, std::memory_order_release);
     cached_tail_ = tail_.load(std::memory_order_acquire);
@@ -115,13 +124,15 @@ void Spsc_frame_ring::publish()
 
 bool Spsc_frame_ring::try_pop(sim::Message& out)
 {
-    return try_consume([&out](const Frame_view& frame) {
-        out.from = frame.from;
-        out.to = frame.to;
-        out.sent_at = frame.sent_at;
-        out.payload =
-            common::Shared_payload{common::Bytes{frame.payload.begin(), frame.payload.end()}};
-    });
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    if (tail == cached_head_) {
+        cached_head_ = head_.load(std::memory_order_acquire);
+        if (tail == cached_head_) return false; // genuinely empty
+    }
+    std::size_t offset = 0;
+    out = decode_frame(slots_[tail & mask_].frame(), offset);
+    tail_.store(tail + 1, std::memory_order_release);
+    return true;
 }
 
 std::int64_t Spsc_frame_ring::depth() const
@@ -141,40 +152,52 @@ void Ring_transport::stage(sim::Message& msg, common::Processor_id to, std::size
     }
 }
 
+const common::Shared_payload& Ring_transport::mint(const Frame_view& frame)
+{
+    // One payload per broadcast: a copy from the same sender and pulse with
+    // equal bytes aliases the payload that sender's previous frame minted;
+    // anything else is the one copy off the wire.
+    Sender_pool& pool = pools_[static_cast<std::size_t>(frame.from)];
+    const common::Bytes& previous = pool.buffers[pool.last].bytes();
+    if (pool.sent_at == frame.sent_at &&
+        std::equal(previous.begin(), previous.end(), frame.payload.begin(), frame.payload.end())) {
+        return pool.buffers[pool.last];
+    }
+    std::size_t pick = k_pool_buffers;
+    for (std::size_t i = 1; i <= k_pool_buffers && pick == k_pool_buffers; ++i) {
+        const std::size_t slot = (pool.last + i) % k_pool_buffers;
+        if (pool.buffers[slot].use_count() <= 1) pick = slot;
+    }
+    if (pick == k_pool_buffers) {
+        pick = (pool.last + 1) % k_pool_buffers;
+        pool.buffers[pick] = {}; // holders keep the old buffer alive
+    }
+    pool.last = pick;
+    pool.sent_at = frame.sent_at;
+    common::Bytes& bytes = pool.buffers[pick].unique(); // sole holder: no clone
+    bytes.assign(frame.payload.begin(), frame.payload.end());
+    return pool.buffers[pick];
+}
+
 void Ring_transport::drain(std::size_t n)
 {
-    const auto decode = [this, n](const Frame_view& frame) {
+    ring_.consume([this, n](const Frame_view& frame) {
         common::ensure(frame.to >= 0 && static_cast<std::size_t>(frame.to) < n,
                        "Ring_transport: decoded recipient out of range");
         common::Shared_payload& target = *targets_[consumed_++];
-        const auto mint = [&frame] {
-            return common::Shared_payload{
-                common::Bytes{frame.payload.begin(), frame.payload.end()}};
-        };
         if (frame.from < 0 || static_cast<std::size_t>(frame.from) >= n) {
-            target = mint();
+            target = common::Shared_payload{
+                common::Bytes{frame.payload.begin(), frame.payload.end()}};
             return;
         }
-        // One payload per broadcast: a copy from the same sender and pulse
-        // with equal bytes aliases the payload that sender's previous frame
-        // minted; anything else is the one copy off the wire.
-        Minted& minted = minted_[static_cast<std::size_t>(frame.from)];
-        const common::Bytes& previous = minted.payload.bytes();
-        if (minted.sent_at != frame.sent_at || previous.size() != frame.payload.size() ||
-            !std::equal(previous.begin(), previous.end(), frame.payload.begin())) {
-            minted.sent_at = frame.sent_at;
-            minted.payload = mint();
-        }
-        target = minted.payload;
-    };
-    while (ring_.try_consume(decode)) {
-    }
+        target = mint(frame);
+    });
 }
 
 void Ring_transport::cross_pulse(sim::Pulse_batch& batch, common::Pulse)
 {
     const auto n = static_cast<std::size_t>(batch.size());
-    if (minted_.size() < n) minted_.resize(n);
+    if (pools_.size() < n) pools_.resize(n);
     targets_.clear();
     consumed_ = 0;
 
@@ -210,7 +233,7 @@ void Ring_transport::cross_pulse(sim::Pulse_batch& batch, common::Pulse)
     // the batch leaves with the shape and bytes loopback leaves in place.
     ring_.publish();
     drain(n);
-    for (Minted& minted : minted_) minted = {};
+    for (Sender_pool& pool : pools_) pool.sent_at = -1;
     account(frames, bytes);
 }
 

@@ -22,13 +22,21 @@
 //                       codec into a lock-free SPSC ring of frames (fixed
 //                       power-of-two capacity, acquire/release atomics only,
 //                       one batched publish per pulse), and every frame is
-//                       decoded back out and checksum-verified. The consumer
-//                       mints one payload per broadcast, as a remote peer
-//                       would: a frame whose sender and sent_at match that
-//                       sender's previous frame and whose bytes compare
-//                       equal reuses its payload. Swapping the ring's two
-//                       ends into separate processes is the one remaining
-//                       step to the distributed north star.
+//                       decoded back out and checksum-verified. Checksums
+//                       are computed many frames at a time (codec.h
+//                       Frame_batch): publish() seals every staged frame
+//                       together, and the consumer verifies everything
+//                       published together before handing the frames on in
+//                       order. The consumer mints one payload per
+//                       broadcast, as a remote peer would: a frame whose
+//                       sender and sent_at match that sender's previous
+//                       frame and whose bytes compare equal reuses its
+//                       payload. Payloads are minted into a small recycled
+//                       pool per sender, so the steady state copies each
+//                       broadcast off the wire once and allocates nothing
+//                       for it. Swapping the ring's two ends into separate
+//                       processes is the one remaining step to the
+//                       distributed north star.
 //
 // Determinism contract (extends the fabric's): verdicts, stats, and
 // telemetry are bit-identical between loopback and ring and across executor
@@ -41,9 +49,11 @@
 #ifndef GA_WIRE_TRANSPORT_H
 #define GA_WIRE_TRANSPORT_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/engine.h"
@@ -121,13 +131,17 @@ public:
 };
 
 /// Lock-free single-producer/single-consumer ring of encoded frames. Fixed
-/// power-of-two capacity; one Bytes buffer per slot, reused across frames so
-/// the steady state allocates nothing. Producer stages frames into free
-/// slots and publishes them with one release store per batch; the consumer
-/// pops with an acquire load. Both ends currently run on the shard's
-/// coordinating thread, but the synchronization is complete — splitting the
-/// ends across threads (or, via shared memory, processes) needs no change
-/// here.
+/// power-of-two capacity; one byte buffer per slot, reused across frames so
+/// the steady state allocates nothing. A frame is written into its slot
+/// without zero-filling it first, and a slot grows to exactly the largest
+/// frame it has carried, never geometrically. Producer stages frames into
+/// free slots with their checksum unset and publishes them with one release
+/// store per batch, sealing every staged frame's checksum together just
+/// before it; the consumer takes everything published with one acquire load
+/// and verifies it together (consume) or pops one frame (try_pop). Both
+/// ends currently run on the shard's coordinating thread, but the
+/// synchronization is complete — splitting the ends across threads (or, via
+/// shared memory, processes) needs no change here.
 class Spsc_frame_ring {
 public:
     explicit Spsc_frame_ring(int capacity);
@@ -136,14 +150,16 @@ public:
 
     // ---- Producer end.
 
-    /// Encode `msg` into the next free slot (unpublished). False when the
-    /// ring is full — publish() and let the consumer drain first.
+    /// Encode `msg` into the next free slot (unpublished, checksum unset).
+    /// False when the ring is full — publish() and let the consumer drain
+    /// first.
     [[nodiscard]] bool try_stage(const sim::Message& msg) { return try_stage(msg, msg.to); }
 
     /// Encode `msg`'s copy to recipient `to` (see encode_frame).
     [[nodiscard]] bool try_stage(const sim::Message& msg, common::Processor_id to);
 
-    /// Release every staged frame to the consumer in one atomic publish.
+    /// Fill in every staged frame's checksum, together, then release them to
+    /// the consumer in one atomic publish.
     void publish();
 
     // ---- Consumer end.
@@ -151,20 +167,27 @@ public:
     /// Decode the oldest published frame into `out`. False when empty.
     [[nodiscard]] bool try_pop(sim::Message& out);
 
-    /// Verify the oldest published frame and pass its view to `sink` before
-    /// the slot is released. False when empty.
+    /// Take every frame published so far: bounds-check each one's header and
+    /// length, verify all their checksums together, then pass each frame's
+    /// view to `sink` in order, releasing its slot once `sink` returns.
+    /// Throws at the first damaged frame as decode_frame_view would, after
+    /// `sink` has seen the frames before it; that frame and the ones after
+    /// it stay unconsumed. Returns the frames consumed.
     template <typename Sink>
-    [[nodiscard]] bool try_consume(Sink&& sink)
+    std::size_t consume(Sink&& sink)
     {
         const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-        if (tail == cached_head_) {
-            cached_head_ = head_.load(std::memory_order_acquire);
-            if (tail == cached_head_) return false; // genuinely empty
+        cached_head_ = head_.load(std::memory_order_acquire);
+        for (std::uint64_t at = tail; at != cached_head_; ++at) {
+            std::size_t offset = 0;
+            if (!received_.add_received(slots_[at & mask_].frame(), offset)) break;
         }
-        std::size_t offset = 0;
-        sink(decode_frame_view(slots_[tail & mask_], offset));
-        tail_.store(tail + 1, std::memory_order_release);
-        return true;
+        std::uint64_t next = tail;
+        received_.deliver([&](const Frame_view& frame) {
+            sink(frame);
+            tail_.store(++next, std::memory_order_release);
+        });
+        return static_cast<std::size_t>(next - tail);
     }
 
     // ---- Gauges (read from the producer side).
@@ -178,22 +201,38 @@ public:
     [[nodiscard]] std::int64_t depth_high_water() const { return depth_high_water_; }
 
 private:
-    std::vector<common::Bytes> slots_;
+    /// One frame's bytes, written in place without zero-fill. The buffer
+    /// grows to exactly the largest frame the slot has carried.
+    struct Slot {
+        std::unique_ptr<std::uint8_t[]> bytes;
+        std::size_t size = 0;
+        std::size_t capacity = 0;
+
+        [[nodiscard]] std::span<std::uint8_t> frame() const { return {bytes.get(), size}; }
+    };
+
+    std::vector<Slot> slots_;
     std::uint64_t mask_;
     alignas(64) std::atomic<std::uint64_t> head_{0}; ///< published count (producer writes)
     alignas(64) std::atomic<std::uint64_t> tail_{0}; ///< consumed count (consumer writes)
     // Producer-local state (no sharing): staging cursor + cached tail.
     std::uint64_t staged_ = 0;
     std::uint64_t cached_tail_ = 0;
-    // Consumer-local cached head.
+    Frame_batch staged_frames_; ///< sealed at publish
+    // Consumer-local cached head and verification batch.
     std::uint64_t cached_head_ = 0;
+    Frame_batch received_;
     std::int64_t depth_high_water_ = 0;
 };
 
 /// Codec round-trip link: every recipient copy is framed, pushed through
 /// the SPSC ring (batched publish per pulse), popped, verified and decoded
 /// into a minted payload that replaces the handle it was framed from — the
-/// full cost model of a process boundary, in-process.
+/// full cost model of a process boundary, in-process. Minted payloads come
+/// from a pool of k_pool_buffers recycled buffers per sender; a buffer is
+/// refilled only once use_count() reads 1 (the pool is its sole holder),
+/// and when every one is still held a slot gets a fresh buffer while the
+/// old one lives on with its holders.
 class Ring_transport final : public Transport {
 public:
     explicit Ring_transport(int ring_frames);
@@ -209,16 +248,26 @@ private:
     /// Pop everything published so far into the handles it was framed from.
     void drain(std::size_t n);
 
-    /// A sender's most recently decoded payload.
-    struct Minted {
-        common::Pulse sent_at = -1;
-        common::Shared_payload payload;
+    /// The payload for a decoded frame from in-range sender `frame.from`.
+    const common::Shared_payload& mint(const Frame_view& frame);
+
+    // A receiving replica's section buffer holds a sender's payloads for
+    // several pulses. On the serve workload's shard shape (test_alloc_budget)
+    // a play made 235 allocations with four buffers per sender and 191 with
+    // eight, which almost never finds them all held.
+    static constexpr std::size_t k_pool_buffers = 8;
+
+    /// A sender's recycled payload buffers and its most recent mint.
+    struct Sender_pool {
+        std::array<common::Shared_payload, k_pool_buffers> buffers;
+        std::size_t last = 0;       ///< slot of the most recent mint
+        common::Pulse sent_at = -1; ///< its sent_at; -1 = none this pulse
     };
 
     Spsc_frame_ring ring_;
     std::vector<common::Shared_payload*> targets_; ///< staged frames' handles, FIFO
     std::size_t consumed_ = 0;                     ///< targets_ already decoded
-    std::vector<Minted> minted_;                   ///< by sender, reset every pulse
+    std::vector<Sender_pool> pools_;               ///< by sender
 };
 
 /// Mint the configured transport (validates `config`).

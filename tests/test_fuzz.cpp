@@ -746,4 +746,119 @@ TEST(CodecFuzz, RandomGarbageEitherThrowsOrRoundTrips)
     }
 }
 
+/// The reference checksum: 64-bit FNV-1a, one byte at a time.
+std::uint64_t scalar_fnv1a(common::Byte_view bytes)
+{
+    std::uint64_t hash = 14695981039346656037ULL;
+    for (const std::uint8_t byte : bytes) {
+        hash ^= byte;
+        hash *= 1099511628211ULL;
+    }
+    return hash;
+}
+
+TEST(CodecBatchFuzz, ManyChecksumsEqualScalarFnv1a)
+{
+    // Published FNV-1a 64 vectors pin the reference itself.
+    const std::string a = "a";
+    const std::string foobar = "foobar";
+    EXPECT_EQ(scalar_fnv1a({}), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(scalar_fnv1a({reinterpret_cast<const std::uint8_t*>(a.data()), a.size()}),
+              0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(scalar_fnv1a({reinterpret_cast<const std::uint8_t*>(foobar.data()), foobar.size()}),
+              0x85944171f73967e8ULL);
+
+    Rng rng{31};
+    // Three length regimes: uniform up to 2 KiB, all spans one length, and
+    // wildly unequal (empty, tiny and 2 KiB spans mixed).
+    const auto length = [&rng](int regime, std::size_t shared) -> std::size_t {
+        switch (regime) {
+        case 0: return static_cast<std::size_t>(rng.below(2049));
+        case 1: return shared;
+        default: {
+            static constexpr std::size_t k_lengths[] = {0, 0, 1, 2, 7, 2048, 2047};
+            return k_lengths[rng.below(std::size(k_lengths))];
+        }
+        }
+    };
+    for (int regime = 0; regime < 3; ++regime) {
+        for (std::size_t count = 0; count <= 70; ++count) {
+            SCOPED_TRACE("regime " + std::to_string(regime) + ", " + std::to_string(count) +
+                         " spans");
+            const auto shared = static_cast<std::size_t>(rng.below(300));
+            std::vector<Bytes> owned;
+            for (std::size_t i = 0; i < count; ++i) {
+                Bytes bytes(length(regime, shared));
+                for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.below(256));
+                owned.push_back(std::move(bytes));
+            }
+            const std::vector<common::Byte_view> spans(owned.begin(), owned.end());
+            // One extra output slot: fnv1a_many writes only the first count.
+            std::vector<std::uint64_t> out(count + 1, 0x5A5A5A5A5A5A5A5AULL);
+            wire::fnv1a_many(spans, out);
+            for (std::size_t i = 0; i < count; ++i) {
+                ASSERT_EQ(out[i], scalar_fnv1a(spans[i])) << "span " << i;
+                ASSERT_EQ(wire::fnv1a(spans[i]), out[i]) << "span " << i;
+            }
+            EXPECT_EQ(out[count], 0x5A5A5A5A5A5A5A5AULL);
+        }
+    }
+}
+
+TEST(CodecBatchFuzz, BatchedDecodeFailsWhereOneByOneDecodeFails)
+{
+    // decode_batch checksums its frames together; decoding them one by one
+    // with decode_frame is the reference. Both must agree on every damaged
+    // batch — same message, same byte offset — and on every intact one.
+    const auto one_by_one = [](const Bytes& buf, std::vector<sim::Message>& out) -> std::string {
+        try {
+            std::size_t offset = 0;
+            while (offset < buf.size()) out.push_back(wire::decode_frame(buf, offset));
+        } catch (const common::Contract_error& e) {
+            return e.what();
+        }
+        return {};
+    };
+    Rng rng{32};
+    for (int trial = 0; trial < 400; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        std::vector<sim::Message> batch;
+        // Now and then a batch long enough that decode_batch checksums it
+        // in several rounds.
+        const auto frames =
+            static_cast<int>(trial % 16 == 0 ? 300 + rng.below(500) : rng.below(40));
+        for (int i = 0; i < frames; ++i) batch.push_back(random_wire_message(rng));
+        Bytes buf;
+        wire::encode_batch(batch, buf);
+        // No damage, one to three flipped bits, or a cut, at random places.
+        const auto kind = rng.below(4);
+        if (kind == 3 && !buf.empty()) {
+            buf.resize(static_cast<std::size_t>(rng.below(buf.size())));
+        } else {
+            for (std::uint64_t flip = 0; flip < kind && !buf.empty(); ++flip) {
+                buf[static_cast<std::size_t>(rng.below(buf.size()))] ^=
+                    static_cast<std::uint8_t>(1U << rng.below(8));
+            }
+        }
+        std::vector<sim::Message> want;
+        const std::string want_error = one_by_one(buf, want);
+        std::string got_error;
+        std::vector<sim::Message> got;
+        try {
+            got = wire::decode_batch(buf);
+        } catch (const common::Contract_error& e) {
+            got_error = e.what();
+        }
+        ASSERT_EQ(got_error, want_error);
+        if (!want_error.empty()) continue;
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].from, want[i].from);
+            EXPECT_EQ(got[i].to, want[i].to);
+            EXPECT_EQ(got[i].sent_at, want[i].sent_at);
+            EXPECT_EQ(got[i].payload.bytes(), want[i].payload.bytes());
+        }
+    }
+}
+
 } // namespace

@@ -1,8 +1,11 @@
 // The wire layer: flat frame codec (layout, round-trips, damage detection
 // with byte offsets), the zero-copy loopback link, the lock-free SPSC frame
-// ring (full/empty/wrap edges, FIFO order, high-water gauges), and the
-// fabric-level determinism contract — verdicts, stats, and telemetry JSON
-// bit-identical between loopback and ring and across executor widths.
+// ring (full/empty/wrap edges, FIFO order, high-water gauges), batched
+// checksums (encode_batch and the ring's published frames byte-equal to
+// encode_frame; the first damaged frame named, and only the frames before
+// it delivered), and the fabric-level determinism contract — verdicts,
+// stats, and telemetry JSON bit-identical between loopback and ring and
+// across executor widths.
 // bench_wire (E19) re-checks codec and transport throughput at scale.
 #include <gtest/gtest.h>
 
@@ -249,6 +252,241 @@ TEST(WireRing, CrossPulseDeliversLoopbackIdenticalMessagesAndStats)
     EXPECT_LE(as_ring->ring().depth_high_water(), 8)
         << "occupancy can never exceed the ring capacity";
     EXPECT_EQ(as_ring->ring().depth(), 0) << "every frame must be drained by pulse end";
+}
+
+// --------------------------------------------------------- Batched checksums
+
+/// Frames of wildly unequal length, an empty payload among them.
+std::vector<sim::Message> uneven_messages()
+{
+    std::vector<sim::Message> batch;
+    for (const std::size_t length : {0, 700, 3, 64, 1500, 1, 129}) {
+        Bytes payload(length);
+        for (std::size_t i = 0; i < length; ++i) {
+            payload[i] = static_cast<std::uint8_t>(i * 7 + length);
+        }
+        const auto id = static_cast<common::Processor_id>(batch.size());
+        batch.push_back(make_message(id, id + 1, std::move(payload), 40 + id));
+    }
+    return batch;
+}
+
+/// Each message's frame, back to back, and where each frame starts.
+Bytes concatenated_frames(const std::vector<sim::Message>& batch,
+                          std::vector<std::size_t>* starts = nullptr)
+{
+    Bytes buf;
+    for (const sim::Message& msg : batch) {
+        if (starts != nullptr) starts->push_back(buf.size());
+        wire::encode_frame(msg, buf);
+    }
+    return buf;
+}
+
+TEST(WireBatch, EncodeBatchEqualsConcatenatedFrames)
+{
+    const std::vector<sim::Message> batch = uneven_messages();
+    const Bytes want = concatenated_frames(batch);
+    Bytes got;
+    wire::encode_batch(batch, got);
+    EXPECT_EQ(got, want);
+
+    // encode_batch appends: bytes already in the buffer stay put.
+    Bytes appended{0xDE, 0xAD};
+    wire::encode_batch(batch, appended);
+    ASSERT_EQ(appended.size(), 2 + want.size());
+    EXPECT_EQ(appended[0], 0xDE);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), appended.begin() + 2));
+
+    Bytes none;
+    wire::encode_batch({}, none);
+    EXPECT_TRUE(none.empty());
+
+    // Long enough to be sealed in several rounds.
+    std::vector<sim::Message> long_batch;
+    for (int i = 0; i < 100; ++i) long_batch.insert(long_batch.end(), batch.begin(), batch.end());
+    Bytes long_got;
+    wire::encode_batch(long_batch, long_got);
+    EXPECT_EQ(long_got, concatenated_frames(long_batch));
+}
+
+TEST(WireBatch, RingPublishesExactlyTheEncodedFrames)
+{
+    // A frame view's payload views the frame's own bytes at the documented
+    // offset, so the whole published frame can be read back through it.
+    const auto whole_frame = [](const wire::Frame_view& frame) {
+        return Bytes{frame.payload.data() - wire::k_frame_header_bytes,
+                     frame.payload.data() + frame.payload.size() + wire::k_frame_checksum_bytes};
+    };
+    wire::Spsc_frame_ring ring{4};
+    const std::vector<sim::Message> batch = uneven_messages();
+    // Rounds of three frames wrap the ring, so every slot carries frames
+    // both longer and shorter than the one before: a slot reused for a
+    // shorter frame must not leak the longer one's bytes.
+    for (int round = 0; round < 6; ++round) {
+        std::vector<Bytes> want;
+        for (int i = 0; i < 3; ++i) {
+            const sim::Message& msg = batch[static_cast<std::size_t>(round * 3 + i) % batch.size()];
+            const common::Processor_id to = (round + i) % 5;
+            ASSERT_TRUE(ring.try_stage(msg, to));
+            wire::encode_frame(msg, to, want.emplace_back());
+        }
+        ring.publish();
+        std::vector<Bytes> got;
+        EXPECT_EQ(ring.consume([&](const wire::Frame_view& frame) {
+                      got.push_back(whole_frame(frame));
+                  }),
+                  3u);
+        EXPECT_EQ(got, want) << "round " << round;
+        EXPECT_EQ(ring.depth(), 0);
+    }
+}
+
+TEST(WireBatch, DecodeBatchThrowsAtTheFirstDamagedFrame)
+{
+    std::vector<std::size_t> starts;
+    const Bytes buf = concatenated_frames(uneven_messages(), &starts);
+    const std::size_t last = starts.size() - 1;
+    const auto error = [](const Bytes& damaged) {
+        return thrown_what([&] { (void)wire::decode_batch(damaged); });
+    };
+    const auto at = [](const char* what, std::size_t byte) {
+        return std::string{"wire: "} + what + " at byte " + std::to_string(byte);
+    };
+    // Flip the sent_at byte: inside the checksummed header of every frame,
+    // the empty-payload one included.
+    const auto flip = [&](Bytes& damaged, std::size_t frame) {
+        damaged[starts[frame] + 12] ^= 0x40;
+    };
+
+    for (const std::size_t victim : {std::size_t{0}, std::size_t{3}, last}) {
+        Bytes damaged = buf;
+        flip(damaged, victim);
+        EXPECT_EQ(error(damaged), at("frame checksum mismatch", starts[victim]));
+    }
+
+    // Two damaged frames: the earlier one is named.
+    Bytes twice = buf;
+    flip(twice, 4);
+    flip(twice, 1);
+    EXPECT_EQ(error(twice), at("frame checksum mismatch", starts[1]));
+
+    // Within a frame the header checks win over the checksum: a damaged
+    // magic also breaks the checksum, and is what gets named.
+    Bytes magic = buf;
+    magic[starts[2]] ^= 0x01;
+    EXPECT_EQ(error(magic), at("bad frame magic", starts[2]));
+
+    // Across frames the earlier damage wins, whichever kind it is.
+    Bytes magic_first = buf;
+    magic_first[starts[2]] ^= 0x01;
+    flip(magic_first, 5);
+    EXPECT_EQ(error(magic_first), at("bad frame magic", starts[2]));
+    Bytes checksum_first = buf;
+    flip(checksum_first, 1);
+    checksum_first[starts[5]] ^= 0x01;
+    EXPECT_EQ(error(checksum_first), at("frame checksum mismatch", starts[1]));
+
+    // A truncated last frame, alone and behind an earlier damaged frame.
+    const Bytes cut{buf.begin(), buf.end() - 1};
+    EXPECT_EQ(error(cut), at("truncated frame payload", starts[last] + wire::k_frame_header_bytes));
+    Bytes cut_after = cut;
+    flip(cut_after, 2);
+    EXPECT_EQ(error(cut_after), at("frame checksum mismatch", starts[2]));
+    const Bytes short_header{buf.begin(),
+                             buf.begin() + static_cast<std::ptrdiff_t>(starts[last] + 5)};
+    EXPECT_EQ(error(short_header), at("truncated frame header", starts[last]));
+}
+
+TEST(WireBatch, FramesBeforeTheDamageReachTheSinkAndLaterOnesDoNot)
+{
+    std::vector<std::size_t> starts;
+    const Bytes buf = concatenated_frames(uneven_messages(), &starts);
+    const auto deliver = [](wire::Frame_batch& frames, const Bytes& bytes,
+                            std::vector<common::Processor_id>& seen) {
+        std::size_t offset = 0;
+        while (offset < bytes.size() && frames.add_received(bytes, offset)) {
+        }
+        return thrown_what([&] {
+            frames.deliver([&](const wire::Frame_view& frame) { seen.push_back(frame.from); });
+        });
+    };
+    wire::Frame_batch frames;
+
+    Bytes damaged = buf;
+    damaged[starts[3] + wire::k_frame_header_bytes] ^= 0x01; // frame 3's payload
+    std::vector<common::Processor_id> seen;
+    EXPECT_EQ(deliver(frames, damaged, seen),
+              "wire: frame checksum mismatch at byte " + std::to_string(starts[3]));
+    EXPECT_EQ(seen, (std::vector<common::Processor_id>{0, 1, 2}));
+
+    // A header error stops the queue where it is found; the frames before
+    // it are still verified and delivered first.
+    Bytes bad_magic = buf;
+    bad_magic[starts[5]] ^= 0x01;
+    seen.clear();
+    EXPECT_EQ(deliver(frames, bad_magic, seen),
+              "wire: bad frame magic at byte " + std::to_string(starts[5]));
+    EXPECT_EQ(seen, (std::vector<common::Processor_id>{0, 1, 2, 3, 4}));
+
+    // A throw empties the batch: the next round starts clean.
+    seen.clear();
+    EXPECT_EQ(deliver(frames, buf, seen), "");
+    EXPECT_EQ(seen.size(), starts.size());
+}
+
+TEST(WireBatch, RingConsumeReleasesOnlyTheFramesTheSinkFinished)
+{
+    wire::Spsc_frame_ring ring{8};
+    for (int i = 0; i < 5; ++i) {
+        const Bytes payload(static_cast<std::size_t>(i * 40), 1);
+        ASSERT_TRUE(ring.try_stage(make_message(i, 0, payload, i)));
+    }
+    ring.publish();
+    std::vector<common::Processor_id> seen;
+    const std::string what = thrown_what([&] {
+        (void)ring.consume([&](const wire::Frame_view& frame) {
+            common::ensure(frame.from != 2, "sink refuses frame 2");
+            seen.push_back(frame.from);
+        });
+    });
+    EXPECT_EQ(what, "sink refuses frame 2");
+    EXPECT_EQ(seen, (std::vector<common::Processor_id>{0, 1}));
+    EXPECT_EQ(ring.depth(), 3) << "the refused frame and the ones after it stay queued";
+
+    // The next consume resumes at the refused frame, in order.
+    seen.clear();
+    EXPECT_EQ(ring.consume([&](const wire::Frame_view& frame) { seen.push_back(frame.from); }), 3u);
+    EXPECT_EQ(seen, (std::vector<common::Processor_id>{2, 3, 4}));
+    EXPECT_EQ(ring.depth(), 0);
+}
+
+TEST(WireBatch, RingPoolNeverRefillsAPayloadSomeoneStillHolds)
+{
+    wire::Wire_config config;
+    config.kind = wire::Transport_kind::ring;
+    auto link = wire::make_transport(config);
+    // One sender, a new payload every pulse. Every third delivered payload
+    // is kept past its pulse, more of them than the sender's pool has
+    // buffers; the rest are dropped and may be recycled.
+    std::vector<common::Shared_payload> held;
+    std::vector<Bytes> held_bytes;
+    for (int pulse = 0; pulse < 60; ++pulse) {
+        std::vector<std::vector<sim::Message>> inboxes(2);
+        const Bytes payload(static_cast<std::size_t>(8 + pulse % 5),
+                            static_cast<std::uint8_t>(pulse));
+        inboxes[1].push_back(make_message(0, 1, payload, pulse));
+        sim::Pulse_batch batch{inboxes};
+        link->cross_pulse(batch, pulse);
+        ASSERT_EQ(inboxes[1][0].payload.bytes(), payload) << "pulse " << pulse;
+        if (pulse % 3 == 0) {
+            held.push_back(inboxes[1][0].payload);
+            held_bytes.push_back(payload);
+        }
+    }
+    for (std::size_t i = 0; i < held.size(); ++i) {
+        EXPECT_EQ(held[i].bytes(), held_bytes[i]) << "held payload " << i << " was refilled";
+    }
 }
 
 // ------------------------------------------------------------ Fabric parity
