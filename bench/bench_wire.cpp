@@ -2,18 +2,19 @@
 //
 // The wire layer puts a real boundary's cost model under each replica
 // group's engine: every intra-group pulse message can be framed through the
-// flat codec and crossed via the lock-free SPSC frame ring instead of moving
-// refcounted handles. This
-// bench quantifies what that costs:
+// flat codec, checksummed, verified and decoded back out instead of moving
+// refcounted handles. This bench quantifies what that costs:
 //
 //   1. Codec microbench: encode+decode round-trip rate (frames/sec and
 //      bytes/sec) for each of the protocol's payload shapes, from empty
 //      heartbeats to KB-scale blobs. Floor: every round-trip is byte-exact —
 //      re-encoding the decoded frame reproduces the wire bytes.
 //   2. Transport comparison on E12's workload: steady-state fabric plays/sec
-//      with the zero-copy loopback link vs the full codec+ring round-trip.
-//      Floor: ring >= 0.5x loopback plays/sec — the boundary costs, but it
-//      must not halve the fabric.
+//      with the zero-copy loopback link vs the ring's codec round-trip, over
+//      a warm-up pair and then alternating timed trials (bench_json.h
+//      paired_trials). Floor: the median per-trial ratio ring >= 0.5x
+//      loopback plays/sec — the boundary costs, but it must not halve the
+//      fabric. Every trial, the median and the IQR go to --json.
 //   3. Determinism contract: verdicts, play histories, and the telemetry
 //      JSON are bit-identical between loopback and ring and across executor
 //      widths {1, 2, 4}; the wire census (frames, bytes, batch high water)
@@ -143,31 +144,6 @@ Codec_rate measure_codec(std::size_t payload_bytes, int frames, std::uint64_t se
 
 // --------------------------------------------------------------- Transport
 
-struct Throughput {
-    std::int64_t plays = 0;
-    double seconds = 0.0;
-};
-
-/// Steady-state E12 workload: warm up one pulse + one play, then time
-/// `plays` plays per shard over the chosen transport.
-Throughput measure_transport(wire::Transport_kind kind, int agents, int shards, int threads,
-                             int plays)
-{
-    Fabric fabric = make_fabric(agents, shards, threads, /*seed=*/2026, kind);
-    fabric.run_pulses(1);
-    fabric.run_plays(1);
-    const std::int64_t before = fabric.report().total_plays;
-
-    const auto start = std::chrono::steady_clock::now();
-    fabric.run_plays(plays);
-    const auto stop = std::chrono::steady_clock::now();
-
-    Throughput result;
-    result.plays = fabric.report().total_plays - before;
-    result.seconds = std::chrono::duration<double>(stop - start).count();
-    return result;
-}
-
 /// Everything a run can observe, JSON included — the bit-identity witness.
 struct Observed {
     metrics::Fabric_metrics report;
@@ -249,41 +225,51 @@ int main(int argc, char** argv)
     std::cout << "\nCodec floor (every round-trip byte-exact): "
               << (codec_exact ? "PASS" : "FAIL") << "\n\n";
 
-    // ---- 2. Ring vs loopback on E12's workload.
+    // ---- 2. Ring vs loopback on E12's workload: one steady-state fabric
+    // per link, warmed up, then alternating timed trials of one play per
+    // shard at a time; the floor is judged on the median per-trial ratio.
     const int agents = smoke ? 16 : 40;
     const int shards = 4;
     const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
     const int threads = std::min<int>(shards, static_cast<int>(hardware));
-    const int plays = smoke ? 2 : 6;
+    const int warmup = 1;
+    const int trials = smoke ? 9 : 15;
+    const double trial_seconds = smoke ? 0.1 : 0.4;
 
     std::cout << "Transport: " << agents << " agents / " << shards << " shards / " << threads
-              << " threads, " << plays << " plays per shard (E12 workload).\n\n";
-    common::Table link_table{{"transport", "plays", "wall ms", "plays/sec", "vs loopback"}};
-    double loopback_rate = 0.0;
-    double ring_ratio = 0.0;
-    telemetry::Json_writer link_rows;
-    link_rows.begin_array();
-    for (const auto kind : {wire::Transport_kind::loopback, wire::Transport_kind::ring}) {
-        const Throughput t = measure_transport(kind, agents, shards, threads, plays);
-        const double per_sec = static_cast<double>(t.plays) / t.seconds;
-        if (kind == wire::Transport_kind::loopback) loopback_rate = per_sec;
-        const double ratio = per_sec / loopback_rate;
-        if (kind == wire::Transport_kind::ring) ring_ratio = ratio;
-        link_table.add_row({wire::transport_kind_name(kind), std::to_string(t.plays),
-                            common::fixed(t.seconds * 1e3, 1), common::fixed(per_sec, 1),
-                            common::fixed(ratio, 2)});
-        link_rows.begin_object();
-        link_rows.field("transport", wire::transport_kind_name(kind));
-        link_rows.field("plays_per_sec", per_sec);
-        link_rows.field("ratio_vs_loopback", ratio);
-        link_rows.end_object();
+              << " threads (E12 workload); " << warmup << " warm-up pair, then " << trials
+              << " alternating trials of >= " << common::fixed(trial_seconds, 1)
+              << " s per link.\n\n";
+    Fabric loopback =
+        make_fabric(agents, shards, threads, /*seed=*/2026, wire::Transport_kind::loopback);
+    Fabric ring = make_fabric(agents, shards, threads, /*seed=*/2026, wire::Transport_kind::ring);
+    loopback.run_pulses(1);
+    ring.run_pulses(1);
+    const auto play = [shards](Fabric& fabric) {
+        return [&fabric, shards] {
+            fabric.run_plays(1);
+            return static_cast<std::int64_t>(shards); // one play per shard
+        };
+    };
+    const ga::bench::Paired_trials paired = ga::bench::paired_trials(
+        play(loopback), play(ring), warmup, trials, trial_seconds);
+
+    common::Table link_table{
+        {"trial", "first", "loopback plays/sec", "ring plays/sec", "ring / loopback"}};
+    for (std::size_t i = 0; i < paired.trials.size(); ++i) {
+        const ga::bench::Trial& t = paired.trials[i];
+        link_table.add_row({std::to_string(i), t.candidate_first ? "ring" : "loopback",
+                            common::fixed(t.baseline_rate, 1), common::fixed(t.candidate_rate, 1),
+                            common::fixed(t.ratio, 2)});
     }
-    link_rows.end_array();
     link_table.print(std::cout);
+    const double ring_ratio = paired.ratio.median;
     const bool ring_ok = ring_ratio >= 0.5;
-    std::cout << "\nRing floor (>= 0.5x loopback plays/sec): "
-              << common::fixed(ring_ratio, 2) << "x -> " << (ring_ok ? "PASS" : "FAIL")
-              << "\n\n";
+    std::cout << "\nRing floor (median ring / loopback plays/sec >= 0.5): "
+              << common::fixed(ring_ratio, 2) << "x (quartiles "
+              << common::fixed(paired.ratio.q1, 2) << "-" << common::fixed(paired.ratio.q3, 2)
+              << ") -> "
+              << (ring_ok ? "PASS" : "FAIL") << "\n\n";
 
     // ---- 3. Determinism: loopback vs ring x executor widths, plus census.
     const int det_agents = smoke ? 12 : 24;
@@ -326,7 +312,7 @@ int main(int argc, char** argv)
     report.field("smoke", smoke);
     report.raw("codec", codec_rows.take());
     report.field("codec_exact", codec_exact);
-    report.raw("transports", link_rows.take());
+    report.raw("transports", ga::bench::to_json(paired, "loopback", "ring", "plays/sec"));
     report.field("ring_ratio_vs_loopback", ring_ratio);
     report.field("ring_ok", ring_ok);
     report.field("deterministic", deterministic);

@@ -75,7 +75,6 @@ void Fabric::validate_config() const
     // The front door's own validation names the offending Ingest_config
     // field, so a bad Fabric_config::ingest can never construct a fabric.
     if (config_.ingest.has_value()) config_.ingest->validate();
-    config_.transport.validate();
 }
 
 Fabric::Fabric(Shard_map map, std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors,

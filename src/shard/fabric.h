@@ -99,9 +99,8 @@ struct Fabric_config {
     /// (src/wire/): the replica group's intra-group pulse inboxes — every
     /// message its replicas exchange in one pulse. `loopback` moves the
     /// refcounted payload handles (the historical in-process behavior, now
-    /// explicit); `ring` round-trips every message through the flat frame
-    /// codec and a lock-free SPSC ring, the full cost model of a process
-    /// boundary. Part of the determinism contract: verdicts, stats, and
+    /// explicit); `ring` round-trips every recipient copy through the flat
+    /// frame codec, the full cost model of a process boundary. Part of the determinism contract: verdicts, stats, and
     /// telemetry are bit-identical between the two kinds and across executor
     /// widths — the choice moves wall-clock cost, never results.
     /// One link per shard group, rebuilt with the group at epoch edges.

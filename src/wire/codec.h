@@ -1,9 +1,9 @@
 // Flat deterministic codec for the pulse protocol.
 //
-// The ROADMAP's "shards as processes" item needs the fabric's cross-boundary
-// traffic to survive a real process boundary, and every sim::Message already
-// carries its payload as a flat common::Shared_payload byte buffer — so the
-// wire format frames those bytes as-is instead of serializing C++ objects.
+// Prices what a replica group's pulse traffic would cost across a real
+// process boundary. Every sim::Message already carries its payload as a flat
+// common::Shared_payload byte buffer, so the wire format frames those bytes
+// as-is instead of serializing C++ objects.
 // One frame per message, fixed little-endian layout:
 //
 //   offset  size  field
@@ -34,7 +34,8 @@
 // bounds-checks each frame's header and length as it queues it, verifies
 // every checksum together, and delivers the frames in order up to the
 // first damaged one, which throws exactly what decode_frame_view would.
-// encode_batch, decode_batch and the ring transport (transport.h) use it.
+// encode_batch, decode_batch and the ring transport (transport.h), which
+// seals and receives one pulse's frames as one batch, use it.
 //
 // Determinism: encode is a pure function of the message, decode of the
 // bytes; batch encode/decode preserve order. The transports (transport.h)
@@ -67,9 +68,9 @@ inline constexpr std::size_t k_frame_checksum_bytes = 8;
 /// Total framing overhead per message (header + checksum).
 inline constexpr std::size_t k_frame_overhead = k_frame_header_bytes + k_frame_checksum_bytes;
 
-/// Encoded size of one message's frame. Pure arithmetic — the loopback
-/// transport accounts wire bytes with this instead of encoding, which is how
-/// `wire.*` telemetry stays bit-identical between loopback and ring.
+/// Encoded size of one message's frame. Pure arithmetic — both transports
+/// size a pulse with this (the loopback one instead of encoding), which is
+/// how `wire.*` telemetry stays bit-identical between loopback and ring.
 [[nodiscard]] inline std::size_t encoded_size(const sim::Message& msg)
 {
     return k_frame_overhead + msg.payload.size();

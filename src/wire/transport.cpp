@@ -1,7 +1,7 @@
 #include "wire/transport.h"
 
 #include <algorithm>
-#include <string>
+#include <span>
 
 #include "common/ensure.h"
 
@@ -16,12 +16,38 @@ const char* transport_kind_name(Transport_kind kind)
     return "unknown";
 }
 
-void Wire_config::validate() const
+namespace {
+
+/// Recipient copies in one pulse and their encoded frame bytes.
+struct Pulse_size {
+    std::int64_t frames = 0;
+    std::int64_t bytes = 0;
+};
+
+/// Size `batch` as the wire carries it, arithmetically (encoded_size): one
+/// frame per row message, batch.size() - 1 per broadcast entry.
+Pulse_size pulse_size(const sim::Pulse_batch& batch)
 {
-    common::ensure(ring_frames > 0 && (static_cast<unsigned>(ring_frames) &
-                                       (static_cast<unsigned>(ring_frames) - 1)) == 0,
-                   "Wire_config::ring_frames must be a positive power of two");
+    Pulse_size size;
+    for (const std::vector<sim::Message>& row : batch.rows) {
+        for (const sim::Message& msg : row) {
+            size.frames += 1;
+            size.bytes += static_cast<std::int64_t>(encoded_size(msg));
+        }
+    }
+    if (batch.entries != nullptr) {
+        const std::int64_t copies = batch.size() - 1;
+        for (const sim::Outbox& outbox : *batch.entries) {
+            for (const sim::Message& entry : outbox.broadcasts) {
+                size.frames += copies;
+                size.bytes += copies * static_cast<std::int64_t>(encoded_size(entry));
+            }
+        }
+    }
+    return size;
 }
+
+} // namespace
 
 void Transport::set_telemetry(telemetry::Telemetry_sink* sink)
 {
@@ -56,100 +82,9 @@ void Transport::account(std::int64_t frames, std::int64_t bytes)
 
 void Loopback_transport::cross_pulse(sim::Pulse_batch& batch, common::Pulse)
 {
-    // Zero-copy: the handles stay where they are. Accounting only — with
-    // encoded_size computed arithmetically so it matches the ring byte for
-    // byte without touching the codec.
-    std::int64_t frames = 0;
-    std::int64_t bytes = 0;
-    for (const std::vector<sim::Message>& row : batch.rows) {
-        for (const sim::Message& msg : row) {
-            frames += 1;
-            bytes += static_cast<std::int64_t>(encoded_size(msg));
-        }
-    }
-    if (batch.entries != nullptr) {
-        const std::int64_t copies = batch.size() - 1;
-        for (const sim::Outbox& outbox : *batch.entries) {
-            for (const sim::Message& entry : outbox.broadcasts) {
-                frames += copies;
-                bytes += copies * static_cast<std::int64_t>(encoded_size(entry));
-            }
-        }
-    }
-    account(frames, bytes);
-}
-
-Spsc_frame_ring::Spsc_frame_ring(int capacity)
-{
-    common::ensure(capacity > 0 && (static_cast<unsigned>(capacity) &
-                                    (static_cast<unsigned>(capacity) - 1)) == 0,
-                   "Spsc_frame_ring: capacity must be a positive power of two");
-    slots_.resize(static_cast<std::size_t>(capacity));
-    mask_ = static_cast<std::uint64_t>(capacity) - 1;
-}
-
-bool Spsc_frame_ring::try_stage(const sim::Message& msg, common::Processor_id to)
-{
-    const std::uint64_t cursor = head_.load(std::memory_order_relaxed) + staged_;
-    if (cursor - cached_tail_ > mask_) {
-        cached_tail_ = tail_.load(std::memory_order_acquire);
-        if (cursor - cached_tail_ > mask_) return false; // genuinely full
-    }
-    Slot& slot = slots_[cursor & mask_];
-    slot.size = encoded_size(msg);
-    if (slot.capacity < slot.size) {
-        slot.bytes = std::make_unique_for_overwrite<std::uint8_t[]>(slot.size);
-        slot.capacity = slot.size;
-    }
-    encode_unsealed(msg, to, slot.frame());
-    staged_ += 1;
-    return true;
-}
-
-void Spsc_frame_ring::publish()
-{
-    if (staged_ == 0) return;
-    const std::uint64_t first = head_.load(std::memory_order_relaxed);
-    for (std::uint64_t at = first; at != first + staged_; ++at) {
-        staged_frames_.add_unsealed(slots_[at & mask_].frame());
-    }
-    staged_frames_.seal();
-    const std::uint64_t head = first + staged_;
-    staged_ = 0;
-    head_.store(head, std::memory_order_release);
-    cached_tail_ = tail_.load(std::memory_order_acquire);
-    depth_high_water_ =
-        std::max(depth_high_water_, static_cast<std::int64_t>(head - cached_tail_));
-}
-
-bool Spsc_frame_ring::try_pop(sim::Message& out)
-{
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == cached_head_) {
-        cached_head_ = head_.load(std::memory_order_acquire);
-        if (tail == cached_head_) return false; // genuinely empty
-    }
-    std::size_t offset = 0;
-    out = decode_frame(slots_[tail & mask_].frame(), offset);
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-}
-
-std::int64_t Spsc_frame_ring::depth() const
-{
-    return static_cast<std::int64_t>(head_.load(std::memory_order_acquire) -
-                                     tail_.load(std::memory_order_acquire));
-}
-
-Ring_transport::Ring_transport(int ring_frames) : ring_{ring_frames} {}
-
-void Ring_transport::stage(sim::Message& msg, common::Processor_id to, std::size_t n)
-{
-    targets_.push_back(&msg.payload);
-    while (!ring_.try_stage(msg, to)) {
-        ring_.publish();
-        drain(n);
-    }
+    // Zero-copy: the handles stay where they are. Accounting only.
+    const Pulse_size size = pulse_size(batch);
+    account(size.frames, size.bytes);
 }
 
 const common::Shared_payload& Ring_transport::mint(const Frame_view& frame)
@@ -179,12 +114,56 @@ const common::Shared_payload& Ring_transport::mint(const Frame_view& frame)
     return pool.buffers[pick];
 }
 
-void Ring_transport::drain(std::size_t n)
+void Ring_transport::cross_pulse(sim::Pulse_batch& batch, common::Pulse)
 {
-    ring_.consume([this, n](const Frame_view& frame) {
+    const auto n = static_cast<std::size_t>(batch.size());
+    common::ensure(batch.entries == nullptr || batch.entries->size() == n,
+                   "Ring_transport: one broadcast outbox per processor");
+    if (pools_.size() < n) pools_.resize(n);
+    const Pulse_size size = pulse_size(batch);
+    size_ = static_cast<std::size_t>(size.bytes);
+    if (capacity_ < size_) {
+        buffer_ = std::make_unique_for_overwrite<std::uint8_t[]>(size_);
+        capacity_ = size_;
+    }
+
+    // Sending end: frame every recipient copy back to back — the
+    // per-recipient rows, then each broadcast entry once per recipient —
+    // and seal them together.
+    targets_.clear();
+    std::size_t end = 0;
+    const auto encode = [&](sim::Message& msg, common::Processor_id to) {
+        const std::span<std::uint8_t> bytes{buffer_.get() + end, encoded_size(msg)};
+        encode_unsealed(msg, to, bytes);
+        frame_batch_.add_unsealed(bytes);
+        targets_.push_back(&msg.payload);
+        end += bytes.size();
+    };
+    for (std::vector<sim::Message>& row : batch.rows) {
+        for (sim::Message& msg : row) encode(msg, msg.to);
+    }
+    if (batch.entries != nullptr) {
+        for (std::size_t from = 0; from < n; ++from) {
+            for (sim::Message& entry : (*batch.entries)[from].broadcasts) {
+                for (std::size_t to = 0; to < n; ++to) {
+                    if (to != from) encode(entry, static_cast<common::Processor_id>(to));
+                }
+            }
+        }
+    }
+    frame_batch_.seal();
+
+    // Receiving end: bounds-check every frame, verify them together, and
+    // hand each decoded payload back to the handle it was framed from, so
+    // the batch leaves with the shape and bytes loopback leaves in place.
+    for (std::size_t offset = 0; offset < size_;) {
+        if (!frame_batch_.add_received(last_frames(), offset)) break;
+    }
+    std::size_t next = 0;
+    frame_batch_.deliver([&](const Frame_view& frame) {
         common::ensure(frame.to >= 0 && static_cast<std::size_t>(frame.to) < n,
                        "Ring_transport: decoded recipient out of range");
-        common::Shared_payload& target = *targets_[consumed_++];
+        common::Shared_payload& target = *targets_[next++];
         if (frame.from < 0 || static_cast<std::size_t>(frame.from) >= n) {
             target = common::Shared_payload{
                 common::Bytes{frame.payload.begin(), frame.payload.end()}};
@@ -192,57 +171,15 @@ void Ring_transport::drain(std::size_t n)
         }
         target = mint(frame);
     });
-}
-
-void Ring_transport::cross_pulse(sim::Pulse_batch& batch, common::Pulse)
-{
-    const auto n = static_cast<std::size_t>(batch.size());
-    if (pools_.size() < n) pools_.resize(n);
-    targets_.clear();
-    consumed_ = 0;
-
-    // Producer side: frame every recipient copy — the per-recipient rows,
-    // then each broadcast entry once per recipient. A batch larger than the
-    // ring publishes early and lets the consumer drain — in-process the two
-    // ends interleave right here, exactly where a remote consumer would
-    // relieve a full ring.
-    std::int64_t frames = 0;
-    std::int64_t bytes = 0;
-    for (std::vector<sim::Message>& row : batch.rows) {
-        for (sim::Message& msg : row) {
-            frames += 1;
-            bytes += static_cast<std::int64_t>(encoded_size(msg));
-            stage(msg, msg.to, n);
-        }
-    }
-    if (batch.entries != nullptr) {
-        for (std::size_t from = 0; from < batch.entries->size(); ++from) {
-            for (sim::Message& entry : (*batch.entries)[from].broadcasts) {
-                for (std::size_t to = 0; to < n; ++to) {
-                    if (to == from) continue;
-                    frames += 1;
-                    bytes += static_cast<std::int64_t>(encoded_size(entry));
-                    stage(entry, static_cast<common::Processor_id>(to), n);
-                }
-            }
-        }
-    }
-
-    // One batched publish per pulse, then the consumer side decodes every
-    // frame and hands its payload back to the handle it was framed from, so
-    // the batch leaves with the shape and bytes loopback leaves in place.
-    ring_.publish();
-    drain(n);
     for (Sender_pool& pool : pools_) pool.sent_at = -1;
-    account(frames, bytes);
+    account(size.frames, size.bytes);
 }
 
 std::unique_ptr<Transport> make_transport(const Wire_config& config)
 {
-    config.validate();
     switch (config.kind) {
     case Transport_kind::loopback: return std::make_unique<Loopback_transport>();
-    case Transport_kind::ring: return std::make_unique<Ring_transport>(config.ring_frames);
+    case Transport_kind::ring: return std::make_unique<Ring_transport>();
     }
     throw common::Contract_error{"make_transport: unknown transport kind"};
 }

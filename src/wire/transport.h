@@ -7,36 +7,33 @@
 // explicit: the engine hands it the whole pulse's deliveries
 // (sim::Pulse_batch through sim::Pulse_link) and the transport moves them
 // "across". A real boundary carries one frame per recipient copy, so both
-// transports count a broadcast entry as rows.size() - 1 frames. Two
-// implementations:
+// transports size a pulse with one arithmetic walk: codec.h encoded_size of
+// each row message, and of each broadcast entry times its rows.size() - 1
+// recipient copies. Two implementations:
 //
 //   Loopback_transport  the historical behavior, now explicit: leaves the
 //                       refcounted payload handles in place, encodes
-//                       nothing. Wire accounting is computed arithmetically
-//                       (codec.h encoded_size, times the recipient copies of
-//                       an entry), so its telemetry matches the ring's bit
-//                       for bit.
+//                       nothing, and accounts the pulse from that walk
+//                       alone, so its telemetry matches the ring's bit for
+//                       bit.
 //
 //   Ring_transport      a real boundary's cost model in-process: every
 //                       recipient copy is encoded through the flat frame
-//                       codec into a lock-free SPSC ring of frames (fixed
-//                       power-of-two capacity, acquire/release atomics only,
-//                       one batched publish per pulse), and every frame is
-//                       decoded back out and checksum-verified. Checksums
-//                       are computed many frames at a time (codec.h
-//                       Frame_batch): publish() seals every staged frame
-//                       together, and the consumer verifies everything
-//                       published together before handing the frames on in
-//                       order. The consumer mints one payload per
+//                       codec into one buffer the transport owns, the whole
+//                       pulse is checksummed together (codec.h Frame_batch),
+//                       and every frame is bounds-checked, verified and
+//                       decoded back out in order. Both ends run on the
+//                       engine's coordinating thread, so the pulse needs no
+//                       queue: the buffer is sized to the pulse, written
+//                       without zero-fill, and grows only to the largest
+//                       pulse seen. The receiving end mints one payload per
 //                       broadcast, as a remote peer would: a frame whose
 //                       sender and sent_at match that sender's previous
 //                       frame and whose bytes compare equal reuses its
 //                       payload. Payloads are minted into a small recycled
 //                       pool per sender, so the steady state copies each
 //                       broadcast off the wire once and allocates nothing
-//                       for it. Swapping the ring's two ends into separate
-//                       processes is the one remaining step to the
-//                       distributed north star.
+//                       for it.
 //
 // Determinism contract (extends the fabric's): verdicts, stats, and
 // telemetry are bit-identical between loopback and ring and across executor
@@ -50,10 +47,8 @@
 #define GA_WIRE_TRANSPORT_H
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "sim/engine.h"
@@ -64,22 +59,15 @@ namespace ga::wire {
 
 enum class Transport_kind : std::uint8_t {
     loopback, ///< zero-copy in-process handle move (default)
-    ring,     ///< codec round-trip through the SPSC frame ring
+    ring,     ///< codec round-trip of every recipient copy
 };
 
 /// Spelled-out kind (stable names for configs, benches, exporters).
 [[nodiscard]] const char* transport_kind_name(Transport_kind kind);
 
-/// Per-shard link selection (Fabric_config::transport). validate() throws
-/// Contract_error naming the offending field.
+/// Per-shard link selection (Fabric_config::transport).
 struct Wire_config {
     Transport_kind kind = Transport_kind::loopback;
-    /// Ring capacity in frames; must be a power of two. A pulse batch larger
-    /// than the ring still crosses — the in-process consumer drains mid-batch
-    /// exactly where a remote peer would apply backpressure.
-    int ring_frames = 1024;
-
-    void validate() const;
 
     friend bool operator==(const Wire_config&, const Wire_config&) = default;
 };
@@ -130,131 +118,33 @@ public:
     void cross_pulse(sim::Pulse_batch& batch, common::Pulse at) override;
 };
 
-/// Lock-free single-producer/single-consumer ring of encoded frames. Fixed
-/// power-of-two capacity; one byte buffer per slot, reused across frames so
-/// the steady state allocates nothing. A frame is written into its slot
-/// without zero-filling it first, and a slot grows to exactly the largest
-/// frame it has carried, never geometrically. Producer stages frames into
-/// free slots with their checksum unset and publishes them with one release
-/// store per batch, sealing every staged frame's checksum together just
-/// before it; the consumer takes everything published with one acquire load
-/// and verifies it together (consume) or pops one frame (try_pop). Both
-/// ends currently run on the shard's coordinating thread, but the
-/// synchronization is complete — splitting the ends across threads (or, via
-/// shared memory, processes) needs no change here.
-class Spsc_frame_ring {
-public:
-    explicit Spsc_frame_ring(int capacity);
-
-    [[nodiscard]] int capacity() const { return static_cast<int>(mask_ + 1); }
-
-    // ---- Producer end.
-
-    /// Encode `msg` into the next free slot (unpublished, checksum unset).
-    /// False when the ring is full — publish() and let the consumer drain
-    /// first.
-    [[nodiscard]] bool try_stage(const sim::Message& msg) { return try_stage(msg, msg.to); }
-
-    /// Encode `msg`'s copy to recipient `to` (see encode_frame).
-    [[nodiscard]] bool try_stage(const sim::Message& msg, common::Processor_id to);
-
-    /// Fill in every staged frame's checksum, together, then release them to
-    /// the consumer in one atomic publish.
-    void publish();
-
-    // ---- Consumer end.
-
-    /// Decode the oldest published frame into `out`. False when empty.
-    [[nodiscard]] bool try_pop(sim::Message& out);
-
-    /// Take every frame published so far: bounds-check each one's header and
-    /// length, verify all their checksums together, then pass each frame's
-    /// view to `sink` in order, releasing its slot once `sink` returns.
-    /// Throws at the first damaged frame as decode_frame_view would, after
-    /// `sink` has seen the frames before it; that frame and the ones after
-    /// it stay unconsumed. Returns the frames consumed.
-    template <typename Sink>
-    std::size_t consume(Sink&& sink)
-    {
-        const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-        cached_head_ = head_.load(std::memory_order_acquire);
-        for (std::uint64_t at = tail; at != cached_head_; ++at) {
-            std::size_t offset = 0;
-            if (!received_.add_received(slots_[at & mask_].frame(), offset)) break;
-        }
-        std::uint64_t next = tail;
-        received_.deliver([&](const Frame_view& frame) {
-            sink(frame);
-            tail_.store(++next, std::memory_order_release);
-        });
-        return static_cast<std::size_t>(next - tail);
-    }
-
-    // ---- Gauges (read from the producer side).
-
-    /// Published frames not yet consumed.
-    [[nodiscard]] std::int64_t depth() const;
-
-    /// Deepest the ring has ever been at a publish edge. Distinct from the
-    /// link's batch high water: a batch larger than the ring drains mid-
-    /// pulse, so this tops out at the capacity.
-    [[nodiscard]] std::int64_t depth_high_water() const { return depth_high_water_; }
-
-private:
-    /// One frame's bytes, written in place without zero-fill. The buffer
-    /// grows to exactly the largest frame the slot has carried.
-    struct Slot {
-        std::unique_ptr<std::uint8_t[]> bytes;
-        std::size_t size = 0;
-        std::size_t capacity = 0;
-
-        [[nodiscard]] std::span<std::uint8_t> frame() const { return {bytes.get(), size}; }
-    };
-
-    std::vector<Slot> slots_;
-    std::uint64_t mask_;
-    alignas(64) std::atomic<std::uint64_t> head_{0}; ///< published count (producer writes)
-    alignas(64) std::atomic<std::uint64_t> tail_{0}; ///< consumed count (consumer writes)
-    // Producer-local state (no sharing): staging cursor + cached tail.
-    std::uint64_t staged_ = 0;
-    std::uint64_t cached_tail_ = 0;
-    Frame_batch staged_frames_; ///< sealed at publish
-    // Consumer-local cached head and verification batch.
-    std::uint64_t cached_head_ = 0;
-    Frame_batch received_;
-    std::int64_t depth_high_water_ = 0;
-};
-
-/// Codec round-trip link: every recipient copy is framed, pushed through
-/// the SPSC ring (batched publish per pulse), popped, verified and decoded
-/// into a minted payload that replaces the handle it was framed from — the
-/// full cost model of a process boundary, in-process. Minted payloads come
-/// from a pool of k_pool_buffers recycled buffers per sender; a buffer is
-/// refilled only once use_count() reads 1 (the pool is its sole holder),
-/// and when every one is still held a slot gets a fresh buffer while the
-/// old one lives on with its holders.
+/// Codec round-trip link: every recipient copy is framed into one buffer
+/// the transport owns, the frames are sealed together, then bounds-checked,
+/// verified and decoded into a minted payload that replaces the handle each
+/// was framed from — the full cost model of a process boundary, in-process.
+/// The buffer is written without zero-fill and grows to exactly the largest
+/// pulse seen. Minted payloads come from a pool of k_pool_buffers recycled
+/// buffers per sender; a buffer is refilled only once use_count() reads 1
+/// (the pool is its sole holder), and when every one is still held a slot
+/// gets a fresh buffer while the old one lives on with its holders.
 class Ring_transport final : public Transport {
 public:
-    explicit Ring_transport(int ring_frames);
-
     [[nodiscard]] Transport_kind kind() const override { return Transport_kind::ring; }
     void cross_pulse(sim::Pulse_batch& batch, common::Pulse at) override;
 
-    [[nodiscard]] const Spsc_frame_ring& ring() const { return ring_; }
+    /// The most recent pulse's frames, back to back in crossing order: the
+    /// rows' messages, then each broadcast entry once per recipient.
+    [[nodiscard]] common::Byte_view last_frames() const { return {buffer_.get(), size_}; }
 
 private:
-    /// Frame `msg`'s copy to `to`, draining mid-batch when the ring is full.
-    void stage(sim::Message& msg, common::Processor_id to, std::size_t n);
-    /// Pop everything published so far into the handles it was framed from.
-    void drain(std::size_t n);
-
     /// The payload for a decoded frame from in-range sender `frame.from`.
     const common::Shared_payload& mint(const Frame_view& frame);
 
     // A receiving replica's section buffer holds a sender's payloads for
-    // several pulses. On the serve workload's shard shape (test_alloc_budget)
-    // a play made 235 allocations with four buffers per sender and 191 with
-    // eight, which almost never finds them all held.
+    // several pulses. On the serve workload's shard shape (test_alloc_budget),
+    // measured while frames still crossed a slot ring, a play made 235
+    // allocations with four buffers per sender and 191 with eight, which
+    // almost never finds them all held.
     static constexpr std::size_t k_pool_buffers = 8;
 
     /// A sender's recycled payload buffers and its most recent mint.
@@ -264,13 +154,15 @@ private:
         common::Pulse sent_at = -1; ///< its sent_at; -1 = none this pulse
     };
 
-    Spsc_frame_ring ring_;
-    std::vector<common::Shared_payload*> targets_; ///< staged frames' handles, FIFO
-    std::size_t consumed_ = 0;                     ///< targets_ already decoded
+    std::unique_ptr<std::uint8_t[]> buffer_;       ///< one pulse's frames
+    std::size_t size_ = 0;                         ///< bytes of the last pulse
+    std::size_t capacity_ = 0;                     ///< bytes buffer_ holds
+    Frame_batch frame_batch_;                      ///< sealed, then received
+    std::vector<common::Shared_payload*> targets_; ///< each frame's handle
     std::vector<Sender_pool> pools_;               ///< by sender
 };
 
-/// Mint the configured transport (validates `config`).
+/// Mint the configured transport.
 [[nodiscard]] std::unique_ptr<Transport> make_transport(const Wire_config& config);
 
 } // namespace ga::wire

@@ -121,6 +121,8 @@ struct Outcome {
     std::vector<Log> logs;
     sim::Traffic_stats stats;
     wire::Link_stats link;
+    /// Encoded bytes the link crossed in each pulse.
+    std::vector<std::int64_t> pulse_bytes;
 };
 
 Outcome run(const Scenario& scenario, bool expand, int threads)
@@ -130,7 +132,6 @@ Outcome run(const Scenario& scenario, bool expand, int threads)
     if (scenario.link.has_value()) {
         wire::Wire_config config;
         config.kind = *scenario.link;
-        config.ring_frames = 8; // smaller than a pulse: forces mid-pulse drains
         link = wire::make_transport(config);
         engine.set_link(link.get());
     }
@@ -152,12 +153,14 @@ Outcome run(const Scenario& scenario, bool expand, int threads)
                            /*split_at=*/n / 2),
                        /*byzantine=*/true);
     }
+    Outcome outcome;
     for (Pulse p = 1; p <= scenario.pulses; ++p) {
+        const std::int64_t crossed = link ? link->stats().bytes : 0;
         engine.run_pulse();
+        if (link) outcome.pulse_bytes.push_back(link->stats().bytes - crossed);
         if (scenario.after_pulse) scenario.after_pulse(engine, p);
     }
 
-    Outcome outcome;
     for (Processor_id id = 0; id < n; ++id) {
         if (engine.is_byzantine(id)) {
             outcome.logs.emplace_back();
@@ -341,11 +344,26 @@ TEST(Delivery, RingAndLoopbackAgreeAtOneAndFourThreads)
 {
     Scenario scenario;
     scenario.graph = [] { return sim::complete_graph(6); };
+    // Every sender repeats its sends 1, 2, ..., 5, 4, ..., 1 times over nine
+    // pulses, so pulses grow and then shrink: the ring's frame buffer grows
+    // mid-run, and later pulses reuse it for fewer bytes.
     scenario.script = [](Processor_id id, Pulse pulse) -> std::vector<Send> {
-        if (id == 5) return {{false, 0}, {false, 0}};
-        if ((id + pulse) % 3 == 0) return {{false, (id + 1) % 6}, {true, -1}};
-        return {{true, -1}};
+        const Pulse step = pulse % 1000; // the second face sees pulse + 1000
+        const Pulse repeats = std::min(step + 1, 9 - step);
+        std::vector<Send> sends;
+        for (Pulse r = 0; r < repeats; ++r) {
+            if (id == 5) {
+                sends.push_back({false, 0});
+            } else if ((id + step + r) % 3 == 0) {
+                sends.push_back({false, (id + 1) % 6});
+                sends.push_back({true, -1});
+            } else {
+                sends.push_back({true, -1});
+            }
+        }
+        return sends;
     };
+    scenario.pulses = 9;
     scenario.two_faced = {2};
     scenario.link = wire::Transport_kind::loopback;
     const Outcome loopback = expect_broadcast_equals_unicasts(scenario);
@@ -354,7 +372,19 @@ TEST(Delivery, RingAndLoopbackAgreeAtOneAndFourThreads)
     EXPECT_EQ(ring.logs, loopback.logs);
     EXPECT_EQ(ring.stats, loopback.stats);
     EXPECT_EQ(ring.link, loopback.link);
-    EXPECT_GT(ring.link.high_water, 8) << "pulses must outgrow the ring";
+    EXPECT_EQ(ring.pulse_bytes, loopback.pulse_bytes);
+
+    // The largest pulse comes after a smaller non-empty one and before
+    // smaller ones.
+    const auto& bytes = ring.pulse_bytes;
+    const auto peak = std::max_element(bytes.begin(), bytes.end());
+    const auto first =
+        std::find_if(bytes.begin(), bytes.end(), [](std::int64_t b) { return b > 0; });
+    ASSERT_NE(first, bytes.end());
+    EXPECT_LT(first, peak) << "the buffer must grow after its first pulse";
+    EXPECT_TRUE(std::any_of(peak + 1, bytes.end(),
+                            [&](std::int64_t b) { return b > 0 && b < *peak; }))
+        << "smaller pulses must follow the largest";
 }
 
 TEST(Delivery, RandomScenariosMatchTheirSpelledOutUnicasts)

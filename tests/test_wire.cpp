@@ -1,16 +1,18 @@
 // The wire layer: flat frame codec (layout, round-trips, damage detection
-// with byte offsets), the zero-copy loopback link, the lock-free SPSC frame
-// ring (full/empty/wrap edges, FIFO order, high-water gauges), batched
-// checksums (encode_batch and the ring's published frames byte-equal to
-// encode_frame; the first damaged frame named, and only the frames before
-// it delivered), and the fabric-level determinism contract — verdicts,
-// stats, and telemetry JSON bit-identical between loopback and ring and
-// across executor widths.
+// with byte offsets), the zero-copy loopback link, the ring link's per-pulse
+// frame buffer (frames byte-equal to encode_frame across pulses that grow and
+// shrink, payloads identical to loopback), batched checksums (encode_batch
+// byte-equal to encode_frame; the first damaged frame named, and only the
+// frames before it delivered), and the fabric-level determinism contract —
+// verdicts, stats, and telemetry JSON bit-identical between loopback and ring
+// and across executor widths.
 // bench_wire (E19) re-checks codec and transport throughput at scale.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "shard/fabric.h"
 #include "telemetry/export.h"
@@ -129,25 +131,10 @@ TEST(Wire, DecodeNamesTheByteOffsetOfTheDamage)
 
 // ---------------------------------------------------------------- Transport
 
-TEST(Wire, ConfigValidatesRingCapacity)
-{
-    wire::Wire_config config;
-    EXPECT_TRUE(thrown_what([&] { config.validate(); }).empty());
-    config.kind = wire::Transport_kind::ring;
-    config.ring_frames = 48; // not a power of two
-    EXPECT_NE(thrown_what([&] { config.validate(); }).find("ring_frames"),
-              std::string::npos);
-    config.ring_frames = 0;
-    EXPECT_NE(thrown_what([&] { config.validate(); }).find("ring_frames"),
-              std::string::npos);
-    config.ring_frames = 64;
-    EXPECT_TRUE(thrown_what([&] { config.validate(); }).empty());
-    EXPECT_STREQ(wire::transport_kind_name(wire::Transport_kind::loopback), "loopback");
-    EXPECT_STREQ(wire::transport_kind_name(wire::Transport_kind::ring), "ring");
-}
-
 TEST(Wire, LoopbackMovesHandlesWithoutCopyingAndAccountsArithmetically)
 {
+    EXPECT_STREQ(wire::transport_kind_name(wire::Transport_kind::loopback), "loopback");
+    EXPECT_STREQ(wire::transport_kind_name(wire::Transport_kind::ring), "ring");
     auto link = wire::make_transport({});
     ASSERT_EQ(link->kind(), wire::Transport_kind::loopback);
 
@@ -174,47 +161,10 @@ TEST(Wire, LoopbackMovesHandlesWithoutCopyingAndAccountsArithmetically)
     EXPECT_EQ(link->stats().pulses, 1);
 }
 
-TEST(WireRing, EmptyFullAndWrapEdges)
-{
-    wire::Spsc_frame_ring ring{4};
-    EXPECT_EQ(ring.capacity(), 4);
-    sim::Message out;
-    EXPECT_FALSE(ring.try_pop(out)) << "fresh ring must be empty";
-
-    // Fill to capacity: the fifth stage must refuse.
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(ring.try_stage(make_message(i, 0, Bytes{static_cast<std::uint8_t>(i)}, i)));
-    }
-    EXPECT_FALSE(ring.try_stage(make_message(4, 0, Bytes{4}, 4)));
-    EXPECT_EQ(ring.depth(), 0) << "staged frames are invisible until publish";
-    ring.publish();
-    EXPECT_EQ(ring.depth(), 4);
-    EXPECT_EQ(ring.depth_high_water(), 4);
-
-    // Drain in FIFO order, then wrap: push/pop past the capacity repeatedly
-    // and the slots must hand back intact frames every time.
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(ring.try_pop(out));
-        EXPECT_EQ(out.from, i);
-        ASSERT_EQ(out.payload.size(), 1u);
-        EXPECT_EQ(out.payload.data()[0], i);
-    }
-    EXPECT_FALSE(ring.try_pop(out));
-    for (int round = 0; round < 9; ++round) {
-        Bytes payload(static_cast<std::size_t>(round % 5), static_cast<std::uint8_t>(round));
-        ASSERT_TRUE(ring.try_stage(make_message(round, 1, payload, 100 + round)));
-        ring.publish();
-        ASSERT_TRUE(ring.try_pop(out));
-        expect_same_message(out, make_message(round, 1, payload, 100 + round));
-    }
-    EXPECT_EQ(ring.depth_high_water(), 4) << "singleton publishes never beat the full batch";
-}
-
 TEST(WireRing, CrossPulseDeliversLoopbackIdenticalMessagesAndStats)
 {
     wire::Wire_config ring_config;
     ring_config.kind = wire::Transport_kind::ring;
-    ring_config.ring_frames = 8; // smaller than the batch: forces mid-pulse drains
     auto ring = wire::make_transport(ring_config);
     auto loopback = wire::make_transport({});
 
@@ -245,13 +195,6 @@ TEST(WireRing, CrossPulseDeliversLoopbackIdenticalMessagesAndStats)
         << "wire accounting must be transport-invariant";
     EXPECT_EQ(ring->stats().frames, 20);
     EXPECT_EQ(ring->stats().high_water, 20);
-
-    const auto* as_ring = dynamic_cast<const wire::Ring_transport*>(ring.get());
-    ASSERT_NE(as_ring, nullptr);
-    EXPECT_GT(as_ring->ring().depth_high_water(), 0);
-    EXPECT_LE(as_ring->ring().depth_high_water(), 8)
-        << "occupancy can never exceed the ring capacity";
-    EXPECT_EQ(as_ring->ring().depth(), 0) << "every frame must be drained by pulse end";
 }
 
 // --------------------------------------------------------- Batched checksums
@@ -312,34 +255,86 @@ TEST(WireBatch, EncodeBatchEqualsConcatenatedFrames)
 
 TEST(WireBatch, RingPublishesExactlyTheEncodedFrames)
 {
-    // A frame view's payload views the frame's own bytes at the documented
-    // offset, so the whole published frame can be read back through it.
-    const auto whole_frame = [](const wire::Frame_view& frame) {
-        return Bytes{frame.payload.data() - wire::k_frame_header_bytes,
-                     frame.payload.data() + frame.payload.size() + wire::k_frame_checksum_bytes};
-    };
-    wire::Spsc_frame_ring ring{4};
-    const std::vector<sim::Message> batch = uneven_messages();
-    // Rounds of three frames wrap the ring, so every slot carries frames
-    // both longer and shorter than the one before: a slot reused for a
-    // shorter frame must not leak the longer one's bytes.
-    for (int round = 0; round < 6; ++round) {
-        std::vector<Bytes> want;
-        for (int i = 0; i < 3; ++i) {
-            const sim::Message& msg = batch[static_cast<std::size_t>(round * 3 + i) % batch.size()];
-            const common::Processor_id to = (round + i) % 5;
-            ASSERT_TRUE(ring.try_stage(msg, to));
-            wire::encode_frame(msg, to, want.emplace_back());
+    wire::Wire_config ring_config;
+    ring_config.kind = wire::Transport_kind::ring;
+    auto ring = wire::make_transport(ring_config);
+    auto loopback = wire::make_transport({});
+    const auto* as_ring = dynamic_cast<const wire::Ring_transport*>(ring.get());
+    ASSERT_NE(as_ring, nullptr);
+
+    // Pulses of growing, then shrinking byte counts: the buffer grows twice
+    // mid-run, and every later pulse overwrites a longer one's bytes, which
+    // must not leak into its frames.
+    const std::vector<sim::Message> shapes = uneven_messages();
+    constexpr int n = 3;
+    const std::vector<std::size_t> frames_per_pulse = {1, 4, 9, 9, 5, 2, 0, 1};
+    std::size_t next_shape = 0;
+    std::size_t largest = 0;
+    int grew = 0;
+    int shrank = 0;
+    for (std::size_t p = 0; p < frames_per_pulse.size(); ++p) {
+        const auto at = static_cast<common::Pulse>(p);
+        // Unicasts into rows, plus one broadcast from sender 1 on odd pulses.
+        const auto build = [&, start = next_shape] {
+            std::vector<std::vector<sim::Message>> rows(n);
+            std::vector<sim::Outbox> entries(n);
+            std::size_t shape = start;
+            for (std::size_t i = 0; i < frames_per_pulse[p]; ++i, ++shape) {
+                const auto to = static_cast<common::Processor_id>(i % n);
+                const Bytes& payload = shapes[shape % shapes.size()].payload.bytes();
+                rows[static_cast<std::size_t>(to)].push_back(
+                    make_message((to + 1) % n, to, payload, at));
+            }
+            if (p % 2 == 1) {
+                entries[1].broadcasts.push_back(
+                    make_message(1, -1, shapes[shape % shapes.size()].payload.bytes(), at));
+            }
+            return std::pair{std::move(rows), std::move(entries)};
+        };
+        auto [ring_rows, ring_entries] = build();
+        auto [loop_rows, loop_entries] = build();
+        next_shape += frames_per_pulse[p] + 1;
+
+        // What the ring must carry, in crossing order: the rows, then the
+        // broadcast once per recipient.
+        Bytes want;
+        for (const auto& row : ring_rows) {
+            for (const sim::Message& msg : row) wire::encode_frame(msg, want);
         }
-        ring.publish();
-        std::vector<Bytes> got;
-        EXPECT_EQ(ring.consume([&](const wire::Frame_view& frame) {
-                      got.push_back(whole_frame(frame));
-                  }),
-                  3u);
-        EXPECT_EQ(got, want) << "round " << round;
-        EXPECT_EQ(ring.depth(), 0);
+        for (std::size_t from = 0; from < n; ++from) {
+            for (const sim::Message& entry : ring_entries[from].broadcasts) {
+                for (common::Processor_id to = 0; to < n; ++to) {
+                    if (to != static_cast<common::Processor_id>(from)) {
+                        wire::encode_frame(entry, to, want);
+                    }
+                }
+            }
+        }
+
+        sim::Pulse_batch ring_batch{ring_rows, &ring_entries};
+        sim::Pulse_batch loop_batch{loop_rows, &loop_entries};
+        ring->cross_pulse(ring_batch, at);
+        loopback->cross_pulse(loop_batch, at);
+        const common::Byte_view got = as_ring->last_frames();
+        EXPECT_EQ(Bytes(got.begin(), got.end()), want) << "pulse " << p;
+        for (std::size_t row = 0; row < n; ++row) {
+            ASSERT_EQ(ring_rows[row].size(), loop_rows[row].size());
+            for (std::size_t i = 0; i < ring_rows[row].size(); ++i) {
+                expect_same_message(ring_rows[row][i], loop_rows[row][i]);
+            }
+            ASSERT_EQ(ring_entries[row].broadcasts.size(), loop_entries[row].broadcasts.size());
+            for (std::size_t i = 0; i < ring_entries[row].broadcasts.size(); ++i) {
+                expect_same_message(ring_entries[row].broadcasts[i],
+                                    loop_entries[row].broadcasts[i]);
+            }
+        }
+        EXPECT_EQ(ring->stats(), loopback->stats()) << "pulse " << p;
+        grew += p > 0 && got.size() > largest ? 1 : 0;
+        shrank += got.size() < largest ? 1 : 0;
+        largest = std::max(largest, got.size());
     }
+    EXPECT_GE(grew, 2) << "the buffer must grow after the first pulse";
+    EXPECT_GE(shrank, 3) << "shorter pulses must follow longer ones";
 }
 
 TEST(WireBatch, DecodeBatchThrowsAtTheFirstDamagedFrame)
@@ -435,32 +430,6 @@ TEST(WireBatch, FramesBeforeTheDamageReachTheSinkAndLaterOnesDoNot)
     EXPECT_EQ(seen.size(), starts.size());
 }
 
-TEST(WireBatch, RingConsumeReleasesOnlyTheFramesTheSinkFinished)
-{
-    wire::Spsc_frame_ring ring{8};
-    for (int i = 0; i < 5; ++i) {
-        const Bytes payload(static_cast<std::size_t>(i * 40), 1);
-        ASSERT_TRUE(ring.try_stage(make_message(i, 0, payload, i)));
-    }
-    ring.publish();
-    std::vector<common::Processor_id> seen;
-    const std::string what = thrown_what([&] {
-        (void)ring.consume([&](const wire::Frame_view& frame) {
-            common::ensure(frame.from != 2, "sink refuses frame 2");
-            seen.push_back(frame.from);
-        });
-    });
-    EXPECT_EQ(what, "sink refuses frame 2");
-    EXPECT_EQ(seen, (std::vector<common::Processor_id>{0, 1}));
-    EXPECT_EQ(ring.depth(), 3) << "the refused frame and the ones after it stay queued";
-
-    // The next consume resumes at the refused frame, in order.
-    seen.clear();
-    EXPECT_EQ(ring.consume([&](const wire::Frame_view& frame) { seen.push_back(frame.from); }), 3u);
-    EXPECT_EQ(seen, (std::vector<common::Processor_id>{2, 3, 4}));
-    EXPECT_EQ(ring.depth(), 0);
-}
-
 TEST(WireBatch, RingPoolNeverRefillsAPayloadSomeoneStillHolds)
 {
     wire::Wire_config config;
@@ -524,7 +493,7 @@ struct Observed {
     std::string telemetry_json;
 };
 
-Observed run_fabric(wire::Transport_kind kind, int threads, int ring_frames = 64)
+Observed run_fabric(wire::Transport_kind kind, int threads)
 {
     const int agents = 12;
     std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors;
@@ -543,7 +512,6 @@ Observed run_fabric(wire::Transport_kind kind, int threads, int ring_frames = 64
     config.threads = threads;
     config.telemetry = true;
     config.transport.kind = kind;
-    config.transport.ring_frames = ring_frames;
     shard::Fabric fabric{shard::Shard_map{agents, 3}, std::move(behaviors),
                          std::move(config)};
     fabric.run_pulses(2);
@@ -573,10 +541,6 @@ TEST(WireRing, FabricIsBitIdenticalAcrossTransportsAndThreads)
                 << transport_kind_name(kind) << " x " << threads << " threads";
         }
     }
-    // A cramped ring changes frame scheduling, never results.
-    const Observed cramped = run_fabric(wire::Transport_kind::ring, 2, /*ring_frames=*/2);
-    EXPECT_EQ(cramped.report, reference.report);
-    EXPECT_EQ(cramped.telemetry_json, reference.telemetry_json);
 }
 
 } // namespace
