@@ -226,12 +226,13 @@ int main(int argc, char** argv)
               << (codec_exact ? "PASS" : "FAIL") << "\n\n";
 
     // ---- 2. Ring vs loopback on E12's workload: one steady-state fabric
-    // per link, warmed up, then alternating timed trials of one play per
-    // shard at a time; the floor is judged on the median per-trial ratio.
+    // per link, warmed up, then alternating timed trials of `batch` plays
+    // per shard at a time; the floor is judged on the median per-trial ratio.
     const int agents = smoke ? 16 : 40;
     const int shards = 4;
     const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
     const int threads = std::min<int>(shards, static_cast<int>(hardware));
+    const int batch = smoke ? 2 : 6; // plays per shard in one timed step
     const int warmup = 1;
     const int trials = smoke ? 9 : 15;
     const double trial_seconds = smoke ? 0.1 : 0.4;
@@ -239,16 +240,16 @@ int main(int argc, char** argv)
     std::cout << "Transport: " << agents << " agents / " << shards << " shards / " << threads
               << " threads (E12 workload); " << warmup << " warm-up pair, then " << trials
               << " alternating trials of >= " << common::fixed(trial_seconds, 1)
-              << " s per link.\n\n";
+              << " s per link, " << batch << " plays per shard per step.\n\n";
     Fabric loopback =
         make_fabric(agents, shards, threads, /*seed=*/2026, wire::Transport_kind::loopback);
     Fabric ring = make_fabric(agents, shards, threads, /*seed=*/2026, wire::Transport_kind::ring);
     loopback.run_pulses(1);
     ring.run_pulses(1);
-    const auto play = [shards](Fabric& fabric) {
-        return [&fabric, shards] {
-            fabric.run_plays(1);
-            return static_cast<std::int64_t>(shards); // one play per shard
+    const auto play = [shards, batch](Fabric& fabric) {
+        return [&fabric, shards, batch] {
+            fabric.run_plays(batch);
+            return static_cast<std::int64_t>(batch) * shards;
         };
     };
     const ga::bench::Paired_trials paired = ga::bench::paired_trials(

@@ -100,9 +100,10 @@ struct Fabric_config {
     /// message its replicas exchange in one pulse. `loopback` moves the
     /// refcounted payload handles (the historical in-process behavior, now
     /// explicit); `ring` round-trips every recipient copy through the flat
-    /// frame codec, the full cost model of a process boundary. Part of the determinism contract: verdicts, stats, and
-    /// telemetry are bit-identical between the two kinds and across executor
-    /// widths — the choice moves wall-clock cost, never results.
+    /// frame codec, the full cost model of a process boundary. Part of the
+    /// determinism contract: verdicts, stats, and telemetry are
+    /// bit-identical between the two kinds and across executor widths — the
+    /// choice moves wall-clock cost, never results.
     /// One link per shard group, rebuilt with the group at epoch edges.
     wire::Wire_config transport;
     /// Plays agreed per BA activation batch of every shard's

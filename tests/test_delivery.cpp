@@ -22,6 +22,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "authority/agent.h"
@@ -346,15 +347,17 @@ TEST(Delivery, RingAndLoopbackAgreeAtOneAndFourThreads)
     scenario.graph = [] { return sim::complete_graph(6); };
     // Every sender repeats its sends 1, 2, ..., 5, 4, ..., 1 times over nine
     // pulses, so pulses grow and then shrink: the ring's frame buffer grows
-    // mid-run, and later pulses reuse it for fewer bytes.
+    // mid-run, and later pulses reuse it for fewer bytes. Only the repeat
+    // count drops the second face's + 1000; the send pattern keeps the full
+    // pulse, so processor 2's faces send differently.
     scenario.script = [](Processor_id id, Pulse pulse) -> std::vector<Send> {
-        const Pulse step = pulse % 1000; // the second face sees pulse + 1000
+        const Pulse step = pulse % 1000;
         const Pulse repeats = std::min(step + 1, 9 - step);
         std::vector<Send> sends;
         for (Pulse r = 0; r < repeats; ++r) {
             if (id == 5) {
                 sends.push_back({false, 0});
-            } else if ((id + step + r) % 3 == 0) {
+            } else if ((id + pulse + r) % 3 == 0) {
                 sends.push_back({false, (id + 1) % 6});
                 sends.push_back({true, -1});
             } else {
@@ -365,6 +368,15 @@ TEST(Delivery, RingAndLoopbackAgreeAtOneAndFourThreads)
     };
     scenario.pulses = 9;
     scenario.two_faced = {2};
+    const auto sends_of = [&scenario](Pulse pulse) {
+        std::vector<std::pair<bool, Processor_id>> sends;
+        for (const Send& s : scenario.script(2, pulse)) sends.emplace_back(s.broadcast, s.to);
+        return sends;
+    };
+    bool equivocates = false;
+    for (Pulse p = 0; p < scenario.pulses; ++p)
+        equivocates = equivocates || sends_of(p) != sends_of(p + 1000);
+    EXPECT_TRUE(equivocates) << "processor 2's faces must send differently";
     scenario.link = wire::Transport_kind::loopback;
     const Outcome loopback = expect_broadcast_equals_unicasts(scenario);
     scenario.link = wire::Transport_kind::ring;
