@@ -25,9 +25,9 @@ Ic_factory choose_ic(int n, int f)
 {
     // E7 crossover (bench_bap_scaling, BM_authority_play): at f = 1 (n = 5)
     // EIG is cheaper in wall time per play (~0.09-0.12 vs ~0.15-0.22 ms) and
-    // runs 2 send rounds to parallel-IC's 7, so a play takes 14 pulses
-    // instead of 34. From f = 2 on EIG's exponential payloads dominate:
-    // parallel-IC moves ~2.7x fewer bytes per play at n = 9 and is ~1.5-2x
+    // runs 2 send rounds to parallel-IC's 6, so a play takes 13 pulses
+    // instead of 29. From f = 2 on EIG's exponential payloads dominate:
+    // parallel-IC moves ~4x fewer bytes per play at n = 9 and is ~1.5-2x
     // faster — but it only exists for n > 4f.
     if (f >= 2 && n > 4 * f) return ic_parallel_phase_king();
     return ic_eig();

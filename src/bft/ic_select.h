@@ -3,12 +3,12 @@
 // The game authority runs every play phase over one IC activation, and two
 // substrates implement the Ic_session contract: EIG (optimal resilience
 // n > 3f, f+1 rounds, exponential payloads) and parallel Turpin-Coan over
-// phase-king (polynomial payloads, n > 4f, 3+2(f+1) rounds, its n instances
+// phase-king (polynomial payloads, n > 4f, 2+2(f+1) rounds, its n instances
 // fused in one Parallel_ic_session). Which one is cheaper end-to-end depends
 // on (n, f): bench E7's BM_authority_play measures the crossover — at f = 1
 // EIG's payload blow-up has not kicked in yet, so EIG costs less wall time
-// per play than parallel-IC and also runs the shorter schedule (14 pulses
-// per play against 34), while from f = 2 on parallel-IC moves ~2.7x fewer
+// per play than parallel-IC and also runs the shorter schedule (13 pulses
+// per play against 29), while from f = 2 on parallel-IC moves ~4x fewer
 // bytes and runs ~1.5-2x faster per play. choose_ic encodes that
 // measurement so callers get the right substrate by default instead of
 // hard-coding one.

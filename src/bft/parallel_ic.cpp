@@ -23,8 +23,6 @@ void Parallel_ic_session::restart(Value input)
     // Sized once; a restart keeps every buffer and its values' capacity.
     const auto instances = static_cast<std::size_t>(n_);
     seed_.resize(instances);
-    x_.resize(instances);
-    x_valid_.resize(instances);
     candidate_.resize(instances);
     candidate_valid_.resize(instances);
     pref_.resize(instances);
@@ -46,24 +44,20 @@ void Parallel_ic_session::append_message_for_round(common::Round r, common::Byte
     // Section j is what instance j, as a standalone Turpin_coan_session,
     // would send in round r - 1; it is written in place behind a length
     // prefix that is filled in once the section's size is known.
-    const common::Round tc_round = r - 1;
-    const common::Round pk_round = tc_round - 2;
+    const bool echo = r == 1;
+    const common::Round pk_round = r - 2;
     const bool pk_speaks = binary_started_ && pk_round >= 0 && pk_round < phase_king_rounds(f_);
     const auto n = static_cast<std::size_t>(n_);
     std::size_t size = n * (4 + 5); // prefix plus tag and value length, or a bit
-    for (std::size_t j = 0; j < n; ++j) {
-        if (tc_round == 0) size += seed_[j].size();
-        if (tc_round == 1 && x_valid_[j]) size += x_[j].size();
+    if (echo) {
+        for (const Value& seed : seed_) size += seed.size();
     }
     out.reserve(out.size() + size);
     for (std::size_t j = 0; j < n; ++j) {
         const std::size_t prefix = out.size();
         common::put_u32(out, 0);
-        if (tc_round == 0) {
+        if (echo) {
             put_tagged(out, seed_[j]);
-        } else if (tc_round == 1) {
-            put_tagged(out, x_valid_[j] ? std::optional<common::Byte_view>{x_[j]}
-                                            : std::nullopt);
         } else if (pk_speaks) {
             if (pk_round % 2 == 0) {
                 put_bit(out, pref_[j]); // universal exchange
@@ -98,8 +92,7 @@ void Parallel_ic_session::deliver_round(common::Round r, const Round_payloads& p
             if (reader.try_get_view(value) && reader.exhausted())
                 seed.assign(value.begin(), value.end());
         }
-        // Fresh instances: no quorum value, no candidate, no binary stage.
-        std::fill(x_valid_.begin(), x_valid_.end(), std::uint8_t{0});
+        // Fresh instances: no candidate, no binary stage.
         std::fill(candidate_valid_.begin(), candidate_valid_.end(), std::uint8_t{0});
         binary_started_ = false;
         seeded_ = true;
@@ -107,11 +100,10 @@ void Parallel_ic_session::deliver_round(common::Round r, const Round_payloads& p
     }
     if (!seeded_) return; // out-of-schedule call after a fault
 
-    const common::Round tc_round = r - 1;
-    const common::Round pk_round = tc_round - 2;
-    if (tc_round >= 2 && (!binary_started_ || pk_round >= phase_king_rounds(f_))) return;
-    if (tc_round <= 1) {
-        deliver_reduction_round(payloads, /*quorum_round=*/tc_round == 0);
+    const common::Round pk_round = r - 2;
+    if (pk_round >= 0 && (!binary_started_ || pk_round >= phase_king_rounds(f_))) return;
+    if (pk_round < 0) {
+        deliver_echo_round(payloads);
     } else if (pk_round % 2 == 0) {
         deliver_exchange_round(payloads);
     } else {
@@ -129,8 +121,7 @@ bool Parallel_ic_session::split(const std::optional<common::Byte_view>& payload)
     return reader.exhausted();
 }
 
-void Parallel_ic_session::deliver_reduction_round(const Round_payloads& payloads,
-                                                  bool quorum_round)
+void Parallel_ic_session::deliver_echo_round(const Round_payloads& payloads)
 {
     const auto n = static_cast<std::size_t>(n_);
     std::fill(vote_count_.begin(), vote_count_.end(), 0);
@@ -147,20 +138,14 @@ void Parallel_ic_session::deliver_reduction_round(const Round_payloads& payloads
         tally_.clear();
         const auto first = votes_.begin() + static_cast<std::ptrdiff_t>(j * n);
         for (auto vote = first; vote != first + vote_count_[j]; ++vote) tally_.add(*vote);
-        if (quorum_round) {
-            const auto x = tally_.quorum(n_ - f_);
-            x_valid_[j] = x.has_value() ? 1 : 0;
-            if (x.has_value()) x_[j].assign(x->begin(), x->end());
-            continue;
-        }
         const auto best = tally_.plurality();
         candidate_valid_[j] = best.has_value() ? 1 : 0;
-        if (best.has_value()) candidate_[j].assign(best->begin(), best->end());
+        if (best.has_value()) candidate_[j].assign(best->value.begin(), best->value.end());
         // The binary stage starts afresh, as a new Phase_king_session would.
-        pref_[j] = static_cast<std::uint8_t>(binary_input(tally_, n_, f_));
+        pref_[j] = static_cast<std::uint8_t>(echo_bit(best, n_, f_));
         majority_[j] = Phase_majority{};
     }
-    if (!quorum_round) binary_started_ = true;
+    binary_started_ = true;
 }
 
 void Parallel_ic_session::deliver_exchange_round(const Round_payloads& payloads)
@@ -217,7 +202,7 @@ Value Parallel_ic_session::decision() const
     }
     const auto best = votes.plurality();
     if (!best.has_value()) return Value{};
-    return Value(best->begin(), best->end());
+    return Value(best->value.begin(), best->value.end());
 }
 
 } // namespace ga::bft

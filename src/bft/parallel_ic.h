@@ -3,10 +3,10 @@
 // EIG gives IC "for free" but with exponential payloads; this session builds
 // IC from polynomial multivalued consensus at one extra dissemination round:
 //   round 0: every processor broadcasts its own value;
-//   rounds 1..2: the Turpin-Coan reduction rounds of n parallel instances,
-//   instance j seeded with whatever arrived from j in round 0 (bottom if
+//   round 1: the Turpin-Coan echo round of n parallel instances, instance j
+//   seeded with whatever arrived from j in round 0 (the empty value if
 //   nothing usable);
-//   rounds 3..: the instances' phase-king rounds.
+//   rounds 2..2f+3: the instances' phase-king rounds.
 // Validity of the inner protocol makes honest slot j decide j's real value at
 // every honest processor; agreement makes the whole vector identical.
 //
@@ -16,8 +16,8 @@
 // length-prefixed section per instance, written straight into one payload.
 // An incoming round is decoded in one sender-major pass: exchange rounds
 // count each sender's bits straight into per-instance counters, king rounds
-// read only the king's payload, and the two reduction rounds decode each
-// tagged section inline into an instance-major vote table. The per-instance
+// read only the king's payload, and the echo round decodes each tagged
+// section inline into an instance-major vote table. The per-instance
 // rules (tagged codec, vote tally, phase king's majority and king adoption)
 // are the ones Turpin_coan_session and Phase_king_session run, so the wire
 // bytes are those of n standalone Turpin-Coan-over-phase-king sessions side
@@ -42,10 +42,10 @@ public:
     /// Requires n > 4f (phase king's resilience).
     Parallel_ic_session(int n, int f, common::Processor_id self, Value input);
 
-    /// The dissemination round, Turpin-Coan's two, then phase king's.
+    /// The dissemination round, Turpin-Coan's echo round, then phase king's.
     [[nodiscard]] common::Round total_rounds() const override
     {
-        return 3 + phase_king_rounds(f_);
+        return 2 + phase_king_rounds(f_);
     }
     void append_message_for_round(common::Round r, common::Bytes& out) override;
     void deliver_round(common::Round r, const Round_payloads& payloads) override;
@@ -65,7 +65,7 @@ private:
     /// is then distrusted for every instance.
     bool split(const std::optional<common::Byte_view>& payload);
 
-    void deliver_reduction_round(const Round_payloads& payloads, bool quorum_round);
+    void deliver_echo_round(const Round_payloads& payloads);
     void deliver_exchange_round(const Round_payloads& payloads);
     void deliver_king_round(const Round_payloads& payloads, common::Round pk_round);
 
@@ -76,20 +76,18 @@ private:
 
     // Progress, shared by all instances.
     bool seeded_ = false;         // round 0 delivered: the instances exist
-    bool binary_started_ = false; // Turpin-Coan round 1 delivered: phase king runs
+    bool binary_started_ = false; // echo round delivered: phase king runs
     bool done_ = false;
 
     // Per-instance state, indexed by instance j.
     std::vector<Value> seed_;                // Turpin-Coan input: j's round-0 value
-    std::vector<Value> x_;                   // round-0 quorum value ...
-    std::vector<std::uint8_t> x_valid_;      // ... or bottom
-    std::vector<Value> candidate_;           // round-1 plurality value ...
+    std::vector<Value> candidate_;           // echo-round plurality value ...
     std::vector<std::uint8_t> candidate_valid_;
     std::vector<std::uint8_t> pref_;         // phase-king preference
     std::vector<Phase_majority> majority_;   // last exchange round's majority
 
     // Round scratch, valid only inside deliver_round: one sender's sections;
-    // the reduction rounds' votes, instance-major (instance j's votes are
+    // the echo round's votes, instance-major (instance j's votes are
     // votes_[j * n, j * n + vote_count_[j]), in sender order); the exchange
     // rounds' bit counts (bits_[2j + b] counts b for instance j).
     std::vector<common::Byte_view> row_;

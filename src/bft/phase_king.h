@@ -4,7 +4,10 @@
 // constant-size payloads, at the price of resilience n > 4f (the classic
 // two-round-per-phase variant, cf. Attiya & Welch, ch. 5). This is the
 // "further research can improve the design and allow better scalability"
-// counterpart to EIG: bench E7 contrasts the two.
+// counterpart to EIG: bench E7 contrasts the two. Its n > 4f is also what
+// lets Turpin_coan_session lift it to multivalued consensus with a single
+// echo round (see turpin_coan.h), so the multivalued stack needs n > 4f and
+// nothing more.
 //
 // The codec and the two per-phase rules are free functions so that
 // Phase_king_session and parallel IC's fused instances run one copy of them.

@@ -1,24 +1,38 @@
 // Turpin-Coan reduction: multivalued Byzantine consensus from binary
-// consensus at the cost of two extra rounds.
+// consensus at the cost of one extra round.
 //
 // Used to lift Phase_king_session to the arbitrary byte-string values the
 // game authority agrees on (outcomes, commitment digests, foul sets), giving
 // a fully polynomial multivalued path alongside EIG.
 //
-// The tagged codec and the vote tally with its two round rules are free so
-// that Turpin_coan_session and parallel IC's fused instances run one copy.
+// The classic reduction spends two rounds (a quorum round, then a plurality
+// round) and needs only n > 3f. Phase king, its binary substrate here,
+// already needs n > 4f, and at n > 4f one echo round suffices:
+//   - every processor broadcasts its value;
+//   - each takes the plurality w of the echoes (ties to the
+//     lexicographically smallest value);
+//   - it enters the binary stage with 1 iff w got at least n - f votes, and
+//     decides w iff the binary stage decides 1 (else the empty default).
+// Agreement: if the binary stage decides 1, some honest processor entered
+// with 1, so at least n - 2f honest processors echoed w. Every honest
+// processor then counts w at least n - 2f > 2f times and any other value at
+// most 2f times, so all of them hold the same plurality w. Validity: an
+// honest-unanimous value gets n - f votes everywhere, so every honest
+// processor enters with 1 and phase king's validity decides 1.
+//
+// The tagged codec and the vote tally are free so that Turpin_coan_session
+// and parallel IC's fused instances run one copy.
 #ifndef GA_BFT_TURPIN_COAN_H
 #define GA_BFT_TURPIN_COAN_H
 
 #include <functional>
 #include <memory>
-#include <utility>
 
 #include "bft/session.h"
 
 namespace ga::bft {
 
-/// Wire format of the reduction rounds: 1 tag byte (0 = bottom, 1 = value),
+/// Wire format of the echo round: 1 tag byte (0 = bottom, 1 = value),
 /// then the length-prefixed value.
 void put_tagged(common::Bytes& out, std::optional<common::Byte_view> value);
 
@@ -32,41 +46,35 @@ void put_tagged(common::Bytes& out, std::optional<common::Byte_view> value);
     return reader.try_get_view(value) && reader.exhausted();
 }
 
-/// The non-bottom votes of one reduction round as distinct values with their
+/// The non-bottom votes of one echo round as distinct values with their
 /// counts. Reuse one tally across rounds: clear() keeps its capacity, so a
 /// steady-state round allocates nothing. The tally holds views, valid as long
 /// as the payloads they were read from.
 class Vote_tally {
 public:
-    void clear()
-    {
-        entries_.clear();
-        votes_ = 0;
-    }
+    struct Entry {
+        common::Byte_view value;
+        int votes = 0;
+    };
+
+    void clear() { entries_.clear(); }
 
     void add(common::Byte_view value);
 
-    /// Number of votes added since clear().
-    [[nodiscard]] int votes() const { return votes_; }
-
-    /// Round-0 rule: the value with at least `threshold` votes. With
-    /// threshold n - f and n > 3f at most one value qualifies.
-    [[nodiscard]] std::optional<common::Byte_view> quorum(int threshold) const;
-
-    /// Round-1 rule: the value with the most votes; a tie goes to the
+    /// The value with the most votes, with its count; a tie goes to the
     /// lexicographically smallest (unsigned bytes), as a std::map walk would.
-    [[nodiscard]] std::optional<common::Byte_view> plurality() const;
+    [[nodiscard]] std::optional<Entry> plurality() const;
 
 private:
-    std::vector<std::pair<common::Byte_view, int>> entries_;
-    int votes_ = 0;
+    std::vector<Entry> entries_;
 };
 
-/// Round-1 rule for the binary stage's input: 1 iff at least n - f
-/// processors sent a non-bottom value.
-[[nodiscard]] inline int binary_input(const Vote_tally& tally, int n, int f)
+/// The echo round's binary input: 1 iff the plurality got at least n - f
+/// votes.
+[[nodiscard]] inline int echo_bit(const std::optional<Vote_tally::Entry>& plurality, int n,
+                                  int f)
 {
-    return tally.votes() >= n - f ? 1 : 0;
+    return plurality.has_value() && plurality->votes >= n - f ? 1 : 0;
 }
 
 /// Builds the underlying binary session once the binary input is known.
@@ -75,9 +83,8 @@ using Binary_session_factory =
 
 class Turpin_coan_session final : public Session {
 public:
-    /// Multivalued consensus on `input` (any byte string). The resilience is
-    /// that of the inner binary protocol (n > 4f with phase king; the
-    /// reduction itself only needs n > 3f).
+    /// Multivalued consensus on `input` (any byte string). Requires n > 4f:
+    /// the one-round echo rule needs it, and so does phase king.
     Turpin_coan_session(int n, int f, common::Processor_id self, Value input,
                         Binary_session_factory make_binary);
 
@@ -88,9 +95,6 @@ public:
     [[nodiscard]] Value decision() const override;
 
 private:
-    /// Refills tally_ with the round's non-bottom votes.
-    void tally_round(const Round_payloads& payloads);
-
     int n_;
     int f_;
     common::Processor_id self_;
@@ -98,9 +102,8 @@ private:
     Binary_session_factory make_binary_;
     std::unique_ptr<Session> binary_;
 
-    std::optional<Value> x_;         // round-0 quorum value (nullopt = bottom)
-    Value candidate_;                // most common non-bottom x seen in round 1
-    bool candidate_valid_ = false;
+    Value candidate_; // the echo round's plurality value ...
+    bool candidate_valid_ = false; // ... or none (no vote was cast)
     bool done_ = false;
     Vote_tally tally_;
 };

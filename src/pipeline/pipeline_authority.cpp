@@ -100,11 +100,10 @@ common::Pulse Pipeline_authority::pulses_for_plays(int plays) const
 common::Pulse Pipeline_authority::pulses_to_window_edge() const
 {
     // The reference replica's clock is the group's schedule position: a
-    // batch occupies clock values 1..period-2 and the remaining slack
-    // (period-1, then 0) is idle, so stepping until the clock wraps to 0
-    // completes any in-flight batch. In steady state every honest clock
-    // agrees; after a transient fault this is best-effort until the clocks
-    // re-converge.
+    // batch occupies clock values 1..period-1 and the wrap slot 0 is idle,
+    // so stepping until the clock wraps to 0 completes any in-flight batch.
+    // In steady state every honest clock agrees; after a transient fault
+    // this is best-effort until the clocks re-converge.
     const int period = Pipeline_processor::clock_period_for(ic_rounds_);
     const int value = processor(reference_slot()).clock();
     return pulses_for_slots((period - value) % period);

@@ -71,7 +71,7 @@ public:
     [[nodiscard]] common::Pulse pulses_for_plays(int plays) const;
 
     /// Window-edge quiesce hook: pulses until the group's replicated schedule
-    /// reaches the next batch edge — the wrap-slack slot where the in-flight
+    /// reaches the next batch edge — the wrap slot (clock 0) where the in-flight
     /// k-play batch (commit vectors, reveals, and the batch-edge audit) is
     /// fully processed and the next has not started. 0 when already quiesced
     /// (including before the boot pulse). The elastic fabric retires a group

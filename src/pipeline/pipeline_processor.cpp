@@ -196,9 +196,15 @@ void Pipeline_processor::on_pulse(sim::Pulse_context& ctx)
 
     // ---- Clock: quorum step at frame boundaries, held in between.
     const bool boundary = cache_.is_boundary(ctx.pulse());
+    bool jumped = false;
     if (boundary) {
         const int before_step = clock_.value();
         clock_.step(cache_.collect(ctx.pulse()));
+        // Steady state advances one slot per step and a held clock repeats
+        // one; anything else is a jump, and the window in flight is lost.
+        jumped = clock_.value() != before_step &&
+                 clock_.value() != (before_step + 1) % clock_.period();
+        if (jumped) window_ = Window_progress::none;
         if (telemetry_ != nullptr) {
             // An unchanged value at a boundary is a hold (insufficient beacon
             // evidence); journal streak edges, count every held boundary.
@@ -247,6 +253,10 @@ void Pipeline_processor::on_pulse(sim::Pulse_context& ctx)
         }
 
         if (slot_entered && r == 0) {
+            // A window is followed only from a clock that stepped into its
+            // commit activation: a replica whose clock jumped there cannot
+            // tell whether the rest of the group arrived with it.
+            if (phase == Phase::commit && !jumped) window_ = Window_progress::opened;
             // One session per replica, restarted in place at every
             // activation; the factory builds it at the first activation and
             // again after a transient fault.
@@ -412,6 +422,11 @@ bft::Value Pipeline_processor::phase_input(Phase phase, common::Pulse now)
         return batcher_.reveal_bytes(tamper_, rng_);
 
     case Phase::foul: {
+        // A replica that did not follow this window (a transient fault or a
+        // clock jump lost part of it) abstains with an empty mask, which
+        // strict_majority_flags skips: a window it did not see convicts
+        // nobody.
+        if (window_ != Window_progress::revealed) return {};
         // Batch edge: deterministic audit of the whole agreed window.
         std::vector<bool> has_root(static_cast<std::size_t>(n_), false);
         for (common::Agent_id a = 0; a < n_; ++a) {
@@ -478,11 +493,22 @@ void Pipeline_processor::process_commit_result(const std::vector<bft::Value>& ag
     cascade_ = reference_cascade(*spec_.game, previous_, k_);
     reveals_.assign(static_cast<std::size_t>(k_),
                     std::vector<Reveal_slot>(static_cast<std::size_t>(n_)));
+    // IC validity puts this replica's own proposal in the agreed vector
+    // whenever the activation ran with the group; without it the group's
+    // clocks had not re-converged after a transient fault.
+    const bool own_root = !batcher_.built() || roots_[static_cast<std::size_t>(id())].has_value();
+    window_ = window_ == Window_progress::opened && own_root ? Window_progress::committed
+                                                             : Window_progress::none;
 }
 
 void Pipeline_processor::process_reveal_result(const std::vector<bft::Value>& agreed,
                                                common::Pulse now)
 {
+    // The reveal path is followed the same way as the commit path: the
+    // agreed vector must carry this replica's own reveal.
+    const bool own_reveal = !batcher_.built() || !agreed[static_cast<std::size_t>(id())].empty();
+    window_ = window_ == Window_progress::committed && own_reveal ? Window_progress::revealed
+                                                                  : Window_progress::none;
     // Mid-batch transient faults leave no window to publish from; the next
     // clock wrap starts a clean batch (all honest replicas skip in lockstep).
     if (static_cast<int>(reveals_.size()) != k_ ||
@@ -587,8 +613,7 @@ void Pipeline_processor::process_foul_result(const std::vector<bft::Value>& agre
                 ev.at = now;
                 ev.agent = a;
                 ev.offence = authority::offence_name(offence);
-                if (static_cast<int>(reveals_.size()) == k_ &&
-                    static_cast<int>(cascade_.size()) == k_ + 1) {
+                if (window_ == Window_progress::revealed) {
                     for (int j = 0; j < k_; ++j) {
                         const Reveal_slot& slot =
                             reveals_[static_cast<std::size_t>(j)][static_cast<std::size_t>(a)];
@@ -666,6 +691,7 @@ void Pipeline_processor::clear_batch()
     reveals_.clear();
     cascade_.clear();
     my_verdicts_.clear();
+    window_ = Window_progress::none;
 }
 
 } // namespace ga::pipeline

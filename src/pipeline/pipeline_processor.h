@@ -26,12 +26,14 @@
 // Wire format per pulse: u32 clock | u8 has_section | [u8 phase | u32 round |
 // length-prefixed section payload]. A phase of `ic_rounds` send rounds
 // occupies ic_rounds+1 clock slots (the extra slot delivers the final round),
-// and the clock period adds 2 slots of wrap slack — 4(f+2)+2 in the EIG
-// case. A batch starts whenever the clock reaches 1, so after any transient
-// fault the next clock wrap starts a clean batch — the middleware is
-// self(ish)-stabilizing. The executive ledger is deliberately outside the
-// corruption model: §4 notes the executive service is application dependent
-// "and therefore should be made self-stabilizing on a case basis".
+// so a batch occupies clocks 1..4(ic_rounds+1), its last delivery landing at
+// clock 4(ic_rounds+1). The clock period adds one wrap slot, clock 0, which
+// is the idle window edge — 4(f+2)+1 in the EIG case. A batch starts
+// whenever the clock reaches 1, so after any transient fault the next clock
+// wrap starts a clean batch — the middleware is self(ish)-stabilizing. The
+// executive ledger is deliberately outside the corruption model: §4 notes the
+// executive service is application dependent "and therefore should be made
+// self-stabilizing on a case basis".
 //
 // Under an adversarial Net_model (delta > 1) each clock slot stretches to a
 // frame of delta pulses (see Beacon_cache): the clock steps at frame
@@ -102,9 +104,9 @@ bool decode_profile(common::Byte_view bytes, const authority::Game_spec& spec,
 
 class Pipeline_processor final : public sim::Processor {
 public:
-    /// Clock period of the 4-phase schedule plus wrap slack. k-invariant:
-    /// k only scales the payloads.
-    static int clock_period_for(int ic_rounds) { return 4 * (ic_rounds + 1) + 2; }
+    /// Clock period of the 4-phase schedule plus the one wrap slot (clock
+    /// 0). k-invariant: k only scales the payloads.
+    static int clock_period_for(int ic_rounds) { return 4 * (ic_rounds + 1) + 1; }
 
     /// Send rounds of one activation under `factory` for an (n, f) system.
     static int ic_rounds_of(const bft::Ic_factory& factory, int n, int f);
@@ -227,6 +229,13 @@ private:
     Batch_reveal reveal_;                             ///< decode scratch, one agent's vector
     std::vector<std::vector<Reveal_slot>> reveals_;   ///< [play][agent] opened slots
     std::vector<authority::Verdict> my_verdicts_;     ///< local batch-edge audit
+    /// How far this replica has followed the current window: its clock
+    /// stepped into the commit activation (opened), then the commit and
+    /// reveal results each carried this replica's own proposal, on a clock
+    /// that advanced one slot per step throughout. Only a revealed window is
+    /// audited (see the foul phase); clear_batch and any clock jump reset it.
+    enum class Window_progress { none, opened, committed, revealed };
+    Window_progress window_ = Window_progress::none;
     std::vector<authority::Play_record> plays_;
     std::int64_t batches_ = 0;
 

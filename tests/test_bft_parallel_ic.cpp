@@ -42,7 +42,7 @@ const Parallel_ic_session& as_ic(const Participant& p)
 TEST(ParallelIc, RoundCountIsInnerPlusOne)
 {
     Parallel_ic_session session{5, 1, 0, bytes_of("x")};
-    EXPECT_EQ(session.total_rounds(), 1 + 2 + 2 * 2);
+    EXPECT_EQ(session.total_rounds(), 1 + 1 + 2 * 2); // dissemination, echo, phase king
 }
 
 TEST(ParallelIc, RejectsNAtMostFourFAtConstruction)

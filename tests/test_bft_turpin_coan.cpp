@@ -6,6 +6,7 @@
 #include "bft/driver.h"
 #include "bft/phase_king.h"
 #include "bft/turpin_coan.h"
+#include "common/ensure.h"
 
 namespace {
 
@@ -44,20 +45,18 @@ void deliver(Session& session, ga::common::Round r,
     session.deliver_round(r, payloads);
 }
 
-/// Runs one session through rounds 0 and 1 with the given tagged values,
+/// Runs one session through the echo round with the given tagged values,
 /// then through phase-king with every processor voting 1, and returns the
-/// decision: the round-1 candidate whenever the binary stage decides 1.
-Value decide_with_round_one(int n, int f, const std::vector<std::optional<Value>>& round_one)
+/// decision: the echo round's plurality whenever the binary stage decides 1.
+Value decide_with_echoes(int n, int f, const std::vector<std::optional<Value>>& echoes)
 {
     Turpin_coan_session session{n, f, 0, bytes_of("own"), pk_factory()};
-    std::vector<ga::common::Bytes> storage(static_cast<std::size_t>(n), tagged(std::nullopt));
+    std::vector<ga::common::Bytes> storage;
+    for (const auto& echo : echoes) storage.push_back(tagged(echo));
     (void)session.message_for_round(0);
     deliver(session, 0, storage);
-    (void)session.message_for_round(1);
-    for (std::size_t j = 0; j < round_one.size(); ++j) storage[j] = tagged(round_one[j]);
-    deliver(session, 1, storage);
     const std::vector<ga::common::Bytes> ones(static_cast<std::size_t>(n), ga::common::Bytes{1});
-    for (ga::common::Round r = 2; r < session.total_rounds(); ++r) {
+    for (ga::common::Round r = 1; r < session.total_rounds(); ++r) {
         (void)session.message_for_round(r);
         deliver(session, r, ones);
     }
@@ -65,10 +64,37 @@ Value decide_with_round_one(int n, int f, const std::vector<std::optional<Value>
     return session.decision();
 }
 
-TEST(TurpinCoan, RoundCountIsBinaryPlusTwo)
+/// The bit a session enters phase king with after the given echo round.
+int binary_input_after(int n, int f, const std::vector<std::optional<Value>>& echoes)
+{
+    int entered = -1;
+    Turpin_coan_session session{
+        n, f, 0, bytes_of("own"),
+        [&entered](int size, int faults, Processor_id self, int input) -> std::unique_ptr<Session> {
+            entered = input;
+            return std::make_unique<Phase_king_session>(size, faults, self, input);
+        }};
+    std::vector<ga::common::Bytes> storage;
+    for (const auto& echo : echoes) storage.push_back(tagged(echo));
+    deliver(session, 0, storage);
+    return entered;
+}
+
+TEST(TurpinCoan, RoundCountIsBinaryPlusOne)
 {
     Turpin_coan_session session{5, 1, 0, bytes_of("v"), pk_factory()};
-    EXPECT_EQ(session.total_rounds(), 2 + 2 * 2);
+    EXPECT_EQ(session.total_rounds(), 1 + 2 * 2); // the echo round, then phase king
+}
+
+TEST(TurpinCoan, RejectsNAtMostFourFAtConstruction)
+{
+    // The one-round echo rule needs n > 4f, as phase king does.
+    EXPECT_THROW((Turpin_coan_session{4, 1, 0, bytes_of("v"), pk_factory()}),
+                 ga::common::Contract_error);
+    EXPECT_THROW((Turpin_coan_session{8, 2, 0, bytes_of("v"), pk_factory()}),
+                 ga::common::Contract_error);
+    EXPECT_NO_THROW((Turpin_coan_session{5, 1, 0, bytes_of("v"), pk_factory()}));
+    EXPECT_NO_THROW((Turpin_coan_session{9, 2, 0, bytes_of("v"), pk_factory()}));
 }
 
 TEST(TurpinCoan, UnanimousHonestInputsDecideThatValue)
@@ -169,57 +195,66 @@ TEST(TurpinCoan, LargerSystemSweep)
     }
 }
 
-TEST(TurpinCoan, RoundZeroTakesTheValueWithAnNMinusFQuorum)
+TEST(TurpinCoan, EchoPluralityWithNMinusFVotesEntersPhaseKingWithOne)
 {
-    // x is the value with at least n - f round-0 votes; a lexicographically
-    // smaller value below the quorum never displaces it, and without a
-    // quorum x is bottom. What x became is what round 1 broadcasts.
-    const auto x_after = [](int n, int f, const std::vector<Value>& inputs) {
-        Turpin_coan_session session{n, f, 0, bytes_of("own"), pk_factory()};
-        std::vector<ga::common::Bytes> storage;
-        for (const Value& v : inputs) storage.push_back(tagged(v));
-        (void)session.message_for_round(0);
-        deliver(session, 0, storage);
-        return session.message_for_round(1);
-    };
-    EXPECT_EQ(x_after(5, 1, {bytes_of("b"), bytes_of("a"), bytes_of("b"), bytes_of("b"),
-                             bytes_of("b")}),
-              tagged(bytes_of("b")));
-    EXPECT_EQ(x_after(9, 2,
-                      {Value{0xff}, Value{0x01}, Value{0xff}, Value{0xff}, Value{0xff},
-                       Value{0x00}, Value{0xff}, Value{0xff}, Value{0xff}}),
-              tagged(Value{0xff}));
-    EXPECT_EQ(x_after(5, 1, {bytes_of("a"), bytes_of("a"), bytes_of("a"), bytes_of("b"),
-                             bytes_of("b")}),
-              tagged(std::nullopt));
-    // The empty string is a real value when tagged, and can hold the quorum.
-    EXPECT_EQ(x_after(5, 1, {Value{}, Value{}, bytes_of("a"), Value{}, Value{}}),
-              tagged(Value{}));
+    const std::optional<Value> bottom;
+    EXPECT_EQ(binary_input_after(5, 1, {bytes_of("b"), bytes_of("a"), bytes_of("b"),
+                                        bytes_of("b"), bytes_of("b")}),
+              1);
+    EXPECT_EQ(binary_input_after(9, 2,
+                                 {Value{0xff}, Value{0x01}, Value{0xff}, Value{0xff},
+                                  Value{0xff}, bottom, Value{0xff}, Value{0xff}, Value{0xff}}),
+              1);
+    // The empty string is a real value when tagged, and can hold n - f votes.
+    EXPECT_EQ(binary_input_after(5, 1, {Value{}, Value{}, bytes_of("a"), Value{}, Value{}}), 1);
+    // n - f votes decide the plurality once phase king decides 1.
+    EXPECT_EQ(decide_with_echoes(5, 1, {bytes_of("b"), bytes_of("a"), bytes_of("b"),
+                                        bytes_of("b"), bytes_of("b")}),
+              bytes_of("b"));
 }
 
-TEST(TurpinCoan, RoundOneTieGoesToTheLexicographicallySmallestCandidate)
+TEST(TurpinCoan, EchoPluralityWithNMinusFMinusOneVotesEntersWithZero)
+{
+    const std::optional<Value> bottom;
+    EXPECT_EQ(binary_input_after(5, 1, {bytes_of("b"), bytes_of("a"), bytes_of("b"),
+                                        bytes_of("b"), bottom}),
+              0);
+    EXPECT_EQ(binary_input_after(9, 2,
+                                 {Value{0xff}, Value{0x01}, Value{0xff}, Value{0xff},
+                                  Value{0xff}, bottom, Value{0xff}, Value{0xff}, bottom}),
+              0);
+    // Echoes of other values do not count toward the plurality: four
+    // non-bottom echoes split 3 / 1 leave it one vote short.
+    EXPECT_EQ(binary_input_after(5, 1, {bytes_of("a"), bytes_of("a"), bytes_of("a"),
+                                        bytes_of("b"), bottom}),
+              0);
+    // No vote at all enters with 0 too.
+    EXPECT_EQ(binary_input_after(5, 1, {bottom, bottom, bottom, bottom, bottom}), 0);
+}
+
+TEST(TurpinCoan, EchoTieGoesToTheLexicographicallySmallestValue)
 {
     const std::optional<Value> bottom;
     // Two-way tie: the smaller value wins, whatever order the senders use.
-    EXPECT_EQ(decide_with_round_one(5, 1, {bytes_of("b"), bytes_of("a"), bytes_of("b"),
-                                           bytes_of("a"), bottom}),
+    EXPECT_EQ(decide_with_echoes(5, 1, {bytes_of("b"), bytes_of("a"), bytes_of("b"),
+                                        bytes_of("a"), bottom}),
               bytes_of("a"));
     // A proper prefix orders first.
-    EXPECT_EQ(decide_with_round_one(5, 1, {bytes_of("ab"), bytes_of("ab"), bytes_of("a"),
-                                           bytes_of("a"), bottom}),
+    EXPECT_EQ(decide_with_echoes(5, 1, {bytes_of("ab"), bytes_of("ab"), bytes_of("a"),
+                                        bytes_of("a"), bottom}),
               bytes_of("a"));
     // Bytes compare unsigned: {0x01, 0x00} < {0xff}, despite being longer.
-    EXPECT_EQ(decide_with_round_one(5, 1, {Value{0xff}, Value{0x01, 0x00}, Value{0xff},
-                                           Value{0x01, 0x00}, bottom}),
+    EXPECT_EQ(decide_with_echoes(5, 1, {Value{0xff}, Value{0x01, 0x00}, Value{0xff},
+                                        Value{0x01, 0x00}, bottom}),
               (Value{0x01, 0x00}));
     // Votes beat order: a strict plurality wins over a smaller value.
-    EXPECT_EQ(decide_with_round_one(5, 1, {bytes_of("z"), bytes_of("a"), bytes_of("z"),
-                                           bytes_of("z"), bottom}),
+    EXPECT_EQ(decide_with_echoes(5, 1, {bytes_of("z"), bytes_of("a"), bytes_of("z"),
+                                        bytes_of("z"), bottom}),
               bytes_of("z"));
-    // Three-way tie at n = 9, f = 2 (7 non-bottom votes meet n - f).
-    EXPECT_EQ(decide_with_round_one(9, 2, {bytes_of("q"), bytes_of("p"), bytes_of("r"),
-                                           bytes_of("q"), bytes_of("r"), bytes_of("p"),
-                                           bytes_of("s"), bottom, bottom}),
+    // Three-way tie at n = 9, f = 2.
+    EXPECT_EQ(decide_with_echoes(9, 2, {bytes_of("q"), bytes_of("p"), bytes_of("r"),
+                                        bytes_of("q"), bytes_of("r"), bytes_of("p"),
+                                        bytes_of("s"), bottom, bottom}),
               bytes_of("p"));
 }
 

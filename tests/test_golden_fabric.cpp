@@ -22,7 +22,8 @@
 //             migration — pinned at 1 and 3 threads, with a digest of every
 //             agent's provenance, so the net-window spans, the fault marker
 //             and the retired group's track, snapshot and evidence are all
-//             covered.
+//             covered. Only the cheater is ever fined: the fault never
+//             convicts an honest agent.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -133,15 +134,15 @@ TEST(GoldenFabric, StaticTracedRunMatchesPin)
     fabric.run_plays(4);
 
     Golden want;
-    want.traffic.messages = 1368;
-    want.traffic.payload_bytes = 76728;
-    want.traffic.pulses = 114;
+    want.traffic.messages = 1272;
+    want.traffic.payload_bytes = 76248;
+    want.traffic.pulses = 106;
     want.traffic.delayed = 0;
     want.plays = 8;
     want.fouls = 4;
     want.disconnected = 0;
-    want.telemetry_hash = 0xebf109f5d7984d46ULL;
-    want.trace_hash = 0xb3a10e03dbbaf560ULL;
+    want.telemetry_hash = 0xa5224f4ce8a69c1eULL;
+    want.trace_hash = 0x3e34bc13c77b7b38ULL;
     const Golden got = observe(fabric);
     expect_pin(got, want);
 }
@@ -170,15 +171,15 @@ TEST(GoldenFabric, ElasticRingRunMatchesPin)
     fabric.run_plays(8);
 
     Golden want;
-    want.traffic.messages = 6934;
-    want.traffic.payload_bytes = 856462;
-    want.traffic.pulses = 341;
-    want.traffic.delayed = 3419;
+    want.traffic.messages = 6446;
+    want.traffic.payload_bytes = 854022;
+    want.traffic.pulses = 317;
+    want.traffic.delayed = 3178;
     want.plays = 48;
     want.fouls = 4;
     want.disconnected = 0;
-    want.telemetry_hash = 0x7d0d9063016bb7a0ULL;
-    want.trace_hash = 0x0dc3df1010088d16ULL;
+    want.telemetry_hash = 0xa20b7924aed31eabULL;
+    want.trace_hash = 0x3a5214419a804dddULL;
     const Golden got = observe(fabric);
     expect_pin(got, want);
 }
@@ -272,15 +273,15 @@ Golden_ingest run_ingest_elastic(int threads)
 TEST(GoldenFabric, IngestElasticRunMatchesPin)
 {
     Golden_ingest want;
-    want.run.traffic.messages = 16088;
-    want.run.traffic.payload_bytes = 2444368;
-    want.run.traffic.pulses = 355;
+    want.run.traffic.messages = 14968;
+    want.run.traffic.payload_bytes = 2438768;
+    want.run.traffic.pulses = 330;
     want.run.traffic.delayed = 0;
     want.run.plays = 50;
     want.run.fouls = 10;
     want.run.disconnected = 1;
-    want.run.telemetry_hash = 0x1f321a76e72ef6fbULL;
-    want.run.trace_hash = 0x76747fc7bf3f2fdaULL;
+    want.run.telemetry_hash = 0x7cfe9f0896e2fd26ULL;
+    want.run.trace_hash = 0xae98112dfd451a78ULL;
     want.totals.offered = 78;
     want.totals.accepted = 49;
     want.totals.queued = 4;
@@ -290,7 +291,7 @@ TEST(GoldenFabric, IngestElasticRunMatchesPin)
     want.totals.served = 46;
     want.totals.completed = 46;
     want.totals.queue_depth_max = 13;
-    want.agents_hash = 0xaf655b8c690a9cc3ULL;
+    want.agents_hash = 0x53f9f8aba9bf570bULL;
     for (const int threads : {1, 3}) {
         SCOPED_TRACE(threads);
         const Golden_ingest got = run_ingest_elastic(threads);
@@ -357,6 +358,7 @@ Golden_net run_traced_net(int threads)
     fabric.apply_rebalance(plan);
     fabric.run_plays(6);
 
+    EXPECT_EQ(fabric.punished_agents(), std::vector<Agent_id>{6}) << "honest agents fined";
     Golden_net out;
     out.run = observe(fabric);
     out.provenance_hash = provenance_hash(fabric);
@@ -366,16 +368,16 @@ Golden_net run_traced_net(int threads)
 TEST(GoldenFabric, TracedNetWindowsAndFaultRunMatchesPin)
 {
     Golden_net want;
-    want.run.traffic.messages = 6936;
-    want.run.traffic.payload_bytes = 388966;
-    want.run.traffic.pulses = 432;
+    want.run.traffic.messages = 6520;
+    want.run.traffic.payload_bytes = 315809;
+    want.run.traffic.pulses = 408;
     want.run.traffic.delayed = 0;
-    want.run.plays = 24;
-    want.run.fouls = 15;
+    want.run.plays = 16;
+    want.run.fouls = 7;
     want.run.disconnected = 0;
-    want.run.telemetry_hash = 0x58bc14f0a39426e7ULL;
-    want.run.trace_hash = 0x7058d81c7252586bULL;
-    want.provenance_hash = 0x2dbde1b4bdf602cdULL;
+    want.run.telemetry_hash = 0x5f9aa2fda5da2199ULL;
+    want.run.trace_hash = 0xdd79352ac90a1595ULL;
+    want.provenance_hash = 0x4517593f1d628108ULL;
     for (const int threads : {1, 3}) {
         SCOPED_TRACE(threads);
         const Golden_net got = run_traced_net(threads);

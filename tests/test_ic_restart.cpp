@@ -375,8 +375,13 @@ struct Group_run {
     sim::Traffic_stats traffic;
 };
 
+Group_run harvest(const pipeline::Pipeline_authority& group)
+{
+    return {group.agreed_plays(), group.agreed_standings(), group.traffic()};
+}
+
 /// Six plays, a transient fault (sessions die and the factory rebuilds
-/// them), then enough plays for the clocks to re-converge and play on.
+/// them), then a fixed tail of pulses and four more plays.
 Group_run run_group(int n, int f, int k, Ic_factory ic, int threads)
 {
     pipeline::Pipeline_authority group = make_group(n, f, k, std::move(ic));
@@ -385,7 +390,42 @@ Group_run run_group(int n, int f, int k, Ic_factory ic, int threads)
     group.inject_transient_fault();
     group.run_pulses(400);
     group.run_plays(4);
-    return {group.agreed_plays(), group.agreed_standings(), group.traffic()};
+    return harvest(group);
+}
+
+/// Pulses after which a post-fault pair gives up waiting for plays to
+/// resume; the randomized clock's re-convergence time is unbounded.
+constexpr common::Pulse k_resume_cap = 20'000;
+
+/// Two groups that differ only in their Ic_factory, run in lockstep: six
+/// plays, a transient fault, then both step pulse by pulse until each has
+/// agreed a play past the pre-fault count (at most k_resume_cap pulses),
+/// then four more plays' worth of pulses. `resumed_after` is the pulses
+/// stepped until the first post-fault play, or -1 when the cap was reached.
+/// A first play is not a converged clock: the plays after it may stall.
+std::pair<Group_run, Group_run> run_pair_through_fault(int n, int f, int k, Ic_factory a,
+                                                       Ic_factory b,
+                                                       common::Pulse& resumed_after)
+{
+    pipeline::Pipeline_authority first = make_group(n, f, k, std::move(a));
+    pipeline::Pipeline_authority second = make_group(n, f, k, std::move(b));
+    first.run_plays(6);
+    second.run_plays(6);
+    const std::size_t before = first.agreed_plays().size();
+    first.inject_transient_fault();
+    second.inject_transient_fault();
+    resumed_after = -1;
+    for (common::Pulse pulse = 1; pulse <= k_resume_cap; ++pulse) {
+        first.run_pulses(1);
+        second.run_pulses(1);
+        if (first.agreed_plays().size() > before && second.agreed_plays().size() > before) {
+            resumed_after = pulse;
+            break;
+        }
+    }
+    first.run_plays(4);
+    second.run_plays(4);
+    return {harvest(first), harvest(second)};
 }
 
 void expect_same_run(const Group_run& a, const Group_run& b)
@@ -397,13 +437,21 @@ void expect_same_run(const Group_run& a, const Group_run& b)
 
 TEST(IcRestart, GroupMatchesAFreshSessionPerActivation)
 {
-    const Group_run eig = run_group(7, 2, 1, ic_eig(), 1);
-    EXPECT_GT(eig.plays.size(), 6U); // plays resumed after the fault
-    expect_same_run(eig, run_group(7, 2, 1, fresh_per_activation(ic_eig()), 1));
-    const Group_run parallel = run_group(9, 2, 2, ic_parallel_phase_king(), 1);
-    EXPECT_GT(parallel.plays.size(), 6U);
-    expect_same_run(parallel,
-                    run_group(9, 2, 2, fresh_per_activation(ic_parallel_phase_king()), 1));
+    common::Pulse resumed_after = -1;
+    const auto [eig, eig_fresh] =
+        run_pair_through_fault(7, 2, 1, ic_eig(), fresh_per_activation(ic_eig()), resumed_after);
+    ASSERT_GE(resumed_after, 0) << "EIG (7, 2): no play within " << k_resume_cap
+                                << " pulses after the fault";
+    RecordProperty("eig_resume_pulses", static_cast<int>(resumed_after));
+    expect_same_run(eig, eig_fresh);
+
+    const auto [parallel, parallel_fresh] =
+        run_pair_through_fault(9, 2, 2, ic_parallel_phase_king(),
+                               fresh_per_activation(ic_parallel_phase_king()), resumed_after);
+    ASSERT_GE(resumed_after, 0) << "parallel IC (9, 2): no play within " << k_resume_cap
+                                << " pulses after the fault";
+    RecordProperty("parallel_resume_pulses", static_cast<int>(resumed_after));
+    expect_same_run(parallel, parallel_fresh);
 }
 
 TEST(IcRestart, GroupIsIdenticalAtExecutorWidthFourAndOne)

@@ -9,6 +9,9 @@
 // agents are never flagged.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "authority/punishment.h"
 #include "game/analysis.h"
 #include "game/canonical.h"
 #include "pipeline/pipeline_authority.h"
@@ -274,14 +277,14 @@ TEST(BatchAudit, MalformedWindowIncriminatesNobody)
 TEST(PipelineAuthority, ScheduleAmortizesKFold)
 {
     // The batched schedule is k-invariant — four phases per batch, the same
-    // 4(f+2)+2-pulse period as ONE per-play (k = 1) §3.3 play — so the pulse
+    // 4(f+2)+1-pulse period as ONE per-play (k = 1) §3.3 play — so the pulse
     // amortization is exactly k-fold.
     const int r = 2; // EIG, f = 1
-    EXPECT_EQ(Pipeline_processor::clock_period_for(r), 4 * (r + 1) + 2);
+    EXPECT_EQ(Pipeline_processor::clock_period_for(r), 4 * (r + 1) + 1);
     const Pipeline_authority per_play = honest_pipeline(4, 1, 1, /*seed=*/1);
     EXPECT_EQ(per_play.pulses_per_batch(), Pipeline_processor::clock_period_for(r));
     Pipeline_authority da = honest_pipeline(4, 1, 8, /*seed=*/1);
-    EXPECT_EQ(da.pulses_per_batch(), 4 * (r + 1) + 2);
+    EXPECT_EQ(da.pulses_per_batch(), 4 * (r + 1) + 1);
     EXPECT_EQ(da.pulses_for_plays(8), da.pulses_per_batch());
     EXPECT_EQ(da.pulses_for_plays(9), 2 * da.pulses_per_batch());
     const double batched = static_cast<double>(da.pulses_per_batch()) / 8.0;
@@ -411,6 +414,65 @@ TEST(PipelineAuthority, RecoversFromTransientFaultsWithoutFramingHonestAgents)
     for (const authority::Standing& standing : da.agreed_standings()) {
         EXPECT_TRUE(standing.active) << "transient faults must never cost an honest agent";
         EXPECT_EQ(standing.fouls, 0);
+    }
+}
+
+/// Agents 0..n-1 honest except agent 1, which always plays the dominated
+/// action; it is fined at every batch edge and never expelled, so every
+/// window's audit has something to find.
+Pipeline_authority fined_cheater_pipeline(int n, int k, std::uint64_t seed)
+{
+    std::vector<std::unique_ptr<authority::Agent_behavior>> behaviors = honest_behaviors(n);
+    behaviors[1] = std::make_unique<authority::Fixed_action_behavior>(0);
+    return Pipeline_authority{
+        dominant_spec(n), 1, k, std::move(behaviors), {},
+        [] { return std::make_unique<authority::Fine_scheme>(1.0, 1e9); }, Rng{seed}};
+}
+
+TEST(PipelineAuthority, TransientFaultAtAnyBatchOffsetNeverFinesAnHonestAgent)
+{
+    // A fault can land anywhere in a window, and the replicas re-enter the
+    // schedule wherever their scrambled clocks put them. A replica audits a
+    // window only if it followed it: its clock stepped into the window and
+    // advanced one slot per step, and the commit and reveal activations each
+    // agreed on its own proposal. Otherwise it abstains, so whatever the
+    // offset, no honest agent is fined. The seed draws the clock scramble,
+    // which the offset barely moves, so both are swept.
+    constexpr common::Pulse k_resume_cap = 20'000;
+    constexpr common::Agent_id cheater = 1;
+    for (const int n : {4, 5}) {
+        for (const int k : {1, 4}) {
+            for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+                const int period = fined_cheater_pipeline(n, k, seed).pulses_per_batch();
+                for (int offset = 0; offset < period; ++offset) {
+                    SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                                 " seed=" + std::to_string(seed) +
+                                 " offset=" + std::to_string(offset));
+                    Pipeline_authority da = fined_cheater_pipeline(n, k, seed);
+                    da.run_pulses(1);
+                    da.run_batches(2);
+                    ASSERT_EQ(da.agreed_standings()[cheater].fouls, 2);
+                    da.run_pulses(offset);
+                    const std::size_t before = da.agreed_plays().size();
+                    da.inject_transient_fault();
+                    common::Pulse stepped = 0;
+                    while (da.agreed_plays().size() <= before && stepped < k_resume_cap) {
+                        da.run_pulses(1);
+                        ++stepped;
+                    }
+                    ASSERT_LT(stepped, k_resume_cap) << "no play after the fault";
+                    da.run_batches(4);
+                    for (const common::Processor_id id : da.honest_slots()) {
+                        const auto& standings = da.processor(id).executive().standings();
+                        for (common::Agent_id a = 0; a < n; ++a) {
+                            if (a == cheater) continue;
+                            EXPECT_EQ(standings[static_cast<std::size_t>(a)].fouls, 0)
+                                << "replica " << id << " fined honest agent " << a;
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

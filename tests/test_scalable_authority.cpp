@@ -58,9 +58,9 @@ Punishment_factory disconnects()
 
 TEST(ScalableAuthority, RoundBudgetIsPolynomialSchedule)
 {
-    // EIG at f=1: 2 send rounds; parallel IC: 1 + (2 + 2*(1+1)) = 7 rounds.
+    // EIG at f=1: 2 send rounds; parallel IC: 1 + (1 + 2*(1+1)) = 6 rounds.
     EXPECT_EQ(Pipeline_processor::ic_rounds_of(ic_eig(), 5, 1), 2);
-    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ic_parallel_phase_king(), 5, 1), 7);
+    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ic_parallel_phase_king(), 5, 1), 6);
 }
 
 TEST(ScalableAuthority, ChooseIcFollowsTheMeasuredCrossover)
@@ -83,20 +83,20 @@ TEST(ScalableAuthority, ChooseIcFollowsTheMeasuredCrossover)
 TEST(ScalableAuthority, DefaultSubstrateIsAutoSelected)
 {
     // A default-constructed authority (no explicit Ic_factory) gets the
-    // crossover substrate: EIG's 4(2+1)+2 period at f = 1, parallel-IC's
-    // 4(9+1)+2 at n = 9, f = 2.
+    // crossover substrate: EIG's 4(2+1)+1 period at f = 1, parallel-IC's
+    // 4(8+1)+1 at n = 9, f = 2.
     Pipeline_authority at_f1{dominant_spec(5), 1, /*k=*/1, honest_behaviors(5), {},
                              disconnects(),    Rng{17}};
-    EXPECT_EQ(at_f1.pulses_per_batch(), 14);
+    EXPECT_EQ(at_f1.pulses_per_batch(), 13);
     Pipeline_authority at_f2{dominant_spec(9), 2, /*k=*/1, honest_behaviors(9), {},
                              disconnects(),    Rng{18}};
-    EXPECT_EQ(at_f2.pulses_per_batch(), 42);
+    EXPECT_EQ(at_f2.pulses_per_batch(), 37);
 
     // The override still wins.
     Pipeline_authority forced{dominant_spec(9), 2, /*k=*/1, honest_behaviors(9), {},
                               disconnects(),    Rng{19}, {},
                               ic_eig()};
-    EXPECT_EQ(forced.pulses_per_batch(), 18);
+    EXPECT_EQ(forced.pulses_per_batch(), 17);
 }
 
 TEST(ScalableAuthority, AutoSelectedPlaysStillAgree)
