@@ -6,6 +6,7 @@
 #include "sim/engine.h"
 #include "sim/malicious.h"
 #include "ssba/ssba.h"
+#include "wire/codec.h"
 
 namespace {
 
@@ -69,6 +70,61 @@ struct Ssba_fixture {
     int f_;
     ga::sim::Engine engine;
 };
+
+// Differential pin: every honest replica's decisions, as (decided_at, FNV-1a
+// of the value), for fault-free runs — all n processors honest, each
+// proposing its id and the window index. The schedule starts an activation
+// at clock 1, sends round c-1 and delivers round c-2, so any change to the
+// composition's timing or to what it agrees on moves these numbers.
+struct Pin_point {
+    int n;
+    int f;
+    int period;
+    std::vector<Pulse> decided_at; ///< one per window
+};
+
+TEST(Ssba, FaultFreeDecisionsMatchPin)
+{
+    // Window w's decision is processor 0's input (the smallest value of the
+    // agreed vector), the same bytes at every (n, f, M).
+    const std::vector<std::uint64_t> value_hashes = {
+        6082024272624116885ULL,  3849708865656527476ULL,  10546655086559295703ULL,
+        8314339679591706294ULL,  15599506718463310865ULL, 13367191311495721456ULL,
+    };
+    const std::vector<Pin_point> points = {
+        {4, 1, 4, {3, 7, 11, 15, 19, 23}},
+        {7, 2, 5, {4, 9, 14, 19, 24, 29}},
+        {4, 1, 9, {3, 12, 21, 30, 39, 48}},
+    };
+    for (const Pin_point& point : points) {
+        std::vector<std::pair<Pulse, std::uint64_t>> expected;
+        for (std::size_t w = 0; w < point.decided_at.size(); ++w)
+            expected.emplace_back(point.decided_at[w], value_hashes[w]);
+
+        Rng rng{41};
+        ga::sim::Engine engine{ga::sim::complete_graph(point.n), rng.split(0)};
+        for (Processor_id id = 0; id < point.n; ++id) {
+            const int period = point.period;
+            engine.install(std::make_unique<Ssba_processor>(
+                id, point.n, point.f, period, rng.split(id + 1), [id, period](Pulse pulse) {
+                    Bytes value;
+                    ga::common::put_u32(value, static_cast<std::uint32_t>(id));
+                    ga::common::put_u64(value, static_cast<std::uint64_t>(pulse / period));
+                    return value;
+                }));
+        }
+        engine.run(1 + point.period * static_cast<int>(point.decided_at.size()));
+        for (Processor_id id = 0; id < point.n; ++id) {
+            std::vector<std::pair<Pulse, std::uint64_t>> seen;
+            for (const Agreement_record& record :
+                 engine.processor_as<Ssba_processor>(id).decisions()) {
+                seen.emplace_back(record.decided_at, ga::wire::fnv1a(record.value));
+            }
+            EXPECT_EQ(seen, expected) << "(n, f, M) = (" << point.n << ", " << point.f << ", "
+                                      << point.period << "), replica " << id;
+        }
+    }
+}
 
 TEST(Ssba, RejectsTooSmallPeriod)
 {
