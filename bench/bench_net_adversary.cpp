@@ -151,7 +151,7 @@ int main(int argc, char** argv)
               << "re-establishes lockstep rounds, so pulses/play = classic period x delta.\n\n";
 
     const int classic_period = pipeline::Pipeline_processor::clock_period_for(
-        pipeline::Pipeline_processor::ic_rounds_of(ic_eig(), 4, 1));
+        ssba::Clocked_ic::rounds_of(ic_eig(), 4, 1));
 
     common::Table table{{"delta", "drop", "pulses/play", "plays", "wall ms", "plays/sec",
                          "msgs/play", "fouls"}};

@@ -7,8 +7,10 @@
 //
 //   1. Codec microbench: encode+decode round-trip rate (frames/sec and
 //      bytes/sec) for each of the protocol's payload shapes, from empty
-//      heartbeats to KB-scale blobs. Floor: every round-trip is byte-exact —
-//      re-encoding the decoded frame reproduces the wire bytes.
+//      heartbeats to KB-scale blobs, as the median and quartiles of repeated
+//      timed trials after a warm-up (every trial goes to --json). Floor:
+//      every round-trip is byte-exact — re-encoding the decoded frame
+//      reproduces the wire bytes.
 //   2. Transport comparison on E12's workload: steady-state fabric plays/sec
 //      with the zero-copy loopback link vs the ring's codec round-trip, over
 //      a warm-up pair and then alternating timed trials (bench_json.h
@@ -97,14 +99,18 @@ Fabric make_fabric(int agents, int shards, int threads, std::uint64_t seed,
 // ------------------------------------------------------------------- Codec
 
 struct Codec_rate {
-    double frames_per_sec = 0.0;
-    double mbytes_per_sec = 0.0;
+    std::vector<double> trials;       ///< frames/sec of each timed trial
+    ga::bench::Spread frames_per_sec; ///< over the trials
+    double bytes_per_frame = 0.0;
     bool exact = true;
 };
 
 /// Round-trip `frames` messages of one payload shape through the codec,
-/// checking byte-exactness of every re-encoded frame.
-Codec_rate measure_codec(std::size_t payload_bytes, int frames, std::uint64_t seed)
+/// checking byte-exactness of every re-encoded frame, then time one warm-up
+/// and `trials` trials of whole round-trips, each at least `min_seconds`
+/// long (bench_json.h timed_rate).
+Codec_rate measure_codec(std::size_t payload_bytes, int frames, int trials, double min_seconds,
+                         std::uint64_t seed)
 {
     common::Rng rng{seed};
     std::vector<sim::Message> batch;
@@ -120,12 +126,9 @@ Codec_rate measure_codec(std::size_t payload_bytes, int frames, std::uint64_t se
         batch.push_back(std::move(msg));
     }
 
-    const auto start = std::chrono::steady_clock::now();
     common::Bytes buf;
     wire::encode_batch(batch, buf);
     const std::vector<sim::Message> decoded = wire::decode_batch(buf);
-    const auto stop = std::chrono::steady_clock::now();
-
     common::Bytes again;
     wire::encode_batch(decoded, again);
 
@@ -136,9 +139,18 @@ Codec_rate measure_codec(std::size_t payload_bytes, int frames, std::uint64_t se
                      decoded[i].sent_at == batch[i].sent_at &&
                      decoded[i].payload.bytes() == batch[i].payload.bytes();
     }
-    const double seconds = std::chrono::duration<double>(stop - start).count();
-    rate.frames_per_sec = static_cast<double>(frames) / seconds;
-    rate.mbytes_per_sec = static_cast<double>(buf.size()) / seconds / 1e6;
+    rate.bytes_per_frame = static_cast<double>(buf.size()) / static_cast<double>(frames);
+
+    // One round-trip: encode into a fresh buffer, decode it back.
+    const auto round_trip = [&batch] {
+        common::Bytes out;
+        wire::encode_batch(batch, out);
+        return static_cast<std::int64_t>(wire::decode_batch(out).size());
+    };
+    (void)ga::bench::timed_rate(round_trip, min_seconds);
+    for (int i = 0; i < trials; ++i)
+        rate.trials.push_back(ga::bench::timed_rate(round_trip, min_seconds));
+    rate.frames_per_sec = ga::bench::spread(rate.trials);
     return rate;
 }
 
@@ -199,24 +211,41 @@ int main(int argc, char** argv)
         {"IC section (64 B)", 64}, {"blob (1 KiB)", 1024},
     };
     const int codec_frames = smoke ? 20'000 : 200'000;
+    const int codec_trials = smoke ? 9 : 15;
+    const double codec_seconds = smoke ? 0.02 : 0.1;
 
     std::cout << "Codec: encode + decode round-trip, " << codec_frames
               << " frames per shape (" << wire::k_frame_overhead
-              << " B framing overhead per message).\n\n";
-    common::Table codec_table{{"payload", "frames/sec", "MB/sec", "round-trip"}};
+              << " B framing overhead per message);\na warm-up, then the median and "
+              << "quartiles of " << codec_trials << " timed trials of >= "
+              << common::fixed(codec_seconds, 2) << " s of round-trips.\n\n";
+    common::Table codec_table{
+        {"payload", "frames/sec", "quartiles", "MB/sec", "round-trip"}};
     telemetry::Json_writer codec_rows;
     codec_rows.begin_array();
     bool codec_exact = true;
     for (const Shape& shape : shapes) {
-        const Codec_rate rate = measure_codec(shape.bytes, codec_frames, /*seed=*/19);
+        const Codec_rate rate =
+            measure_codec(shape.bytes, codec_frames, codec_trials, codec_seconds, /*seed=*/19);
+        const ga::bench::Spread& fps = rate.frames_per_sec;
+        const double mbytes_per_sec = fps.median * rate.bytes_per_frame / 1e6;
         codec_exact = codec_exact && rate.exact;
-        codec_table.add_row({shape.name, common::fixed(rate.frames_per_sec / 1e6, 2) + "M",
-                             common::fixed(rate.mbytes_per_sec, 1),
+        codec_table.add_row({shape.name, common::fixed(fps.median / 1e6, 2) + "M",
+                             common::fixed(fps.q1 / 1e6, 2) + "-" +
+                                 common::fixed(fps.q3 / 1e6, 2) + "M",
+                             common::fixed(mbytes_per_sec, 1),
                              rate.exact ? "byte-exact" : "MISMATCH"});
         codec_rows.begin_object();
         codec_rows.field("payload_bytes", static_cast<std::int64_t>(shape.bytes));
-        codec_rows.field("frames_per_sec", rate.frames_per_sec);
-        codec_rows.field("mbytes_per_sec", rate.mbytes_per_sec);
+        codec_rows.field("frames_per_sec", fps.median);
+        codec_rows.field("frames_per_sec_q1", fps.q1);
+        codec_rows.field("frames_per_sec_q3", fps.q3);
+        codec_rows.field("frames_per_sec_iqr", fps.iqr());
+        codec_rows.key("trial_frames_per_sec");
+        codec_rows.begin_array();
+        for (const double t : rate.trials) codec_rows.value(t);
+        codec_rows.end_array();
+        codec_rows.field("mbytes_per_sec", mbytes_per_sec);
         codec_rows.field("exact", rate.exact);
         codec_rows.end_object();
     }

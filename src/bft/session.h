@@ -23,11 +23,11 @@
 // candidates). Views a session parks in reused buffers (parallel IC's
 // section row and vote table, the Turpin-Coan vote tally) are read only
 // within the call that filled them. The caller keeps the viewed bytes alive and unmodified
-// across the call: in the authority tier the owner is the received
-// message's Shared_payload handle, held by the schedule processor's
-// cross-pulse section buffer (its own section is a view into the pulse
-// message it minted, which its buffer pool keeps); in bft::drive and SSBA it is the caller's own
-// Bytes. Sessions never read outside a view, so a section may be a sub-span
+// across the call: under the clocked schedule (ssba::Clocked_ic, which both
+// SSBA and the authority tier run) the owner is the received message's
+// Shared_payload handle, held by the schedule's cross-pulse section buffer
+// (its own section is a view into the pulse message it minted, which its
+// buffer pool keeps); in bft::drive it is the caller's own Bytes. Sessions never read outside a view, so a section may be a sub-span
 // of a larger message.
 #ifndef GA_BFT_SESSION_H
 #define GA_BFT_SESSION_H

@@ -13,15 +13,12 @@ common::Bytes encode_clock(int value)
 
 std::optional<int> decode_clock(const common::Bytes& payload, int period)
 {
-    try {
-        common::Byte_reader reader{payload};
-        const auto value = static_cast<int>(reader.get_u32());
-        if (!reader.exhausted()) return std::nullopt;
-        if (value < 0 || value >= period) return std::nullopt;
-        return value;
-    } catch (const common::Decode_error&) {
-        return std::nullopt;
-    }
+    common::Byte_reader reader{payload};
+    std::uint32_t raw = 0;
+    if (!reader.try_get_u32(raw) || !reader.exhausted()) return std::nullopt;
+    const auto value = static_cast<int>(raw);
+    if (value < 0 || value >= period) return std::nullopt;
+    return value;
 }
 
 Clock_sync_processor::Clock_sync_processor(common::Processor_id id, int n, int f, int period,

@@ -1,7 +1,7 @@
 // Standalone self-stabilizing clock-synchronization processor: Clock_core on
 // the simulator transport. Used directly by the convergence/closure tests and
-// by bench E2; the SSBA composition embeds Clock_core itself to bundle clock
-// and agreement traffic into one payload per pulse.
+// by bench E2; the SSBA composition (ssba::Clocked_ic) embeds Clock_core
+// itself to bundle clock and agreement traffic into one payload per pulse.
 //
 // Under an adversarial Net_model (delta > 1) the processor recovers lockstep
 // from timed delivery through a Beacon_cache: the clock ticks once per
@@ -21,7 +21,9 @@
 
 namespace ga::clock {
 
-/// Wire helpers shared with the SSBA composition.
+/// This processor's wire format: one u32 clock value per message. Decoding
+/// never throws; anything but exactly four bytes holding a value in
+/// [0, period) is no beacon.
 common::Bytes encode_clock(int value);
 std::optional<int> decode_clock(const common::Bytes& payload, int period);
 

@@ -9,11 +9,14 @@ namespace ga::metrics {
 
 namespace {
 
+/// True when the honest slots [0, n-f), each a `Clocked` processor, hold one
+/// clock value.
+template <class Clocked>
 bool honest_clocks_agree(sim::Engine& engine, int n, int f)
 {
     int value = -1;
     for (common::Processor_id id = 0; id < n - f; ++id) {
-        const int clock = engine.processor_as<ga::clock::Clock_sync_processor>(id).clock();
+        const int clock = engine.processor_as<Clocked>(id).clock();
         if (value < 0) value = clock;
         if (clock != value) return false;
     }
@@ -49,7 +52,7 @@ Convergence_result measure_clock_convergence(const Convergence_config& config, c
         while (pulses < config.pulse_cap) {
             engine.run_pulse();
             ++pulses;
-            if (honest_clocks_agree(engine, config.n, config.f)) {
+            if (honest_clocks_agree<ga::clock::Clock_sync_processor>(engine, config.n, config.f)) {
                 converged = true;
                 break;
             }
@@ -92,17 +95,9 @@ Closure_result audit_ssba_closure(const Closure_config& config, common::Rng& rng
     engine.inject_transient_fault();
 
     // Phase 1: wait for honest clock agreement.
-    const auto clocks_agree = [&] {
-        int value = -1;
-        for (common::Processor_id id = 0; id < config.n - config.f; ++id) {
-            const int clock = engine.processor_as<ga::ssba::Ssba_processor>(id).clock();
-            if (value < 0) value = clock;
-            if (clock != value) return false;
-        }
-        return true;
-    };
     int pulses = 0;
-    while (!clocks_agree() && pulses < 500000) {
+    while (!honest_clocks_agree<ga::ssba::Ssba_processor>(engine, config.n, config.f) &&
+           pulses < 500000) {
         engine.run_pulse();
         ++pulses;
     }

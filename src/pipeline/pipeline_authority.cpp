@@ -32,7 +32,7 @@ Pipeline_authority::Pipeline_authority(
         (void)tamper;
     }
     if (!ic_factory) ic_factory = bft::choose_ic(n_, f);
-    ic_rounds_ = Pipeline_processor::ic_rounds_of(ic_factory, n_, f);
+    ic_rounds_ = ssba::Clocked_ic::rounds_of(ic_factory, n_, f);
 
     for (common::Processor_id id = 0; id < n_; ++id) {
         if (byzantine_.count(id) != 0) {

@@ -76,33 +76,6 @@ bool decode_profile(common::Byte_view bytes, const authority::Game_spec& spec,
     return true;
 }
 
-bool parse_pulse_message(common::Byte_view payload, Pulse_message& out)
-{
-    common::Byte_reader reader{payload};
-    std::uint32_t clock = 0;
-    if (!reader.try_get_u32(clock)) return false;
-    out.clock = static_cast<int>(clock);
-    out.has_section = false;
-    std::uint8_t has_section = 0;
-    std::uint8_t phase = 0;
-    std::uint32_t round = 0;
-    if (!reader.try_get_u8(has_section) || has_section != 1) return true;
-    if (!reader.try_get_u8(phase) || !reader.try_get_u32(round) ||
-        !reader.try_get_view(out.section) || !reader.exhausted()) {
-        return true;
-    }
-    out.has_section = true;
-    out.phase = static_cast<int>(phase);
-    out.round = static_cast<common::Round>(round);
-    return true;
-}
-
-int Pipeline_processor::ic_rounds_of(const bft::Ic_factory& factory, int n, int f)
-{
-    common::ensure(factory != nullptr, "ic_rounds_of: null factory");
-    return factory(n, f, 0, {})->total_rounds();
-}
-
 Pipeline_processor::Pipeline_processor(common::Processor_id id, int n, int f,
                                        authority::Game_spec spec, int k,
                                        std::unique_ptr<authority::Agent_behavior> behavior,
@@ -111,15 +84,9 @@ Pipeline_processor::Pipeline_processor(common::Processor_id id, int n, int f,
                                        std::optional<Tamper> tamper, int delta)
     : Processor{id},
       n_{n},
-      f_{f},
-      ic_factory_{std::move(ic_factory)},
-      ic_rounds_{ic_rounds_of(ic_factory_, n, f)},
-      clock_{n, f, clock_period_for(ic_rounds_), rng.split(1)},
-      cache_{id, n, clock_period_for(ic_rounds_), delta},
-      buf_round_(static_cast<std::size_t>(n), -1),
-      buf_owner_(static_cast<std::size_t>(n)),
-      buf_section_(static_cast<std::size_t>(n)),
-      delivery_(static_cast<std::size_t>(n)),
+      schedule_{id, n, f, 4,
+                clock_period_for(ssba::Clocked_ic::rounds_of(ic_factory, n, f)), ic_factory,
+                rng.split(1), delta},
       spec_{spec},
       behavior_{std::move(behavior)},
       punishment_{std::move(punishment)},
@@ -145,239 +112,10 @@ Pipeline_processor::Pipeline_processor(common::Processor_id id, int n, int f,
     roots_.resize(static_cast<std::size_t>(n_));
 }
 
-void Pipeline_processor::reset_section_buffer(int phase)
-{
-    buf_phase_ = phase;
-    for (common::Round& round : buf_round_) round = -1;
-    for (common::Shared_payload& owner : buf_owner_) owner = {};
-    for (common::Byte_view& section : buf_section_) section = {};
-}
-
-common::Bytes& Pipeline_processor::mint_buffer()
-{
-    // The current section message is never refilled: its frame may re-send
-    // it and self-delivery views it.
-    const auto current = static_cast<std::size_t>(last_sent_buffer_);
-    std::size_t pick = k_pulse_buffers;
-    for (std::size_t i = 1; i <= k_pulse_buffers && pick == k_pulse_buffers; ++i) {
-        const std::size_t slot = (minted_ + i) % k_pulse_buffers;
-        if (slot != current && pulse_buffers_[slot].use_count() <= 1) pick = slot;
-    }
-    if (pick == k_pulse_buffers) {
-        pick = (minted_ + 1) % k_pulse_buffers;
-        if (pick == current) pick = (pick + 1) % k_pulse_buffers;
-        pulse_buffers_[pick] = {}; // holders keep the old buffer alive
-    }
-    minted_ = pick;
-    common::Bytes& out = pulse_buffers_[pick].unique(); // sole holder: no clone
-    out.clear();
-    return out;
-}
-
-void Pipeline_processor::on_pulse(sim::Pulse_context& ctx)
-{
-    // ---- Parse inbox. Under delta > 1 a pulse legitimately carries several
-    // copies per sender (retransmissions with different delays landing
-    // together), so every copy is parsed: the cache keeps the freshest
-    // beacon per sender, and every decodable section is parked — as a view
-    // into the message, kept alive by its payload handle — for the
-    // newest-round-per-sender buffer fold below.
-    parked_.clear();
-    Pulse_message message;
-    for (const sim::Message& msg : ctx.inbox()) {
-        if (msg.from < 0 || msg.from >= ctx.system_size()) continue;
-        if (!parse_pulse_message(msg.payload, message)) continue;
-        cache_.observe(msg.from, message.clock, msg.sent_at, ctx.pulse());
-        if (message.has_section) {
-            parked_.push_back(
-                {msg.from, message.phase, message.round, msg.payload, message.section});
-        }
-    }
-
-    // ---- Clock: quorum step at frame boundaries, held in between.
-    const bool boundary = cache_.is_boundary(ctx.pulse());
-    bool jumped = false;
-    if (boundary) {
-        const int before_step = clock_.value();
-        clock_.step(cache_.collect(ctx.pulse()));
-        // Steady state advances one slot per step and a held clock repeats
-        // one; anything else is a jump, and the window in flight is lost.
-        jumped = clock_.value() != before_step &&
-                 clock_.value() != (before_step + 1) % clock_.period();
-        if (jumped) window_ = Window_progress::none;
-        if (telemetry_ != nullptr) {
-            // An unchanged value at a boundary is a hold (insufficient beacon
-            // evidence); journal streak edges, count every held boundary.
-            const bool held = clock_.value() == before_step;
-            if (held) telemetry_->counter("clock.held_boundaries") += 1;
-            if (held != tel_holding_) {
-                telemetry::Event e;
-                e.kind = held ? telemetry::Event_kind::clock_hold
-                              : telemetry::Event_kind::clock_resume;
-                e.at = ctx.pulse();
-                e.a = clock_.value();
-                telemetry_->event(std::move(e));
-                tel_holding_ = held;
-            }
-        }
-    }
-    const int c = clock_.value();
-    const int len = ic_rounds_ + 1; // slots per phase
-    const int slot = c - 1;
-    const bool in_schedule = slot >= 0 && slot < 4 * len;
-    const bool slot_entered = boundary && slot != last_slot_;
-    last_slot_ = slot;
-
-    if (in_schedule) {
-        const int phase_index = slot / len;
-        const auto phase = static_cast<Phase>(phase_index);
-        const common::Round r = slot % len;
-
-        // ---- Fold this pulse's sections into the cross-pulse buffer:
-        // current phase only, newest round per sender wins (this retires
-        // retransmit copies of already delivered rounds; a held clock never
-        // re-delivers stale data). Within one round the first copy wins, so
-        // same-pulse Byzantine duplicates cannot flip an already parked
-        // section.
-        if (phase_index != buf_phase_ || (slot_entered && r == 0)) {
-            reset_section_buffer(phase_index);
-        }
-        for (Parked& p : parked_) {
-            const auto sender = static_cast<std::size_t>(p.from);
-            if (p.phase != phase_index) continue;
-            if (p.round < 0 || p.round >= ic_rounds_) continue;
-            if (p.round <= buf_round_[sender]) continue;
-            buf_round_[sender] = p.round;
-            buf_owner_[sender] = std::move(p.owner);
-            buf_section_[sender] = p.section;
-        }
-
-        if (slot_entered && r == 0) {
-            // A window is followed only from a clock that stepped into its
-            // commit activation: a replica whose clock jumped there cannot
-            // tell whether the rest of the group arrived with it.
-            if (phase == Phase::commit && !jumped) window_ = Window_progress::opened;
-            // One session per replica, restarted in place at every
-            // activation; the factory builds it at the first activation and
-            // again after a transient fault.
-            bft::Value input = phase_input(phase, ctx.pulse());
-            if (session_) {
-                session_->restart(std::move(input));
-            } else {
-                session_ = ic_factory_(n_, f_, id(), std::move(input));
-            }
-            last_sent_phase_ = -1; // force a fresh round-0 mint below
-            last_sent_round_ = -1;
-            ic_activation_seq_ += 1;
-            if (tracer_ != nullptr) {
-                // Nested under the batch-window span when one is open
-                // (phase_input above may have just opened it); the outcome
-                // phase of the next window runs before that window opens, so
-                // its activation is a track-root span.
-                ic_span_ = tracer_->begin_span("ic", ctx.pulse(), window_span_,
-                                               phase_index, ic_activation_seq_);
-            }
-            if (telemetry_ != nullptr) {
-                ic_started_at_ = ctx.pulse();
-                telemetry_->counter("ic.activations") += 1;
-                telemetry::Event e;
-                e.kind = telemetry::Event_kind::ic_start;
-                e.at = ctx.pulse();
-                e.a = phase_index;
-                telemetry_->event(std::move(e));
-            }
-        } else if (boundary && r >= 1 && session_ && !session_->done()) {
-            // Deliver round r-1 from the buffer. A boundary repeated under a
-            // held clock merges late arrivals into the same round — the
-            // sessions' deliver_round is first-writer-wins and re-delivery
-            // safe.
-            // The views stay valid for the call: buf_owner_ holds each
-            // section's message, and the pool never refills the current
-            // section message.
-            for (int j = 0; j < n_; ++j) {
-                const auto sender = static_cast<std::size_t>(j);
-                if (buf_round_[sender] == r - 1) {
-                    delivery_[sender] = buf_section_[sender];
-                } else {
-                    delivery_[sender].reset();
-                }
-            }
-            // Self-delivery: the engine does not echo broadcasts, but the
-            // Session contract includes the sender's own payload.
-            if (last_sent_phase_ == phase_index && last_sent_round_ == r - 1) {
-                delivery_[static_cast<std::size_t>(id())] = last_sent_section_;
-            }
-            session_->deliver_round(r - 1, delivery_);
-            if (session_->done()) {
-                if (tracer_ != nullptr) {
-                    tracer_->end_span(ic_span_, ctx.pulse());
-                    ic_span_ = 0;
-                }
-                if (telemetry_ != nullptr) {
-                    if (ic_started_at_ >= 0) {
-                        telemetry_->histogram("ic.activation_pulses")
-                            .record(ctx.pulse() - ic_started_at_);
-                    }
-                    telemetry::Event e;
-                    e.kind = telemetry::Event_kind::ic_finish;
-                    e.at = ctx.pulse();
-                    e.a = phase_index;
-                    telemetry_->event(std::move(e));
-                    ic_started_at_ = -1;
-                }
-                process_phase_result(phase, session_->agreed_vector(), ctx.pulse());
-            }
-        }
-
-        if (r < ic_rounds_ && session_ && !session_->done()) {
-            if (last_sent_phase_ != phase_index || last_sent_round_ != r) {
-                // Mint exactly once per (phase, round): the header, then the
-                // session's section appended in place behind its length
-                // prefix. The frame's remaining pulses re-send the same
-                // handle against loss (the clock, and so every byte, is
-                // unchanged within a frame).
-                common::Bytes& out = mint_buffer();
-                common::put_u32(out, static_cast<std::uint32_t>(c));
-                out.push_back(1);
-                out.push_back(static_cast<std::uint8_t>(phase_index));
-                common::put_u32(out, static_cast<std::uint32_t>(r));
-                const std::size_t prefix = out.size();
-                common::put_u32(out, 0);
-                session_->append_message_for_round(r, out);
-                const std::size_t length = out.size() - prefix - 4;
-                for (std::size_t i = 0; i < 4; ++i)
-                    out[prefix + i] = static_cast<std::uint8_t>(length >> (8 * i)); // as put_u32
-                last_sent_section_ = common::Byte_view{out.data() + prefix + 4, length};
-                last_sent_buffer_ = static_cast<int>(minted_);
-                last_sent_phase_ = phase_index;
-                last_sent_round_ = r;
-            }
-            ctx.broadcast(pulse_buffers_[static_cast<std::size_t>(last_sent_buffer_)]);
-            return;
-        }
-    }
-
-    common::Bytes& out = mint_buffer();
-    common::put_u32(out, static_cast<std::uint32_t>(c));
-    out.push_back(0);
-    ctx.broadcast(pulse_buffers_[minted_]);
-}
-
 void Pipeline_processor::corrupt(common::Rng& rng)
 {
-    clock_.set_value(static_cast<int>(rng.below(static_cast<std::uint64_t>(clock_.period()))));
-    cache_.clear();
-    session_.reset();
-    last_sent_phase_ = -1;
-    last_sent_round_ = -1;
-    last_sent_buffer_ = -1;
-    last_sent_section_ = {};
-    last_slot_ = -1;
-    parked_.clear();
-    reset_section_buffer(-1);
-    ic_started_at_ = -1; // the in-flight activation died with the fault
-    ic_span_ = 0;        // its span stays open; the exporter clamps it
-    window_span_ = 0;
+    schedule_.corrupt(rng);
+    window_span_ = 0; // its span stays open; the exporter clamps it
     // Arbitrary replicated state: scramble the previous-outcome replica and
     // drop the in-flight batch (the executive ledger is application state;
     // §4 leaves its stabilization case-by-case).
@@ -390,21 +128,21 @@ void Pipeline_processor::corrupt(common::Rng& rng)
     published_this_batch_ = false;
 }
 
-bft::Value Pipeline_processor::phase_input(Phase phase, common::Pulse now)
+bft::Value Pipeline_processor::activation_input(int phase, common::Pulse now, bool after_jump)
 {
-    switch (phase) {
+    switch (static_cast<Phase>(phase)) {
     case Phase::outcome:
         return encode_profile(previous_);
 
     case Phase::commit: {
+        // A window is followed only from a clock that stepped into its
+        // commit activation: a replica whose clock jumped there cannot tell
+        // whether the rest of the group arrived with it.
+        if (!after_jump) window_ = Window_progress::opened;
         if (telemetry_ != nullptr) {
             batch_opened_at_ = now;
-            telemetry::Event e;
-            e.kind = telemetry::Event_kind::play_open;
-            e.window = batches_;
-            e.at = now;
-            e.a = k_; // k plays open per batch window
-            telemetry_->event(std::move(e));
+            // k plays open per batch window.
+            telemetry_->event(telemetry::Event_kind::play_open, now, k_, batches_);
         }
         if (tracer_ != nullptr) {
             // The batch-window span opens before the commit activation's ic
@@ -449,10 +187,11 @@ bft::Value Pipeline_processor::phase_input(Phase phase, common::Pulse now)
     return {};
 }
 
-void Pipeline_processor::process_phase_result(Phase phase, const std::vector<bft::Value>& agreed,
-                                              common::Pulse now)
+void Pipeline_processor::activation_done(int phase, const bft::Ic_session& session,
+                                         common::Pulse now)
 {
-    switch (phase) {
+    const std::vector<bft::Value>& agreed = session.agreed_vector();
+    switch (static_cast<Phase>(phase)) {
     case Phase::outcome: process_outcome_result(agreed); break;
     case Phase::commit: process_commit_result(agreed, now); break;
     case Phase::reveal: process_reveal_result(agreed, now); break;
@@ -481,12 +220,7 @@ void Pipeline_processor::process_commit_result(const std::vector<bft::Value>& ag
         for (const auto& root : roots_) {
             if (root.has_value()) ++sealed;
         }
-        telemetry::Event e;
-        e.kind = telemetry::Event_kind::play_seal;
-        e.window = batches_;
-        e.at = now;
-        e.a = sealed;
-        telemetry_->event(std::move(e));
+        telemetry_->event(telemetry::Event_kind::play_seal, now, sealed, batches_);
     }
     // Every honest replica derives the same reference trajectory from the
     // agreed previous outcome — the audit standard of this batch.
@@ -637,7 +371,7 @@ void Pipeline_processor::process_foul_result(const std::vector<bft::Value>& agre
                         ev.flagged_by.push_back(static_cast<int>(i));
                     }
                 }
-                ev.ic_activation = ic_activation_seq_;
+                ev.ic_activation = schedule_.activation_seq();
                 telemetry_->add_evidence(std::move(ev));
             }
         }
@@ -655,12 +389,8 @@ void Pipeline_processor::process_foul_result(const std::vector<bft::Value>& agre
         window_span_ = 0;
     }
     if (telemetry_ != nullptr) {
-        telemetry::Event e;
-        e.kind = telemetry::Event_kind::play_verdict;
-        e.window = batches_;
-        e.at = now;
-        e.a = static_cast<std::int64_t>(punished.size());
-        telemetry_->event(std::move(e));
+        telemetry_->event(telemetry::Event_kind::play_verdict, now,
+                          static_cast<std::int64_t>(punished.size()), batches_);
         telemetry_->counter("batches.completed") += 1;
         if (published_this_batch_ && batch_opened_at_ >= 0) {
             // Verdicts land at the batch edge, so every play of the window

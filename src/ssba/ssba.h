@@ -12,19 +12,16 @@
 //   - closure (Lemma 3): every subsequent M-pulse window completes exactly one
 //     BA satisfying termination, validity, and agreement.
 //
-// Each pulse carries one bundled payload: the clock section plus, when the
-// schedule calls for it, a round-tagged BA section.
+// The composition is ssba::Clocked_ic (clocked_ic.h); this processor is its
+// one-phase client over bft::ic_eig(), deciding each activation's consensus.
 #ifndef GA_SSBA_SSBA_H
 #define GA_SSBA_SSBA_H
 
 #include <functional>
-#include <memory>
-#include <optional>
 #include <vector>
 
-#include "bft/eig.h"
-#include "clock/clock_core.h"
 #include "sim/processor.h"
+#include "ssba/clocked_ic.h"
 
 namespace ga::ssba {
 
@@ -39,44 +36,30 @@ struct Agreement_record {
     bft::Value value;             ///< the agreed value
 };
 
-class Ssba_processor final : public sim::Processor {
+class Ssba_processor final : public sim::Processor, private Clocked_ic_client {
 public:
     /// `period` must be at least f+3 (f+1 EIG rounds + start/decide slack);
     /// the paper's "clock size log M large enough for exactly one agreement".
     Ssba_processor(common::Processor_id id, int n, int f, int period, common::Rng rng,
                    Input_provider input_provider);
 
-    void on_pulse(sim::Pulse_context& ctx) override;
+    void on_pulse(sim::Pulse_context& ctx) override { schedule_.on_pulse(ctx, *this); }
 
     /// Transient fault: arbitrary clock value and arbitrary BA progress.
     void corrupt(common::Rng& rng) override;
 
-    [[nodiscard]] int clock() const { return clock_.value(); }
-    [[nodiscard]] int period() const { return clock_.period(); }
+    [[nodiscard]] int clock() const { return schedule_.clock(); }
+    [[nodiscard]] int period() const { return schedule_.period(); }
 
     /// Every agreement this processor has decided, in pulse order.
     [[nodiscard]] const std::vector<Agreement_record>& decisions() const { return decisions_; }
 
 private:
-    struct Parsed_payload {
-        std::optional<int> clock_value;
-        std::optional<common::Round> ba_round;
-        common::Bytes ba_payload;
-    };
+    bft::Value activation_input(int phase, common::Pulse now, bool after_jump) override;
+    void activation_done(int phase, const bft::Ic_session& session, common::Pulse now) override;
 
-    [[nodiscard]] Parsed_payload parse(const common::Bytes& payload) const;
-    [[nodiscard]] static common::Bytes bundle(int clock_value,
-                                              std::optional<common::Round> ba_round,
-                                              const common::Bytes& ba_payload);
-
-    int n_;
-    int f_;
-    clock::Clock_core clock_;
-    common::Rng corrupt_rng_; // state-perturbation source for corrupt()
+    Clocked_ic schedule_;
     Input_provider input_provider_;
-    std::unique_ptr<bft::Eig_session> ba_;
-    common::Round last_sent_round_ = -1; ///< own broadcast echo (Session
-    common::Bytes last_sent_payload_;    ///< contract includes self-delivery)
     std::vector<Agreement_record> decisions_;
 };
 

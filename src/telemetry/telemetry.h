@@ -248,6 +248,17 @@ public:
     /// and evicts the oldest entry (counted, never silent) at capacity.
     void event(Event e);
 
+    /// Journal an event that carries only a kind, a tick, `a` and a window.
+    void event(Event_kind kind, Tick at, std::int64_t a, std::int64_t window = -1)
+    {
+        Event e;
+        e.kind = kind;
+        e.window = window;
+        e.at = at;
+        e.a = a;
+        event(std::move(e));
+    }
+
     [[nodiscard]] const Snapshot& snapshot() const { return snap_; }
 
     // ---- Causal tracing (tracer.h). Spans live beside the snapshot — they

@@ -31,6 +31,7 @@
 #include "pipeline/pipeline_authority.h"
 #include "sim/engine.h"
 #include "sim/two_faced.h"
+#include "ssba/clocked_ic.h"
 #include "wire/transport.h"
 
 namespace {
@@ -471,7 +472,7 @@ private:
 };
 
 /// Re-encodes a parsed pulse message from its fields alone.
-Bytes fresh_encode(const pipeline::Pulse_message& message)
+Bytes fresh_encode(const ssba::Pulse_message& message)
 {
     Bytes out;
     common::put_u32(out, static_cast<std::uint32_t>(message.clock));
@@ -517,11 +518,11 @@ public:
             if (handle.bytes() != copy) ++observed_->rewritten;
         }
         while (held_.size() > 48) held_.pop_front();
-        pipeline::Pulse_message message;
+        ssba::Pulse_message message;
         for (const Message& m : ctx.inbox()) {
             ++observed_->messages;
             if (m.sent_at < observed_->garbled_before) continue;
-            if (!pipeline::parse_pulse_message(m.payload, message) ||
+            if (!ssba::parse_pulse_message(m.payload, message) ||
                 fresh_encode(message) != m.payload.bytes()) {
                 ++observed_->mismatches;
                 continue;

@@ -15,6 +15,7 @@
 #include "game/matrix_game.h"
 #include "pipeline/pipeline_processor.h"
 #include "pipeline/vector_commit.h"
+#include "ssba/clocked_ic.h"
 
 namespace {
 
@@ -519,8 +520,8 @@ TEST(JudicialPathDecode, InboxParseMatchesTheThrowingParse)
     for (const Bytes& valid : {with_section, beacon_only}) {
         for_each_probe(valid, rng, 10000, [&](const Bytes& bytes) {
             const Ref_pulse expected = ref_parse_pulse(bytes);
-            pipeline::Pulse_message parsed;
-            ASSERT_EQ(pipeline::parse_pulse_message(bytes, parsed), expected.beacon);
+            ssba::Pulse_message parsed;
+            ASSERT_EQ(ssba::parse_pulse_message(bytes, parsed), expected.beacon);
             if (!expected.beacon) return;
             EXPECT_EQ(parsed.clock, expected.clock);
             ASSERT_EQ(parsed.has_section, expected.has_section);

@@ -12,7 +12,7 @@ namespace {
 
 using namespace ga::authority;
 using ga::pipeline::Pipeline_authority;
-using ga::pipeline::Pipeline_processor;
+using ga::ssba::Clocked_ic;
 using ga::bft::Ic_factory;
 using ga::bft::ic_eig;
 using ga::bft::ic_parallel_phase_king;
@@ -59,25 +59,25 @@ Punishment_factory disconnects()
 TEST(ScalableAuthority, RoundBudgetIsPolynomialSchedule)
 {
     // EIG at f=1: 2 send rounds; parallel IC: 1 + (1 + 2*(1+1)) = 6 rounds.
-    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ic_eig(), 5, 1), 2);
-    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ic_parallel_phase_king(), 5, 1), 6);
+    EXPECT_EQ(Clocked_ic::rounds_of(ic_eig(), 5, 1), 2);
+    EXPECT_EQ(Clocked_ic::rounds_of(ic_parallel_phase_king(), 5, 1), 6);
 }
 
 TEST(ScalableAuthority, ChooseIcFollowsTheMeasuredCrossover)
 {
     // bft::choose_ic encodes E7's BM_authority_play crossover: EIG wins at
     // f = 1, parallel-IC from f = 2 on — but only where n > 4f allows it.
-    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ga::bft::choose_ic(4, 1), 4, 1),
-              Pipeline_processor::ic_rounds_of(ic_eig(), 4, 1));
-    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ga::bft::choose_ic(5, 1), 5, 1),
-              Pipeline_processor::ic_rounds_of(ic_eig(), 5, 1));
-    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ga::bft::choose_ic(9, 2), 9, 2),
-              Pipeline_processor::ic_rounds_of(ic_parallel_phase_king(), 9, 2));
-    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ga::bft::choose_ic(13, 3), 13, 3),
-              Pipeline_processor::ic_rounds_of(ic_parallel_phase_king(), 13, 3));
+    EXPECT_EQ(Clocked_ic::rounds_of(ga::bft::choose_ic(4, 1), 4, 1),
+              Clocked_ic::rounds_of(ic_eig(), 4, 1));
+    EXPECT_EQ(Clocked_ic::rounds_of(ga::bft::choose_ic(5, 1), 5, 1),
+              Clocked_ic::rounds_of(ic_eig(), 5, 1));
+    EXPECT_EQ(Clocked_ic::rounds_of(ga::bft::choose_ic(9, 2), 9, 2),
+              Clocked_ic::rounds_of(ic_parallel_phase_king(), 9, 2));
+    EXPECT_EQ(Clocked_ic::rounds_of(ga::bft::choose_ic(13, 3), 13, 3),
+              Clocked_ic::rounds_of(ic_parallel_phase_king(), 13, 3));
     // n = 7, f = 2 violates parallel-IC's n > 4f: EIG is the only option.
-    EXPECT_EQ(Pipeline_processor::ic_rounds_of(ga::bft::choose_ic(7, 2), 7, 2),
-              Pipeline_processor::ic_rounds_of(ic_eig(), 7, 2));
+    EXPECT_EQ(Clocked_ic::rounds_of(ga::bft::choose_ic(7, 2), 7, 2),
+              Clocked_ic::rounds_of(ic_eig(), 7, 2));
 }
 
 TEST(ScalableAuthority, DefaultSubstrateIsAutoSelected)

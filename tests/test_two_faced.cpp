@@ -153,7 +153,7 @@ TEST(TwoFaced, AuthorityPunishesEquivocatingReplicaConsistently)
         /*byzantine=*/true);
 
     engine.run(1 + 2 * pipeline::Pipeline_processor::clock_period_for(
-                       pipeline::Pipeline_processor::ic_rounds_of(bft::ic_eig(), n, f)));
+                       ssba::Clocked_ic::rounds_of(bft::ic_eig(), n, f)));
 
     // All honest replicas saw the same plays with the same punished sets.
     const auto& reference = engine.processor_as<pipeline::Pipeline_processor>(0).plays();
